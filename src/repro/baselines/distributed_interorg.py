@@ -102,7 +102,9 @@ def _left_prepare(owner: str, application: str, threshold: float) -> WorkflowTyp
     return builder.build()
 
 
-def _right_process(owner: str, application: str, thresholds: dict[str, float]) -> WorkflowType:
+def _right_process(
+    owner: str, application: str, native_format: str, thresholds: dict[str, float]
+) -> WorkflowType:
     wire_format = get_protocol(_PROTOCOL).wire_format
     builder = WorkflowBuilder("interorg-right-process", owner=owner)
     builder.variable("wire_text", "").variable("source", "")
@@ -119,7 +121,7 @@ def _right_process(owner: str, application: str, thresholds: dict[str, float]) -
     builder.activity(
         "transform_po",
         "transform_document",
-        params={"target_format": "__native__"},  # replaced below
+        params={"target_format": native_format},
         inputs={"document": "document", "sender_id": "source"},
         outputs={"document": "document"},
         tags=("transformation",),
@@ -227,10 +229,11 @@ def build_interorg_roundtrip_types(
     """
     left_prepare = _left_prepare(left_owner, left_application, left_threshold)
     right_process = _right_process(
-        right_owner, right_application, right_thresholds or {left_owner: 550000}
+        right_owner,
+        right_application,
+        right_native_format,
+        right_thresholds or {left_owner: 550000},
     )
-    # Patch the inbound transformation target to the right ERP's format.
-    right_process.steps["transform_po"].params["target_format"] = right_native_format
     left_finish = _left_finish(left_owner, left_application, left_native_format)
 
     builder = WorkflowBuilder("interorg-roundtrip", owner=left_owner)

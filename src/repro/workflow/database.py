@@ -4,17 +4,30 @@ Every state advance follows the paper's cycle — "the workflow engine
 retrieves the state of the workflow instance in question, advances the
 workflow instance and stores the advanced state ... back into the
 database".  To make that boundary real (and measurable, experiment F4),
-loads and stores pass through dict snapshots: an engine never holds live
-references into the database, and the ``loads``/``stores`` counters expose
-the persistence traffic.
+an engine never holds live references into the database, and the
+``loads``/``stores`` counters expose the persistence traffic.
+
+The boundary is kept cheap in two ways:
+
+* an instance is stored as pickled bytes and every load unpickles a
+  private copy.  The database only ever unpickles bytes it pickled itself
+  in this process; :meth:`WorkflowDatabase.snapshot` and
+  :meth:`WorkflowDatabase.restore` speak JSON, so no external bytes reach
+  ``pickle.loads``;
+* a type is stored as its definition and built once per
+  ``(name, version)``.  Every load hands out that same read-only
+  :class:`~repro.workflow.definitions.WorkflowType` until the version is
+  stored again or deleted.
 """
 
 from __future__ import annotations
 
+import copy
 import json
-from typing import Any, Callable
+import pickle
+from typing import Any
 
-from repro.errors import PersistenceError
+from repro.errors import DocumentError, InstanceError, PersistenceError
 from repro.workflow.definitions import WorkflowType
 from repro.workflow.instance import WorkflowInstance
 
@@ -27,7 +40,8 @@ class WorkflowDatabase:
     def __init__(self, name: str = "workflow-db"):
         self.name = name
         self._types: dict[tuple[str, str], dict[str, Any]] = {}
-        self._instances: dict[str, dict[str, Any]] = {}
+        self._built_types: dict[tuple[str, str], WorkflowType] = {}
+        self._instances: dict[str, bytes] = {}
         self.type_stores = 0
         self.type_loads = 0
         self.instance_stores = 0
@@ -37,7 +51,9 @@ class WorkflowDatabase:
 
     def store_type(self, workflow_type: WorkflowType) -> None:
         """Persist (or overwrite) a workflow type definition."""
-        self._types[(workflow_type.name, workflow_type.version)] = workflow_type.to_dict()
+        key = (workflow_type.name, workflow_type.version)
+        self._types[key] = workflow_type.to_dict()
+        self._built_types.pop(key, None)
         self.type_stores += 1
 
     def has_type(self, name: str, version: str = "") -> bool:
@@ -47,20 +63,31 @@ class WorkflowDatabase:
         return any(stored_name == name for stored_name, _ in self._types)
 
     def load_type(self, name: str, version: str = "") -> WorkflowType:
-        """Load a type; empty ``version`` resolves to the highest version."""
+        """Load a type; empty ``version`` resolves to the highest version.
+
+        Every load of one stored version returns the same read-only object.
+        """
         self.type_loads += 1
         if version:
-            payload = self._types.get((name, version))
-            if payload is None:
+            key = (name, version)
+            if key not in self._types:
                 raise PersistenceError(
                     f"{self.name}: no workflow type {name!r} version {version!r}"
                 )
-            return WorkflowType.from_dict(payload)
+            return self._built_type(key)
         candidates = [key for key in self._types if key[0] == name]
         if not candidates:
             raise PersistenceError(f"{self.name}: no workflow type {name!r}")
-        latest = max(candidates, key=lambda key: _version_sort_key(key[1]))
-        return WorkflowType.from_dict(self._types[latest])
+        return self._built_type(max(candidates, key=lambda key: _version_sort_key(key[1])))
+
+    def _built_type(self, key: tuple[str, str]) -> WorkflowType:
+        workflow_type = self._built_types.get(key)
+        if workflow_type is None:
+            # Built from a copy, so nothing reachable from the shared type
+            # aliases the stored definition that snapshot() serializes.
+            workflow_type = WorkflowType.from_dict(copy.deepcopy(self._types[key]))
+            self._built_types[key] = workflow_type
+        return workflow_type
 
     def delete_type(self, name: str, version: str) -> None:
         """Remove a stored type version."""
@@ -70,10 +97,11 @@ class WorkflowDatabase:
             raise PersistenceError(
                 f"{self.name}: no workflow type {name!r} version {version!r}"
             ) from None
+        self._built_types.pop((name, version), None)
 
     def list_types(self) -> list[WorkflowType]:
         """All stored type definitions (used by the exposure metric)."""
-        return [WorkflowType.from_dict(payload) for payload in self._types.values()]
+        return [self._built_type(key) for key in self._types]
 
     def type_keys(self) -> list[tuple[str, str]]:
         """All stored (name, version) pairs."""
@@ -82,8 +110,19 @@ class WorkflowDatabase:
     # -- workflow instances ---------------------------------------------------------
 
     def store_instance(self, instance: WorkflowInstance) -> None:
-        """Persist the instance snapshot."""
-        self._instances[instance.instance_id] = instance.to_dict()
+        """Persist the instance snapshot.
+
+        Raises :class:`PersistenceError`, storing nothing, when a value the
+        instance holds cannot be pickled (a lambda, an open file).
+        """
+        try:
+            snapshot = pickle.dumps(instance, pickle.HIGHEST_PROTOCOL)
+        except (pickle.PicklingError, TypeError, AttributeError) as exc:
+            raise PersistenceError(
+                f"{self.name}: cannot persist workflow instance "
+                f"{instance.instance_id!r}: {exc}"
+            ) from exc
+        self._instances[instance.instance_id] = snapshot
         self.instance_stores += 1
 
     def has_instance(self, instance_id: str) -> bool:
@@ -91,12 +130,12 @@ class WorkflowDatabase:
         return instance_id in self._instances
 
     def load_instance(self, instance_id: str) -> WorkflowInstance:
-        """Load an instance snapshot."""
+        """Load a private copy of an instance snapshot."""
         self.instance_loads += 1
-        payload = self._instances.get(instance_id)
-        if payload is None:
+        snapshot = self._instances.get(instance_id)
+        if snapshot is None:
             raise PersistenceError(f"{self.name}: no workflow instance {instance_id!r}")
-        return WorkflowInstance.from_dict(payload)
+        return pickle.loads(snapshot)
 
     def delete_instance(self, instance_id: str) -> None:
         """Remove a stored instance."""
@@ -109,9 +148,7 @@ class WorkflowDatabase:
 
     def list_instances(self, status: str | None = None) -> list[WorkflowInstance]:
         """All instances, optionally filtered by lifecycle status."""
-        instances = [
-            WorkflowInstance.from_dict(payload) for payload in self._instances.values()
-        ]
+        instances = [pickle.loads(snapshot) for snapshot in self._instances.values()]
         if status is not None:
             instances = [instance for instance in instances if instance.status == status]
         return instances
@@ -131,7 +168,10 @@ class WorkflowDatabase:
                     {"name": name, "version": version, "definition": payload}
                     for (name, version), payload in sorted(self._types.items())
                 ],
-                "instances": sorted(self._instances.values(), key=lambda p: p["instance_id"]),
+                "instances": [
+                    pickle.loads(snapshot).to_dict()
+                    for _, snapshot in sorted(self._instances.items())
+                ],
             }
         )
 
@@ -144,8 +184,13 @@ class WorkflowDatabase:
             for entry in payload["types"]:
                 database._types[(entry["name"], entry["version"])] = entry["definition"]
             for entry in payload["instances"]:
-                database._instances[entry["instance_id"]] = entry
-        except (KeyError, TypeError, json.JSONDecodeError) as exc:
+                instance = WorkflowInstance.from_dict(entry)
+                database._instances[instance.instance_id] = pickle.dumps(
+                    instance, pickle.HIGHEST_PROTOCOL
+                )
+        except (
+            KeyError, TypeError, ValueError, AttributeError, DocumentError, InstanceError
+        ) as exc:
             raise PersistenceError(f"corrupt database snapshot: {exc}") from exc
         return database
 
@@ -174,6 +219,12 @@ class ReplicatedDatabase(WorkflowDatabase):
         for replica in self.replicas:
             replica.store_type(workflow_type)
 
+    def delete_type(self, name: str, version: str) -> None:
+        super().delete_type(name, version)
+        for replica in self.replicas:
+            if replica.has_type(name, version):
+                replica.delete_type(name, version)
+
     def store_instance(self, instance: WorkflowInstance) -> None:
         super().store_instance(instance)
         for replica in self.replicas:
@@ -184,9 +235,3 @@ class ReplicatedDatabase(WorkflowDatabase):
         for replica in self.replicas:
             if replica.has_instance(instance_id):
                 replica.delete_instance(instance_id)
-
-
-def apply_to_all(databases: list[WorkflowDatabase], action: Callable[[WorkflowDatabase], None]) -> None:
-    """Apply ``action`` to every database (administration helper)."""
-    for database in databases:
-        action(database)

@@ -21,13 +21,20 @@ Step kinds:
 
 Cycles in the transition graph are rejected at validation time; iteration
 is expressed with :class:`LoopStep`.
+
+Types and steps are read-only once built: the workflow database hands the
+same :class:`WorkflowType` object to every caller, so its step, variable
+and metadata mappings are read-only views and its transitions a tuple.
+Values nested inside those mappings are shared too and must not be
+mutated.
 """
 
 from __future__ import annotations
 
 import copy as _copy
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from types import MappingProxyType
+from typing import Any, Iterable, Mapping
 
 from repro.errors import DefinitionError
 from repro.workflow.expressions import Expression
@@ -48,7 +55,7 @@ JOIN_AND = "AND"
 JOIN_XOR = "XOR"
 
 
-@dataclass
+@dataclass(frozen=True)
 class _BaseStep:
     """Fields shared by every step kind."""
 
@@ -56,6 +63,13 @@ class _BaseStep:
     label: str = ""
     join: str = JOIN_AND
     tags: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        # Frozen fields cannot be rebound; the mappings become read-only
+        # views over private copies so the caller's dicts stay theirs.
+        for name in ("inputs", "outputs", "params"):
+            if hasattr(self, name):
+                object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
 
     def _validate_base(self) -> None:
         if not self.step_id:
@@ -66,7 +80,7 @@ class _BaseStep:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ActivityStep(_BaseStep):
     """An elementary step executing the activity named ``activity``.
 
@@ -76,9 +90,9 @@ class ActivityStep(_BaseStep):
     """
 
     activity: str = ""
-    inputs: dict[str, str] = field(default_factory=dict)
-    outputs: dict[str, str] = field(default_factory=dict)
-    params: dict[str, Any] = field(default_factory=dict)
+    inputs: Mapping[str, str] = field(default_factory=dict)
+    outputs: Mapping[str, str] = field(default_factory=dict)
+    params: Mapping[str, Any] = field(default_factory=dict)
 
     kind = "activity"
 
@@ -90,7 +104,7 @@ class ActivityStep(_BaseStep):
             Expression.shared(expression_text)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SubworkflowStep(_BaseStep):
     """A step whose implementation is another workflow type.
 
@@ -104,8 +118,8 @@ class SubworkflowStep(_BaseStep):
 
     subworkflow: str = ""
     version: str = ""
-    inputs: dict[str, str] = field(default_factory=dict)
-    outputs: dict[str, str] = field(default_factory=dict)
+    inputs: Mapping[str, str] = field(default_factory=dict)
+    outputs: Mapping[str, str] = field(default_factory=dict)
 
     kind = "subworkflow"
 
@@ -117,7 +131,7 @@ class SubworkflowStep(_BaseStep):
             Expression.shared(expression_text)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RemoteSubworkflowStep(_BaseStep):
     """A subworkflow executed by a *different* engine (Figure 5(b)).
 
@@ -129,8 +143,8 @@ class RemoteSubworkflowStep(_BaseStep):
     subworkflow: str = ""
     engine: str = ""
     version: str = ""
-    inputs: dict[str, str] = field(default_factory=dict)
-    outputs: dict[str, str] = field(default_factory=dict)
+    inputs: Mapping[str, str] = field(default_factory=dict)
+    outputs: Mapping[str, str] = field(default_factory=dict)
 
     kind = "remote_subworkflow"
 
@@ -144,7 +158,7 @@ class RemoteSubworkflowStep(_BaseStep):
             Expression.shared(expression_text)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LoopStep(_BaseStep):
     """Structured iteration over a ``body`` subworkflow.
 
@@ -159,8 +173,8 @@ class LoopStep(_BaseStep):
     condition: str = "False"
     mode: str = "while"
     max_iterations: int = 100
-    inputs: dict[str, str] = field(default_factory=dict)
-    outputs: dict[str, str] = field(default_factory=dict)
+    inputs: Mapping[str, str] = field(default_factory=dict)
+    outputs: Mapping[str, str] = field(default_factory=dict)
 
     kind = "loop"
 
@@ -244,19 +258,20 @@ class WorkflowType:
         self.name = name
         self.version = version
         self.owner = owner
-        self.steps: dict[str, Step] = {}
+        steps_by_id: dict[str, Step] = {}
         for step in steps:
             step.validate()
-            if step.step_id in self.steps:
+            if step.step_id in steps_by_id:
                 raise DefinitionError(
                     f"workflow {name!r}: duplicate step id {step.step_id!r}"
                 )
-            self.steps[step.step_id] = step
-        if not self.steps:
+            steps_by_id[step.step_id] = step
+        if not steps_by_id:
             raise DefinitionError(f"workflow {name!r} has no steps")
-        self.transitions: list[Transition] = list(transitions)
-        self.variables: dict[str, Any] = dict(variables or {})
-        self.metadata: dict[str, Any] = dict(metadata or {})
+        self.steps: Mapping[str, Step] = MappingProxyType(steps_by_id)
+        self.transitions: tuple[Transition, ...] = tuple(transitions)
+        self.variables: Mapping[str, Any] = MappingProxyType(dict(variables or {}))
+        self.metadata: Mapping[str, Any] = MappingProxyType(dict(metadata or {}))
         self._incoming: dict[str, list[Transition]] = {sid: [] for sid in self.steps}
         self._outgoing: dict[str, list[Transition]] = {sid: [] for sid in self.steps}
         for transition in self.transitions:
@@ -364,7 +379,7 @@ class WorkflowType:
                               "body", "condition", "mode", "max_iterations",
                               "inputs", "outputs", "params"):
                 if hasattr(step, attribute):
-                    entry[attribute] = _copy.deepcopy(getattr(step, attribute))
+                    entry[attribute] = _plain_copy(getattr(step, attribute))
             steps.append(entry)
         return {
             "name": self.name,
@@ -380,8 +395,8 @@ class WorkflowType:
                 }
                 for arc in self.transitions
             ],
-            "variables": _copy.deepcopy(self.variables),
-            "metadata": _copy.deepcopy(self.metadata),
+            "variables": _plain_copy(self.variables),
+            "metadata": _plain_copy(self.metadata),
         }
 
     @classmethod
@@ -413,6 +428,13 @@ class WorkflowType:
             f"WorkflowType({self.name!r} v{self.version}, "
             f"{self.step_count()} steps, {self.transition_count()} transitions)"
         )
+
+
+def _plain_copy(value: Any) -> Any:
+    """Deep copy ``value``, turning a read-only mapping back into a dict."""
+    if isinstance(value, MappingProxyType):
+        value = dict(value)
+    return _copy.deepcopy(value)
 
 
 class WorkflowBuilder:
