@@ -66,6 +66,7 @@ from typing import Any
 
 from repro.documents.model import Document
 from repro.documents.schema import DocumentSchema, FieldSpec
+from repro.documents.wire import wire_number as _number
 from repro.errors import WireFormatError
 
 __all__ = [
@@ -108,13 +109,6 @@ def _segment(tag: str, *elements: Any) -> str:
     while len(rendered) > 1 and rendered[-1] == "":
         rendered.pop()
     return ELEMENT_SEPARATOR.join(rendered) + SEGMENT_TERMINATOR
-
-
-def _number(text: str, context: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise WireFormatError(f"non-numeric value {text!r} in {context}") from None
 
 
 # ---------------------------------------------------------------------------

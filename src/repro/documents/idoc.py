@@ -43,6 +43,7 @@ from typing import Any
 
 from repro.documents.model import Document
 from repro.documents.schema import DocumentSchema, FieldSpec
+from repro.documents.wire import wire_number as _number
 from repro.errors import WireFormatError
 
 __all__ = [
@@ -140,13 +141,6 @@ def _parse_segment(line: str) -> tuple[str, dict[str, Any]]:
         else:
             values[field_name] = raw
     return name, values
-
-
-def _number(text: str, context: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise WireFormatError(f"non-numeric value {text!r} in {context}") from None
 
 
 def to_wire(document: Document) -> str:

@@ -43,6 +43,7 @@ from typing import Any
 
 from repro.documents.model import Document
 from repro.documents.schema import DocumentSchema, FieldSpec
+from repro.documents.wire import wire_number
 from repro.documents.xmlio import XmlElement, parse, serialize
 from repro.errors import WireFormatError
 
@@ -390,11 +391,7 @@ def _parse_invoice(root: XmlElement) -> Document:
 
 def _parse_application_area(root: XmlElement) -> dict[str, Any]:
     area = root.require("ApplicationArea")
-    creation_text = area.require("CreationDateTime").text
-    try:
-        creation_time = float(creation_text)
-    except ValueError:
-        raise WireFormatError(f"non-numeric CreationDateTime {creation_text!r}") from None
+    creation_time = _float(area, "CreationDateTime")
     return {
         "sender_id": area.require("Sender").require("LogicalId").text,
         "receiver_id": area.require("Receiver").require("LogicalId").text,
@@ -404,11 +401,7 @@ def _parse_application_area(root: XmlElement) -> dict[str, Any]:
 
 
 def _float(element: XmlElement, tag: str) -> float:
-    text = element.require(tag).text
-    try:
-        return float(text)
-    except ValueError:
-        raise WireFormatError(f"non-numeric <{tag}>: {text!r}") from None
+    return wire_number(element.require(tag).text, f"<{tag}>")
 
 
 def _parse_process(root: XmlElement) -> Document:

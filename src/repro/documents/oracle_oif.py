@@ -39,6 +39,7 @@ from typing import Any
 
 from repro.documents.model import Document
 from repro.documents.schema import DocumentSchema, FieldSpec
+from repro.documents.wire import wire_number as _number
 from repro.errors import WireFormatError
 
 __all__ = [
@@ -171,13 +172,6 @@ def _parse_record(line: str) -> tuple[str, dict[str, Any]]:
 def _split_record(line: str) -> list[str]:
     """Split on unescaped pipes (escapes use ``\\p`` so no lookbehind needed)."""
     return line.split("|")
-
-
-def _number(text: str, context: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise WireFormatError(f"non-numeric value {text!r} in {context}") from None
 
 
 def to_wire(document: Document) -> str:

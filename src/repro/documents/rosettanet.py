@@ -36,6 +36,7 @@ from typing import Any
 
 from repro.documents.model import Document
 from repro.documents.schema import DocumentSchema, FieldSpec
+from repro.documents.wire import wire_number
 from repro.documents.xmlio import XmlElement, parse, serialize
 from repro.errors import WireFormatError
 
@@ -221,11 +222,7 @@ def _parse_service_header(root: XmlElement) -> dict[str, Any]:
 
 
 def _float(element: XmlElement, tag: str) -> float:
-    text = element.require(tag).text
-    try:
-        return float(text)
-    except ValueError:
-        raise WireFormatError(f"non-numeric <{tag}>: {text!r}") from None
+    return wire_number(element.require(tag).text, f"<{tag}>")
 
 
 def _int(element: XmlElement, tag: str) -> int:

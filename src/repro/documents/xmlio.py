@@ -14,10 +14,25 @@ It deliberately excludes namespaces-as-objects (prefixes are kept verbatim
 in tag names), CDATA, DTDs and processing instructions — none of which the
 wire formats here use.  ``parse(serialize(tree)) == tree`` is property-tested
 in ``tests/documents/test_xmlio.py``.
+
+``parse`` reads untrusted partner bytes, so it makes one guarantee: on any
+``str`` it returns a tree or raises :class:`~repro.errors.XmlSyntaxError`
+(a ``WireFormatError``, which the B2B engine records as a fault) with the
+offset of the problem, and nothing else escapes.  A malformed character
+reference such as ``&#xZZ;`` or ``&#99999999;`` is such an error, and
+nesting depth is bounded by memory, not by the recursion limit.
+
+The parser is a scanner: ``str.find`` and compiled patterns jump from one
+piece of markup to the next, text between them is sliced in one step, and
+open elements live on an explicit stack.
+``tests/documents/reference_xmlio.py`` keeps the character-at-a-time parser
+it replaced, and a differential test holds the two to the same trees and
+the same errors.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -59,13 +74,13 @@ class XmlElement:
     @property
     def text(self) -> str:
         """Concatenated direct text content."""
-        return "".join(item for item in self.content if isinstance(item, str))
+        return "".join([item for item in self.content if isinstance(item, str)])
 
     def find(self, tag: str) -> "XmlElement | None":
         """Return the first direct child with ``tag``, or ``None``."""
-        for element in self.children:
-            if element.tag == tag:
-                return element
+        for item in self.content:
+            if isinstance(item, XmlElement) and item.tag == tag:
+                return item
         return None
 
     def find_all(self, tag: str) -> list["XmlElement"]:
@@ -106,10 +121,8 @@ class XmlElement:
 _TEXT_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;"}
 _ATTR_ESCAPES = {**_TEXT_ESCAPES, '"': "&quot;"}
 
-_NAME_START = set(
-    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_:"
-)
-_NAME_CHARS = _NAME_START | set("0123456789.-")
+# The one XML name pattern, shared by the serializer's check and the parser.
+_NAME = re.compile(r"[A-Za-z_:][A-Za-z0-9_:.\-]*")
 
 
 def _escape(value: str, table: dict[str, str]) -> str:
@@ -119,9 +132,7 @@ def _escape(value: str, table: dict[str, str]) -> str:
 
 
 def _check_name(name: str) -> str:
-    if not name or name[0] not in _NAME_START or any(
-        character not in _NAME_CHARS for character in name
-    ):
+    if _NAME.fullmatch(name) is None:
         raise XmlSyntaxError(f"invalid XML name {name!r}")
     return name
 
@@ -178,170 +189,206 @@ def _serialize_element(
 
 _ENTITIES = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'"}
 
-
-class _Parser:
-    """A single-pass recursive-descent parser over the input string."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.length = len(text)
-
-    # -- low-level helpers ---------------------------------------------------
-
-    def error(self, message: str) -> XmlSyntaxError:
-        return XmlSyntaxError(message, position=self.pos)
-
-    def peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        return self.text[index] if index < self.length else ""
-
-    def startswith(self, token: str) -> bool:
-        return self.text.startswith(token, self.pos)
-
-    def expect(self, token: str) -> None:
-        if not self.startswith(token):
-            raise self.error(f"expected {token!r}")
-        self.pos += len(token)
-
-    def skip_whitespace(self) -> None:
-        while self.pos < self.length and self.text[self.pos] in " \t\r\n":
-            self.pos += 1
-
-    def skip_misc(self) -> None:
-        """Skip whitespace, comments and the XML declaration."""
-        while True:
-            self.skip_whitespace()
-            if self.startswith("<!--"):
-                end = self.text.find("-->", self.pos + 4)
-                if end < 0:
-                    raise self.error("unterminated comment")
-                self.pos = end + 3
-            elif self.startswith("<?"):
-                end = self.text.find("?>", self.pos + 2)
-                if end < 0:
-                    raise self.error("unterminated declaration")
-                self.pos = end + 2
-            else:
-                return
-
-    def read_name(self) -> str:
-        start = self.pos
-        if self.peek() not in _NAME_START:
-            raise self.error("expected XML name")
-        self.pos += 1
-        while self.peek() in _NAME_CHARS:
-            self.pos += 1
-        return self.text[start:self.pos]
-
-    def read_entity(self) -> str:
-        self.expect("&")
-        end = self.text.find(";", self.pos)
-        if end < 0 or end - self.pos > 10:
-            raise self.error("unterminated entity reference")
-        body = self.text[self.pos:end]
-        self.pos = end + 1
-        if body.startswith("#x") or body.startswith("#X"):
-            return chr(int(body[2:], 16))
-        if body.startswith("#"):
-            return chr(int(body[1:]))
-        if body in _ENTITIES:
-            return _ENTITIES[body]
-        raise self.error(f"unknown entity &{body};")
-
-    # -- grammar -------------------------------------------------------------
-
-    def parse_document(self) -> XmlElement:
-        self.skip_misc()
-        if not self.startswith("<"):
-            raise self.error("expected root element")
-        root = self.parse_element()
-        self.skip_misc()
-        if self.pos != self.length:
-            raise self.error("content after document root")
-        return root
-
-    def parse_element(self) -> XmlElement:
-        self.expect("<")
-        tag = self.read_name()
-        attrs = self.parse_attributes()
-        if self.startswith("/>"):
-            self.pos += 2
-            return XmlElement(tag, attrs)
-        self.expect(">")
-        content = self.parse_content(tag)
-        return XmlElement(tag, attrs, content)
-
-    def parse_attributes(self) -> dict[str, str]:
-        attrs: dict[str, str] = {}
-        while True:
-            self.skip_whitespace()
-            if self.peek() in (">", "/") or self.pos >= self.length:
-                return attrs
-            name = self.read_name()
-            self.skip_whitespace()
-            self.expect("=")
-            self.skip_whitespace()
-            quote = self.peek()
-            if quote not in ('"', "'"):
-                raise self.error("attribute value must be quoted")
-            self.pos += 1
-            value_pieces: list[str] = []
-            while self.peek() != quote:
-                if self.pos >= self.length:
-                    raise self.error("unterminated attribute value")
-                if self.peek() == "&":
-                    value_pieces.append(self.read_entity())
-                elif self.peek() == "<":
-                    raise self.error("'<' not allowed in attribute value")
-                else:
-                    value_pieces.append(self.peek())
-                    self.pos += 1
-            self.pos += 1
-            if name in attrs:
-                raise self.error(f"duplicate attribute {name!r}")
-            attrs[name] = "".join(value_pieces)
-
-    def parse_content(self, open_tag: str) -> list[XmlElement | str]:
-        content: list[XmlElement | str] = []
-        text_pieces: list[str] = []
-
-        def flush_text() -> None:
-            if text_pieces:
-                content.append("".join(text_pieces))
-                text_pieces.clear()
-
-        while True:
-            if self.pos >= self.length:
-                raise self.error(f"unterminated element <{open_tag}>")
-            if self.startswith("</"):
-                flush_text()
-                self.pos += 2
-                closing = self.read_name()
-                if closing != open_tag:
-                    raise self.error(
-                        f"mismatched closing tag </{closing}> for <{open_tag}>"
-                    )
-                self.skip_whitespace()
-                self.expect(">")
-                return content
-            if self.startswith("<!--"):
-                end = self.text.find("-->", self.pos + 4)
-                if end < 0:
-                    raise self.error("unterminated comment")
-                self.pos = end + 3
-            elif self.peek() == "<":
-                flush_text()
-                content.append(self.parse_element())
-            elif self.peek() == "&":
-                text_pieces.append(self.read_entity())
-            else:
-                text_pieces.append(self.peek())
-                self.pos += 1
+_SPACE = re.compile(r"[ \t\r\n]*")
+# An attribute value's run up to its closing quote, a reference or a '<'.
+_VALUE_RUN = {'"': re.compile(r'[^"&<]*'), "'": re.compile(r"[^'&<]*")}
 
 
 def parse(text: str) -> XmlElement:
-    """Parse an XML string and return its root :class:`XmlElement`."""
+    """Parse an XML string and return its root :class:`XmlElement`.
+
+    Raises :class:`XmlSyntaxError`, and nothing else, on any input that is
+    not a document of the grammar above.
+    """
     if not isinstance(text, str):
         raise XmlSyntaxError(f"expected str, got {type(text).__name__}")
-    return _Parser(text).parse_document()
+    pos = _skip_misc(text, 0)
+    if not text.startswith("<", pos):
+        raise XmlSyntaxError("expected root element", pos)
+    root, pos, is_open = _start_tag(text, pos)
+    if is_open:
+        pos = _scan_content(text, pos, root)
+    pos = _skip_misc(text, pos)
+    if pos != len(text):
+        raise XmlSyntaxError("content after document root", pos)
+    return root
+
+
+def _skip_misc(text: str, pos: int) -> int:
+    """Skip whitespace, comments and XML declarations from ``pos``."""
+    while True:
+        pos = _SPACE.match(text, pos).end()
+        if text.startswith("<!--", pos):
+            end = text.find("-->", pos + 4)
+            if end < 0:
+                raise XmlSyntaxError("unterminated comment", pos)
+            pos = end + 3
+        elif text.startswith("<?", pos):
+            end = text.find("?>", pos + 2)
+            if end < 0:
+                raise XmlSyntaxError("unterminated declaration", pos)
+            pos = end + 2
+        else:
+            return pos
+
+
+def _scan_content(text: str, pos: int, root: XmlElement) -> int:
+    """Fill ``root`` from its content at ``pos``; return the offset after its end tag.
+
+    Open elements live on an explicit stack, so nesting depth is bounded by
+    memory, not by the interpreter's recursion limit.  Text between two
+    pieces of markup is sliced in one step; adjacent runs, references and
+    runs split by a comment merge into one text chunk.
+    """
+    find = text.find
+    startswith = text.startswith
+    length = len(text)
+    stack: list[tuple[XmlElement, str]] = []
+    element = root
+    content = root.content
+    closing = f"</{root.tag}>"
+    pieces: list[str] = []
+    while True:
+        lt = find("<", pos)
+        if lt < 0:
+            lt = length
+        amp = find("&", pos, lt)
+        while amp >= 0:
+            if amp > pos:
+                pieces.append(text[pos:amp])
+            value, pos = _reference(text, amp)
+            pieces.append(value)
+            amp = find("&", pos, lt)
+        if lt > pos:
+            pieces.append(text[pos:lt])
+        pos = lt
+        if pos >= length:
+            raise XmlSyntaxError(f"unterminated element <{element.tag}>", pos)
+        if startswith("</", pos):
+            if pieces:
+                content.append("".join(pieces))
+                pieces.clear()
+            if startswith(closing, pos):
+                pos += len(closing)
+            else:
+                pos = _end_tag(text, pos, element.tag)
+            if not stack:
+                return pos
+            element, closing = stack.pop()
+            content = element.content
+        elif startswith("<!--", pos):
+            end = find("-->", pos + 4)
+            if end < 0:
+                raise XmlSyntaxError("unterminated comment", pos)
+            pos = end + 3
+        else:
+            if pieces:
+                content.append("".join(pieces))
+                pieces.clear()
+            child, pos, is_open = _start_tag(text, pos)
+            content.append(child)
+            if is_open:
+                stack.append((element, closing))
+                element = child
+                content = child.content
+                closing = f"</{child.tag}>"
+
+
+def _start_tag(text: str, pos: int) -> tuple[XmlElement, int, bool]:
+    """Read the start tag at ``pos`` (a ``<``).
+
+    Returns the new element, the offset after the tag, and whether the
+    element is open (``>``) rather than empty (``/>``).
+    """
+    match = _NAME.match(text, pos + 1)
+    if match is None:
+        raise XmlSyntaxError("expected XML name", pos + 1)
+    tag = match.group()
+    pos = match.end()
+    attrs: dict[str, str] = {}
+    while True:
+        pos = _SPACE.match(text, pos).end()
+        if text.startswith(">", pos):
+            return XmlElement(tag, attrs), pos + 1, True
+        if text.startswith("/>", pos):
+            return XmlElement(tag, attrs), pos + 2, False
+        if pos >= len(text) or text[pos] == "/":
+            raise XmlSyntaxError("expected '>'", pos)
+        name, value, pos = _attribute(text, pos)
+        if name in attrs:
+            raise XmlSyntaxError(f"duplicate attribute {name!r}", pos)
+        attrs[name] = value
+
+
+def _attribute(text: str, pos: int) -> tuple[str, str, int]:
+    """Read ``name = "value"`` at ``pos``; return name, value and the offset after it."""
+    match = _NAME.match(text, pos)
+    if match is None:
+        raise XmlSyntaxError("expected XML name", pos)
+    pos = _SPACE.match(text, match.end()).end()
+    if not text.startswith("=", pos):
+        raise XmlSyntaxError("expected '='", pos)
+    pos = _SPACE.match(text, pos + 1).end()
+    quote = text[pos:pos + 1]
+    if quote not in ('"', "'"):
+        raise XmlSyntaxError("attribute value must be quoted", pos)
+    run = _VALUE_RUN[quote]
+    pos += 1
+    pieces: list[str] = []
+    while True:
+        end = run.match(text, pos).end()
+        if end > pos:
+            pieces.append(text[pos:end])
+        pos = end
+        if pos >= len(text):
+            raise XmlSyntaxError("unterminated attribute value", pos)
+        if text[pos] == quote:
+            return match.group(), "".join(pieces), pos + 1
+        if text[pos] == "<":
+            raise XmlSyntaxError("'<' not allowed in attribute value", pos)
+        value, pos = _reference(text, pos)
+        pieces.append(value)
+
+
+def _end_tag(text: str, pos: int, open_tag: str) -> int:
+    """Read an end tag at ``pos`` that is not exactly ``</open_tag>``.
+
+    Space before the ``>`` is allowed; anything else is an error.
+    """
+    pos += 2
+    match = _NAME.match(text, pos)
+    if match is None:
+        raise XmlSyntaxError("expected XML name", pos)
+    pos = match.end()
+    if match.group() != open_tag:
+        raise XmlSyntaxError(
+            f"mismatched closing tag </{match.group()}> for <{open_tag}>", pos
+        )
+    pos = _SPACE.match(text, pos).end()
+    if not text.startswith(">", pos):
+        raise XmlSyntaxError("expected '>'", pos)
+    return pos + 1
+
+
+def _reference(text: str, amp: int) -> tuple[str, int]:
+    """Decode the entity or character reference at ``amp`` (a ``&``).
+
+    Returns the character and the offset after the ``;``.
+    """
+    start = amp + 1
+    end = text.find(";", start, start + 11)
+    if end < 0:
+        raise XmlSyntaxError("unterminated entity reference", start)
+    body = text[start:end]
+    if body.startswith(("#x", "#X")):
+        digits, base = body[2:], 16
+    elif body.startswith("#"):
+        digits, base = body[1:], 10
+    elif body in _ENTITIES:
+        return _ENTITIES[body], end + 1
+    else:
+        raise XmlSyntaxError(f"unknown entity &{body};", end + 1)
+    try:
+        return chr(int(digits, base)), end + 1
+    except (ValueError, OverflowError):
+        raise XmlSyntaxError(f"invalid character reference &{body};", end + 1) from None

@@ -6,10 +6,15 @@ produced from the normalized fixtures through the standard catalog — the
 same path production code uses.
 """
 
+import re
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.documents import edi, idoc, oagis, oracle_oif, rosettanet
+from repro.documents.model import Document
 from repro.errors import WireFormatError
+from tests.documents.strategies import mutated, wire_texts
 
 FORMATS = {
     "edi": (edi, edi.EDI_X12),
@@ -228,3 +233,75 @@ class TestOifSpecifics:
     def test_unknown_table_rejected(self):
         with pytest.raises(WireFormatError):
             oracle_oif.from_wire("PO_SECRET_TABLE|X=1")
+
+
+_NON_FINITE = ["inf", "nan", "-inf", "1e999"]
+
+
+class TestNonFiniteNumbers:
+    """``float()`` accepts ``inf``, ``nan`` and ``1e999``; no codec may."""
+
+    @pytest.mark.parametrize("bad", _NON_FINITE)
+    def test_rosettanet(self, registry, sample_po, bad):
+        text = rosettanet.to_wire(registry.transform(sample_po, rosettanet.ROSETTANET))
+        with pytest.raises(WireFormatError, match="non-finite value .* in <LineNumber>"):
+            rosettanet.from_wire(text.replace("<LineNumber>1<", f"<LineNumber>{bad}<"))
+
+    @pytest.mark.parametrize("bad", _NON_FINITE)
+    def test_oagis(self, registry, sample_po, bad):
+        text = oagis.to_wire(registry.transform(sample_po, oagis.OAGIS))
+        with pytest.raises(WireFormatError, match="non-finite value .* in <LineNumber>"):
+            oagis.from_wire(text.replace("<LineNumber>1<", f"<LineNumber>{bad}<"))
+        with pytest.raises(WireFormatError, match="non-finite value .* in <CreationDateTime>"):
+            oagis.from_wire(text.replace(">5.0</CreationDateTime>", f">{bad}</CreationDateTime>"))
+
+    @pytest.mark.parametrize("bad", _NON_FINITE)
+    def test_edi(self, registry, sample_po, bad):
+        text = edi.to_wire(registry.transform(sample_po, edi.EDI_X12))
+        with pytest.raises(WireFormatError, match="non-finite value"):
+            edi.from_wire(text.replace("~PO1*1*", f"~PO1*{bad}*"))
+
+    @pytest.mark.parametrize("bad", _NON_FINITE)
+    def test_idoc(self, registry, sample_po, bad):
+        text = idoc.to_wire(registry.transform(sample_po, idoc.SAP_IDOC))
+        line = next(line for line in text.splitlines() if line.startswith("E1EDP01"))
+        tampered = line[:10] + bad.ljust(6) + line[16:]
+        with pytest.raises(WireFormatError, match="non-finite value"):
+            idoc.from_wire(text.replace(line, tampered))
+
+    @pytest.mark.parametrize("bad", _NON_FINITE)
+    def test_oif(self, registry, sample_po, bad):
+        text = oracle_oif.to_wire(registry.transform(sample_po, oracle_oif.ORACLE_OIF))
+        with pytest.raises(WireFormatError, match="non-finite value"):
+            oracle_oif.from_wire(text.replace("LINE_NUM=1|", f"LINE_NUM={bad}|"))
+
+
+# -- fuzz: partner bytes never escape as an untyped exception -----------------
+
+# Tokens a hostile or broken partner might put where a number or a piece of
+# markup belongs.
+_HOSTILE = st.sampled_from(
+    ["inf", "nan", "1e999", "-Infinity", "&#xZZ;", "&#99999999;", "&#;", "&#-5;",
+     "<", ">", "&", "*", "~", "|", "=", "\\", "\n", "", "x", "-1", "1.5"]
+)
+_NUMBER = re.compile(r"\d+(?:\.\d+)?")
+
+
+@st.composite
+def _hostile_number(draw, texts):
+    """A drawn wire text with one of its numbers replaced by a hostile token."""
+    text = draw(texts)
+    start, end = draw(st.sampled_from([match.span() for match in _NUMBER.finditer(text)]))
+    return text[:start] + draw(_HOSTILE) + text[end:]
+
+
+@pytest.mark.parametrize("format_key", sorted(FORMATS))
+@settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_from_wire_raises_only_wire_format_errors(format_key, data):
+    module, format_name = FORMATS[format_key]
+    text = data.draw(mutated(_hostile_number(wire_texts(module, format_name)), _HOSTILE))
+    try:
+        assert isinstance(module.from_wire(text), Document)
+    except WireFormatError:
+        pass

@@ -1,10 +1,13 @@
 """Tests for the minimal XML reader/writer."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.documents import oagis, rosettanet
 from repro.documents.xmlio import XmlElement, parse, serialize
 from repro.errors import XmlSyntaxError
+from tests.documents.reference_xmlio import reference_parse
+from tests.documents.strategies import mutated, wire_texts
 
 
 class TestElementApi:
@@ -120,11 +123,45 @@ class TestParse:
             "<a/><b/>",
             "<a><![CDATA[x]]></a>",
             '<a x="<"/>',
+            "<a>&#xZZ;</a>",
+            "<a>&#;</a>",
+            "<a>&#-5;</a>",
+            "<a>&#99999999;</a>",
+            '<a x="&#xZZ;"/>',
         ],
     )
     def test_malformed_rejected(self, bad):
         with pytest.raises(XmlSyntaxError):
             parse(bad)
+
+    @pytest.mark.parametrize(
+        "text, reference",
+        [
+            ("<a>&#xZZ;</a>", "&#xZZ;"),
+            ("<a>&#xFFFFFFFF;</a>", "&#xFFFFFFFF;"),
+            ('<a x="1&#99999999;"/>', "&#99999999;"),
+        ],
+    )
+    def test_bad_character_reference_named(self, text, reference):
+        with pytest.raises(XmlSyntaxError, match=f"invalid character reference {reference}"):
+            parse(text)
+
+    def test_deep_nesting_parses(self):
+        depth = 100_000
+        root = parse("<d>" * depth + "x" + "</d>" * depth)
+        levels, element = 1, root
+        while element.children:
+            (element,) = element.children
+            levels += 1
+        assert levels == depth
+        assert element.text == "x"
+
+    def test_text_merges_across_comments_and_references(self):
+        root = parse("<a> x<!-- c -->y&amp;z <b/>\n</a>")
+        assert root.content == [" xy&z ", XmlElement("b"), "\n"]
+
+    def test_space_before_end_tag_close(self):
+        assert parse("<a><b>t</b \n></a >") == XmlElement("a", content=[XmlElement("b", content=["t"])])
 
     def test_error_carries_position(self):
         with pytest.raises(XmlSyntaxError) as excinfo:
@@ -174,3 +211,87 @@ def test_parse_serialize_roundtrip(element):
 @given(_elements())
 def test_roundtrip_with_declaration(element):
     assert parse(serialize(element, declaration=True)) == element
+
+
+# -- differential against the reference parser --------------------------------
+#
+# ``reference_xmlio`` keeps the character-at-a-time parser that ``parse``
+# replaced.  Where it returns a tree or raises XmlSyntaxError, ``parse``
+# must return an equal tree or raise the same message at the same offset.
+# Where it raises anything else (a malformed character reference, or
+# nesting past the recursion limit), ``parse`` must stay typed.
+
+# Single characters and whole tokens that break or bend the grammar.
+_MUTATIONS = st.sampled_from(
+    list("<>/&;#x\"'= \t\n!-?aZ0:._é")
+    + ["&#xZZ;", "&#99999999;", "&#;", "&amp;", "<!--", "-->", "</", "/>", "<?", "<b>"]
+)
+
+
+def _outcome(text):
+    try:
+        return parse(text)
+    except XmlSyntaxError as error:
+        return (str(error), error.position)
+
+
+def _assert_agrees(text):
+    try:
+        expected = reference_parse(text)
+    except XmlSyntaxError as error:
+        expected = (str(error), error.position)
+    except Exception:
+        _outcome(text)  # must return a tree or raise XmlSyntaxError
+        return
+    assert _outcome(text) == expected
+
+
+@st.composite
+def _serialized_trees(draw):
+    return serialize(
+        draw(_elements()),
+        declaration=draw(st.booleans()),
+        indent=draw(st.sampled_from((0, 2))),
+    )
+
+
+_codec_documents = st.sampled_from(
+    ((rosettanet, rosettanet.ROSETTANET), (oagis, oagis.OAGIS))
+).flatmap(lambda codec: wire_texts(*codec))
+
+
+class TestDifferential:
+    @given(_serialized_trees())
+    def test_serialized_trees(self, text):
+        _assert_agrees(text)
+
+    @settings(max_examples=50, suppress_health_check=[HealthCheck.too_slow])
+    @given(_codec_documents)
+    def test_codec_documents(self, text):
+        _assert_agrees(text)
+
+    @settings(max_examples=300)
+    @given(mutated(_serialized_trees(), _MUTATIONS))
+    def test_mutated_trees(self, text):
+        _assert_agrees(text)
+
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+    @given(mutated(_codec_documents, _MUTATIONS))
+    def test_mutated_codec_documents(self, text):
+        _assert_agrees(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "<a>&#xZZ;</a>",
+            "<a>&#99999999;</a>",
+            "<a>&#xFFFFFFFF;</a>",
+            "<a>" * 3000 + "</a>" * 3000,
+        ],
+        ids=["bad-hex-reference", "out-of-range-reference", "overflow-reference", "3000-deep"],
+    )
+    def test_reference_defects_stay_typed(self, text):
+        with pytest.raises(Exception) as excinfo:
+            reference_parse(text)
+        assert not isinstance(excinfo.value, XmlSyntaxError)
+        _assert_agrees(text)
