@@ -1,21 +1,17 @@
-"""Transformation benchmarks: content-addressed cache + columnar batches.
+"""Transformation benchmarks: the content-addressed result cache.
 
-B2B traffic is repetitive (the same purchase orders and acks arrive over
-and over) and bursty (documents arrive in vectors, not one at a time).
-The transformation engine exploits both: a content-addressed result
-cache memoizes whole route applications, and ``transform_batch`` runs a
-compiled mapping across a document vector with route resolution, schema
-validation and rule dispatch hoisted out of the per-document loop (see
-:mod:`repro.analysis.transform_bench` for the workload models).
+B2B traffic is repetitive: the same purchase orders and acks arrive over
+and over.  A content-addressed result cache memoizes whole route
+applications (see :mod:`repro.analysis.transform_bench` for the workload
+models).
 
 Run standalone with the performance gate::
 
     PYTHONPATH=src python benchmarks/bench_transform_cache.py --gate
 
-The gate enforces the two transformation floors: warm cache hit rate on
-the Zipf request stream >= 0.9, and inbound columnar batch speedup at
-100-document batches >= 3x — plus the trace-parity invariant: the
-batched transform hub must render the exact same event trace as the
+The gate enforces the warm cache hit rate on the Zipf request stream
+(>= 0.9) plus the trace-parity invariant: a transform hub whose kernel
+coalesces batchable tasks must render the exact same event trace as the
 one-document-at-a-time hub at every shard count.  ``--json PATH``
 additionally writes the raw measurement payload (the same sub-dict
 ``repro bench --transform-cache`` embeds in the BENCH envelope).
@@ -29,7 +25,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from conftest import table  # noqa: E402
 
 from repro.analysis.transform_bench import (  # noqa: E402
-    BATCH_SPEEDUP_FLOOR,
     CACHE_HIT_RATE_FLOOR,
     _document_population,
     _zipf_indexes,
@@ -68,22 +63,8 @@ def bench_cached_zipf_stream(benchmark, report):
     ))
 
 
-def bench_transform_batch_inbound(benchmark, report):
-    """Columnar transform of one 100-document inbound batch (no cache)."""
-    registry = build_standard_registry()
-    documents = _document_population(registry, 100)
-    registry.transform_batch(documents, NORMALIZED, _CONTEXT)  # warm
-
-    benchmark(lambda: registry.transform_batch(documents, NORMALIZED, _CONTEXT))
-    report(table(
-        [{"batch_size": len(documents), "route": "edi-x12 -> normalized"}],
-        ["batch_size", "route"],
-        "Batch: compare against bench_per_document_inbound's timing",
-    ))
-
-
 def bench_per_document_inbound(benchmark, report):
-    """Per-document reference loop over the same 100-document batch."""
+    """Uncached per-document transforms of 100 distinct inbound documents."""
     registry = build_standard_registry()
     documents = _document_population(registry, 100)
     [registry.transform(document, NORMALIZED, _CONTEXT) for document in documents]
@@ -94,9 +75,9 @@ def bench_per_document_inbound(benchmark, report):
 
     benchmark(loop)
     report(table(
-        [{"batch_size": len(documents), "route": "edi-x12 -> normalized"}],
-        ["batch_size", "route"],
-        "Reference loop (the gated speedup is batch over this)",
+        [{"documents": len(documents), "route": "edi-x12 -> normalized"}],
+        ["documents", "route"],
+        "Uncached per-document transforms (no cache attached)",
     ))
 
 
@@ -107,14 +88,6 @@ def main(argv=None) -> int:
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--batch-size", type=int, default=100,
-        help="documents per transform_batch call (default: 100)",
-    )
-    parser.add_argument(
-        "--batches", type=int, default=20,
-        help="batches per timed speedup run (default: 20)",
-    )
-    parser.add_argument(
         "--requests", type=int, default=5_000,
         help="Zipf requests for the hit-rate measurement (default: 5000)",
     )
@@ -124,16 +97,12 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--gate", action="store_true",
-        help="enforce the hit-rate floor, batch-speedup floor and "
-        "hub trace parity",
+        help="enforce the hit-rate floor and hub trace parity",
     )
     args = parser.parse_args(argv)
 
-    payload = run_transform_benchmark(
-        batch_size=args.batch_size, batches=args.batches, requests=args.requests
-    )
+    payload = run_transform_benchmark(requests=args.requests)
     cache = payload["cache"]
-    batch = payload["batch"]
     hub = payload["hub"]
 
     print(table(
@@ -147,25 +116,6 @@ def main(argv=None) -> int:
         }],
         ["population", "requests", "hits", "misses", "hit_rate", "speedup"],
         "Content-addressed cache on the Zipf stream",
-    ))
-    print()
-    print(table(
-        [
-            {
-                "route": "inbound (edi-x12 -> normalized)",
-                "per_doc_sec": batch["inbound"]["per_doc_sec"],
-                "batch_sec": batch["inbound"]["batch_sec"],
-                "speedup": f"x{batch['inbound']['speedup']}",
-            },
-            {
-                "route": "outbound (normalized -> edi-x12)",
-                "per_doc_sec": batch["outbound"]["per_doc_sec"],
-                "batch_sec": batch["outbound"]["batch_sec"],
-                "speedup": f"x{batch['outbound']['speedup']}",
-            },
-        ],
-        ["route", "per_doc_sec", "batch_sec", "speedup"],
-        f"Columnar batches ({batch['batch_size']} docs x {batch['batches']})",
     ))
     print()
     print(table(
@@ -195,12 +145,6 @@ def main(argv=None) -> int:
                 f"cache hit rate {hit_rate:.4f} is below the "
                 f"{CACHE_HIT_RATE_FLOOR:.2f} floor"
             )
-        speedup = payload["transform_batch_speedup"]
-        if speedup < BATCH_SPEEDUP_FLOOR:
-            problems.append(
-                f"batch speedup x{speedup:.2f} is below the "
-                f"x{BATCH_SPEEDUP_FLOOR:.1f} floor"
-            )
         if not hub["trace_parity"]:
             problems.append("batched hub trace differs from per-document trace")
         if problems:
@@ -210,7 +154,7 @@ def main(argv=None) -> int:
             return 1
         print(
             f"\ntransform gate OK (hit rate >= {CACHE_HIT_RATE_FLOOR:.2f}, "
-            f"batch speedup >= x{BATCH_SPEEDUP_FLOOR:.1f}, trace parity)"
+            "trace parity)"
         )
     return 0
 

@@ -78,11 +78,8 @@ SPEEDUP_FLOORS = {
     # Recovery must replay >=50k events/sec (mirrors RECOVERY_FLOOR in
     # repro.analysis.journal_bench).
     "recovery_events_per_sec": 50_000.0,
-    # Columnar transform_batch must be >=3x the per-document loop at
-    # 100-document batches, and the content-addressed cache must serve
-    # >=90% of a warm Zipf stream (mirror BATCH_SPEEDUP_FLOOR and
-    # CACHE_HIT_RATE_FLOOR in repro.analysis.transform_bench).
-    "transform_batch_speedup": 3.0,
+    # The content-addressed cache must serve >=90% of a warm Zipf stream
+    # (mirrors CACHE_HIT_RATE_FLOOR in repro.analysis.transform_bench).
     "transform_cache_hit_rate": 0.9,
     # The B2B7xx schema dataflow pass must verify >=200 binding routes/sec
     # across the example fleet (~5x headroom under the measured ~1.1k/s)
@@ -434,7 +431,6 @@ def run_benchmarks(
     journal: bool = False,
     journal_messages: int = 20_000,
     transform_cache: bool = False,
-    transform_batch_size: int = 100,
     dataflow: bool = False,
 ) -> dict[str, Any]:
     """Run the selected benchmarks and return the result payload."""
@@ -516,15 +512,10 @@ def run_benchmarks(
     if transform_cache:
         from repro.analysis.transform_bench import run_transform_benchmark
 
-        transform_payload = run_transform_benchmark(
-            batch_size=transform_batch_size
-        )
+        transform_payload = run_transform_benchmark()
         payload["transform"] = transform_payload
         derived["transform_cache_hit_rate"] = transform_payload[
             "transform_cache_hit_rate"
-        ]
-        derived["transform_batch_speedup"] = transform_payload[
-            "transform_batch_speedup"
         ]
     if dataflow:
         derived.update(_dataflow_metrics())
@@ -628,12 +619,8 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--transform-cache", action="store_true",
         help="also run the transformation benchmarks (content-addressed "
-        "cache hit rate on a Zipf stream, columnar batch speedup, and the "
-        "batched transform-hub trace-parity check)",
-    )
-    parser.add_argument(
-        "--transform-batch-size", type=int, default=100, metavar="N",
-        help="documents per transform_batch call (default: 100)",
+        "cache hit rate on a Zipf stream and the batched transform-hub "
+        "trace-parity check)",
     )
     parser.add_argument(
         "--dataflow", action="store_true",
@@ -665,7 +652,6 @@ def run(args: argparse.Namespace) -> int:
         journal=args.journal,
         journal_messages=args.journal_messages,
         transform_cache=args.transform_cache,
-        transform_batch_size=args.transform_batch_size,
         dataflow=args.dataflow,
     )
 
@@ -695,18 +681,12 @@ def run(args: argparse.Namespace) -> int:
     if "transform" in payload:
         entry = payload["transform"]
         cache = entry["cache"]
-        batch = entry["batch"]
         hub = entry["hub"]
-        print("\ntransformation (cache + columnar batch):")
+        print("\ntransformation (cache):")
         print(
             f"  cache hit rate {cache['transform_cache_hit_rate']:>8.2%} on the "
             f"Zipf stream ({cache['hits']} hits / {cache['misses']} misses, "
             f"x{cache['cache_speedup']:.2f} wall time)"
-        )
-        print(
-            f"  batch speedup  x{batch['transform_batch_speedup']:>7.2f} inbound "
-            f"at {batch['batch_size']}-doc batches "
-            f"(outbound x{batch['outbound']['speedup']:.2f})"
         )
         print(f"  hub trace parity across shards: {hub['trace_parity']}")
     if "journal" in payload:

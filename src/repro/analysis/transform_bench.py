@@ -1,6 +1,6 @@
-"""Transformation cache + columnar batch benchmarks.
+"""Transformation cache benchmark.
 
-Two dimensionless numbers gate the transformation engine in CI:
+One dimensionless number gates the transformation engine in CI:
 
 * ``transform_cache_hit_rate`` — warm hit rate of the content-addressed
   result cache (:meth:`TransformationRegistry.enable_cache`) under a
@@ -10,21 +10,11 @@ Two dimensionless numbers gate the transformation engine in CI:
   document population, so after the cold pass the hot head is served
   from memoized results.  Floor: 0.9.
 
-* ``transform_batch_speedup`` — columnar ``transform_batch`` over the
-  per-document ``transform`` loop on the cacheable inbound wire route
-  (EDI X12 -> normalized purchase orders) at 100-document batches, with
-  no cache attached so the number isolates the batch path itself (route
-  resolution, schema walk and rule dispatch hoisted out of the
-  per-document loop).  Floor: 3.0.
-
 A trace-parity check rides along, mirroring the sharded-hub benchmark's
-deterministic invariant: a transform hub draining batchable tasks
-(coalesced into ``transform_batch`` calls) must render the exact same
-event trace as the one-at-a-time hub, at every shard count.  Batching is
-a throughput optimisation, never an observable behaviour change.
-
-Timings interleave the two paths and take the best (minimum) of repeats,
-the same noise control the journal benchmarks use.
+deterministic invariant: a transform hub draining batchable tasks (the
+kernel coalesces them into one ``run_batch`` call) must render the exact
+same event trace as the one-at-a-time hub, at every shard count.
+Coalescing is a scheduling detail, never an observable behaviour change.
 """
 
 from __future__ import annotations
@@ -43,14 +33,11 @@ from repro.transform.transformer import TransformationRegistry
 __all__ = [
     "run_transform_benchmark",
     "measure_cache_hit_rate",
-    "measure_batch_speedup",
     "transform_hub_trace",
-    "BATCH_SPEEDUP_FLOOR",
     "CACHE_HIT_RATE_FLOOR",
 ]
 
 # Mirrored by SPEEDUP_FLOORS in repro.analysis.bench.
-BATCH_SPEEDUP_FLOOR = 3.0
 CACHE_HIT_RATE_FLOOR = 0.9
 
 _CONTEXT = {"sender_id": "ACME", "receiver_id": "TP1", "now": 1.0}
@@ -130,65 +117,10 @@ def measure_cache_hit_rate(
     }
 
 
-def measure_batch_speedup(
-    batch_size: int = 100,
-    batches: int = 20,
-    repeats: int = 5,
-) -> dict[str, Any]:
-    """Columnar vs per-document transformation on the inbound wire route.
-
-    Distinct documents, no cache: the ratio isolates the batch path.  The
-    outbound (normalized -> EDI X12) route is measured alongside for the
-    report; the gate reads the inbound number.
-    """
-    registry = build_standard_registry()
-    inbound = _document_population(registry, batch_size * batches)
-    normalized = [registry.transform(document, NORMALIZED) for document in inbound]
-
-    def run_route(documents: list[Document], target: str) -> dict[str, Any]:
-        groups = [
-            documents[start:start + batch_size]
-            for start in range(0, len(documents), batch_size)
-        ]
-        # warm both paths (compiles mappings and batch programs)
-        registry.transform_batch(groups[0], target, _CONTEXT)
-        [registry.transform(document, target, _CONTEXT) for document in groups[0]]
-        per_doc: list[float] = []
-        batched: list[float] = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            for group in groups:
-                for document in group:
-                    registry.transform(document, target, _CONTEXT)
-            per_doc.append(time.perf_counter() - start)
-            start = time.perf_counter()
-            for group in groups:
-                registry.transform_batch(group, target, _CONTEXT)
-            batched.append(time.perf_counter() - start)
-        best_per_doc = min(per_doc)
-        best_batched = min(batched)
-        return {
-            "per_doc_sec": round(best_per_doc, 4),
-            "batch_sec": round(best_batched, 4),
-            "speedup": round(best_per_doc / best_batched, 2),
-        }
-
-    inbound_result = run_route(inbound, NORMALIZED)
-    outbound_result = run_route(normalized, "edi-x12")
-    return {
-        "batch_size": batch_size,
-        "batches": batches,
-        "documents": batch_size * batches,
-        "inbound": inbound_result,
-        "outbound": outbound_result,
-        "transform_batch_speedup": inbound_result["speedup"],
-    }
-
-
 class _TransformHubBatcher:
-    """The hub's batchable-task hook: coalesced payloads go through
-    ``transform_batch`` in one call, then each document's lifecycle event
-    is emitted in payload order — the trace-parity contract."""
+    """The hub's batchable-task hook: the kernel hands it a run of
+    coalesced payloads; each is transformed and its lifecycle event
+    emitted in payload order — the trace-parity contract."""
 
     def __init__(self, kernel: ShardedKernel, registry: TransformationRegistry) -> None:
         self.kernel = kernel
@@ -198,9 +130,8 @@ class _TransformHubBatcher:
 
     def run_batch(self, payloads: list[tuple[str, int, Document]]) -> None:
         self.batch_calls += 1
-        documents = [document for _, _, document in payloads]
-        results = self.registry.transform_batch(documents, NORMALIZED)
-        for (partner, sequence, _), result in zip(payloads, results):
+        for partner, sequence, document in payloads:
+            result = self.registry.transform(document, NORMALIZED)
             self.processed += 1
             self.kernel.emit(
                 DocumentReceived,
@@ -223,8 +154,8 @@ def transform_hub_trace(
 
     Inbound wire documents are routed to their partner's shard and
     normalized there; ``batched`` switches between one plain task per
-    document and batchable tasks the drain coalesces into
-    ``transform_batch`` calls.  Returns ``(trace, stats)``.
+    document and batchable tasks the drain coalesces into ``run_batch``
+    calls.  Returns ``(trace, stats)``.
     """
     registry = build_standard_registry()
     registry.enable_cache()
@@ -290,15 +221,12 @@ def _hub_parity(shard_counts: tuple[int, ...] = (1, 2, 4)) -> dict[str, Any]:
 
 
 def run_transform_benchmark(
-    batch_size: int = 100,
-    batches: int = 20,
     population: int = 50,
     requests: int = 5_000,
 ) -> dict[str, Any]:
-    """All three transformation measurements in one payload (feeds the
-    BENCH envelope and the standalone CI gate)."""
+    """Both transformation measurements in one payload (feeds the BENCH
+    envelope and the standalone CI gate)."""
     cache = measure_cache_hit_rate(population=population, requests=requests)
-    batch = measure_batch_speedup(batch_size=batch_size, batches=batches)
     hub = _hub_parity()
     if not hub["trace_parity"]:
         raise RuntimeError(
@@ -306,8 +234,6 @@ def run_transform_benchmark(
         )
     return {
         "cache": cache,
-        "batch": batch,
         "hub": hub,
         "transform_cache_hit_rate": cache["transform_cache_hit_rate"],
-        "transform_batch_speedup": batch["transform_batch_speedup"],
     }

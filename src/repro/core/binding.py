@@ -246,103 +246,6 @@ class Binding:
                 document = executor.apply(document, context)
         return document
 
-    def apply_inbound_batch(
-        self,
-        documents: list[Document],
-        registry: TransformationRegistry,
-        context: Mapping[str, Any] | None = None,
-    ) -> list[Document | None]:
-        """Run the inbound chain columnar over ``documents``.
-
-        Equivalent to ``[self.apply_inbound(d, ...) for d in documents]``
-        (``None`` per consumed document); on any failure the batch is
-        re-run per document so the surfaced error matches the sequential
-        path.
-        """
-        self.inbound_runs += len(documents)
-        return self._run_planned_batch(
-            "in", self.inbound, documents, registry, context or {}
-        )
-
-    def apply_outbound_batch(
-        self,
-        documents: list[Document],
-        registry: TransformationRegistry,
-        context: Mapping[str, Any] | None = None,
-    ) -> list[Document | None]:
-        """Run the outbound chain columnar over ``documents`` (see
-        :meth:`apply_inbound_batch`)."""
-        self.outbound_runs += len(documents)
-        return self._run_planned_batch(
-            "out", self.outbound, documents, registry, context or {}
-        )
-
-    def _run_planned_batch(
-        self,
-        direction: str,
-        chain: list[BindingStep],
-        documents: list[Document],
-        registry: TransformationRegistry,
-        context: Mapping[str, Any],
-    ) -> list[Document | None]:
-        if not documents:
-            return []
-        try:
-            return self._run_batch_grouped(direction, chain, documents, registry, context)
-        except Exception:
-            return [
-                self._run_planned(direction, chain, document, registry, context)
-                for document in documents
-            ]
-
-    def _run_batch_grouped(
-        self,
-        direction: str,
-        chain: list[BindingStep],
-        documents: list[Document],
-        registry: TransformationRegistry,
-        context: Mapping[str, Any],
-    ) -> list[Document | None]:
-        plan = self._plan(direction, chain, registry)
-        routes = plan.routes
-        vector: list[Document] = documents
-        for index, step in enumerate(plan.steps):
-            if step.kind == KIND_CONSUME:
-                return [None] * len(documents)
-            if step.kind == KIND_PRODUCE:
-                assert step.producer is not None
-                # one producer call per document, matching the sequential path
-                vector = [step.producer(context) for _ in vector]
-                continue
-            groups: dict[tuple[str, str], list[int]] = {}
-            for position, document in enumerate(vector):
-                if document is None:
-                    raise BindingError(
-                        f"binding {self.name!r}: step {step.step_id!r} has no "
-                        "document to transform (consumed earlier in the chain?)"
-                    )
-                groups.setdefault(
-                    (document.format_name, document.doc_type), []
-                ).append(position)
-            produced: list[Document] = list(vector)
-            for (format_name, doc_type), positions in groups.items():
-                route_key = (index, format_name, doc_type)
-                executor = routes.get(route_key, _UNSET)
-                if executor is _UNSET:
-                    executor = registry.executor(
-                        format_name, step.target_format, doc_type
-                    )
-                    routes[route_key] = executor
-                if executor is None:
-                    continue
-                outputs = executor.apply_batch(
-                    [vector[position] for position in positions], context
-                )
-                for position, output in zip(positions, outputs):
-                    produced[position] = output
-            vector = produced
-        return list(vector)
-
     def _run_chain(
         self,
         chain: list[BindingStep],

@@ -27,6 +27,7 @@ from repro.core.public_process import PublicProcessDefinition, PublicProcessInst
 from repro.core.rules import RuleEngine
 from repro.documents.model import Document
 from repro.errors import (
+    ActivityError,
     AgreementError,
     BindingError,
     IntegrationError,
@@ -396,6 +397,9 @@ class B2BEngine:
         self.transports = dict(transports or {})
         self.reply_timeout = reply_timeout
         self.conversations: dict[str, Conversation] = {}
+        # The open subset of ``conversations``, in opening order: status
+        # re-checks after back-end events visit only these.
+        self._open: dict[str, Conversation] = {}
         self.broadcasts: dict[str, Broadcast] = {}
         self.faults: list[dict[str, str]] = []
         # append-only audit journal of every business message in/out:
@@ -486,7 +490,7 @@ class B2BEngine:
             ),
         )
         conversation.public.conversation_id = conversation.conversation_id
-        self.conversations[conversation.conversation_id] = conversation
+        self._register(conversation)
         self._emit(
             ConversationStarted,
             conversation_id=conversation.conversation_id,
@@ -551,15 +555,7 @@ class B2BEngine:
         for conversation_id in sorted(batch.pending):
             conversation = self.conversations.get(conversation_id)
             if conversation is not None and conversation.is_open():
-                conversation.status = "failed"
-                conversation.fault = "no reply before the broadcast deadline"
-                self._emit(
-                    ConversationFailed,
-                    conversation_id=conversation.conversation_id,
-                    protocol=conversation.protocol,
-                    partner_id=conversation.partner_id,
-                    reason=conversation.fault,
-                )
+                self._fail(conversation, "no reply before the broadcast deadline")
         batch.pending.clear()
         if self.wfms.has_waiting(batch.wait_key):
             self.wfms.complete_waiting_step(
@@ -712,6 +708,14 @@ class B2BEngine:
                 self._handle_request(message, partner.partner_id, wire_document)
         except (AgreementError, ProtocolError, TransformError, IntegrationError) as exc:
             self._record_fault(message.conversation_id, message.message_id, exc)
+        except ActivityError as exc:
+            # A private-process activity rejected the document (say, the
+            # back end already booked this PO number): the conversation
+            # can never complete, so it fails here instead of staying open.
+            self._record_fault(message.conversation_id, message.message_id, exc)
+            failed = self.conversations.get(message.conversation_id)
+            if failed is not None and failed.is_open():
+                self._fail(failed, str(exc))
 
     def _handle_request(
         self, message: Message, partner_id: str, wire_document: Document
@@ -735,7 +739,7 @@ class B2BEngine:
                 partner_id,
             ),
         )
-        self.conversations[conversation.conversation_id] = conversation
+        self._register(conversation)
         self._emit(
             ConversationStarted,
             conversation_id=conversation.conversation_id,
@@ -881,22 +885,14 @@ class B2BEngine:
             extracted, self.model.transforms, {"now": self._clock.now()}
         )
         self.wfms.complete_waiting_step(wait_key, {"document": normalized})
-        for conversation in self.conversations.values():
+        for conversation in list(self._open.values()):
             self._after_advance(conversation)
 
     def _delivery_failed(self, conversation_id: str, error: RetryExhaustedError) -> None:
         conversation = self.conversations.get(conversation_id)
         if conversation is None or not conversation.is_open():
             return
-        conversation.status = "failed"
-        conversation.fault = str(error)
-        self._emit(
-            ConversationFailed,
-            conversation_id=conversation_id,
-            protocol=conversation.protocol,
-            partner_id=conversation.partner_id,
-            reason=str(error),
-        )
+        self._fail(conversation, str(error))
         self.faults.append(
             {"conversation": conversation_id, "message": "", "error": str(error)}
         )
@@ -942,6 +938,22 @@ class B2BEngine:
 
     # -- status ------------------------------------------------------------------------------
 
+    def _register(self, conversation: Conversation) -> None:
+        self.conversations[conversation.conversation_id] = conversation
+        self._open[conversation.conversation_id] = conversation
+
+    def _fail(self, conversation: Conversation, reason: str) -> None:
+        conversation.status = "failed"
+        conversation.fault = reason
+        del self._open[conversation.conversation_id]
+        self._emit(
+            ConversationFailed,
+            conversation_id=conversation.conversation_id,
+            protocol=conversation.protocol,
+            partner_id=conversation.partner_id,
+            reason=reason,
+        )
+
     def _after_advance(self, conversation: Conversation) -> None:
         if not conversation.is_open():
             return
@@ -952,6 +964,7 @@ class B2BEngine:
             if instance.status == INSTANCE_WAITING or not instance.is_terminal():
                 return
         conversation.status = "completed"
+        del self._open[conversation.conversation_id]
         self._emit(
             ConversationCompleted,
             conversation_id=conversation.conversation_id,
@@ -969,13 +982,17 @@ class B2BEngine:
 
     def refresh_conversations(self) -> None:
         """Re-derive conversation statuses (call after out-of-band progress
-        such as a manual approval completing a private instance)."""
-        for conversation in self.conversations.values():
+        such as a manual approval completing a private instance).
+
+        Only open conversations can change status, so only they are
+        visited, in opening order; the snapshot lets a visit close one.
+        """
+        for conversation in list(self._open.values()):
             self._after_advance(conversation)
 
     def open_conversations(self) -> list[Conversation]:
-        """Conversations still in flight."""
-        return [c for c in self.conversations.values() if c.is_open()]
+        """Conversations still in flight, in opening order."""
+        return list(self._open.values())
 
     def conversation(self, conversation_id: str) -> Conversation:
         """Public accessor for a conversation record."""

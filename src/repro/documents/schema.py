@@ -5,17 +5,25 @@ paper places format obligations: public processes must produce documents in
 their protocol's wire layout, private processes only ever see the normalized
 layout (Section 4.2).  A schema failure at one of these seams is a modelling
 bug, so violations are collected exhaustively and raised together.
+
+Validation runs on every document at every seam, and nearly every document
+is clean.  So :meth:`DocumentSchema.validate` first runs a boolean accept
+check compiled from the field specs, which reads the raw dicts directly
+(:func:`dict_reader`).  The exhaustive violation walk runs only when that
+check fails, so a rejected document gets the same error, message and
+violation list as before.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import methodcaller
 from typing import Any, Callable
 
 from repro.documents.model import Document, DocumentPath
 from repro.errors import SchemaError, ValidationError
 
-__all__ = ["FieldSpec", "DocumentSchema"]
+__all__ = ["FieldSpec", "DocumentSchema", "dict_reader"]
 
 _ABSENT = object()
 
@@ -26,6 +34,45 @@ _TYPE_NAMES: dict[str, type | tuple[type, ...]] = {
     "number": (int, float),
     "bool": bool,
 }
+
+
+def dict_reader(path: DocumentPath, missing: Any) -> Callable[[dict], Any]:
+    """Return ``read(root)``: ``Document.get(path, default=missing)`` on a
+    raw root dict, without building a :class:`Document`.
+
+    A name-only path (``header.po_number``) is read by indexing dicts
+    directly.  A path with index steps (``lines[0]``) reads through a
+    ``Document`` view, so it keeps the model's semantics.
+    """
+    steps = path.steps
+    if not all(type(step) is str for step in steps):
+
+        def read_indexed(root: dict) -> Any:
+            return Document("item", "item", root).get(path, default=missing)
+
+        return read_indexed
+    if len(steps) == 1:
+        return methodcaller("get", steps[0], missing)
+    if len(steps) == 2:
+        first, second = steps
+
+        def read_two(root: dict) -> Any:
+            node = root.get(first)
+            if isinstance(node, dict):
+                return node.get(second, missing)
+            return missing
+
+        return read_two
+
+    def read_deep(root: dict) -> Any:
+        node: Any = root
+        for name in steps:
+            if not isinstance(node, dict):
+                return missing
+            node = node.get(name, missing)
+        return node
+
+    return read_deep
 
 
 @dataclass(frozen=True)
@@ -128,6 +175,65 @@ class FieldSpec:
         return problems
 
 
+def _accept_check(spec: FieldSpec) -> Callable[[dict], bool]:
+    """A predicate over a root dict that is True only when
+    ``spec.violations_for`` would return no violations.
+
+    It may answer False for a clean value (a dict or list subclass, say);
+    the caller then runs the exhaustive walk, which has the final word.
+    """
+    read = dict_reader(spec._compiled_path, _ABSENT)
+    required = spec.required
+    if spec.type_name == "list":
+        min_items, items = spec.min_items, spec.items
+
+        def check_list(root: dict) -> bool:
+            value = read(root)
+            if value is _ABSENT:
+                return not required
+            if type(value) is not list or len(value) < min_items:
+                return False
+            if items is not None:
+                # Looked up per call, so an edit to the item schema's
+                # fields is seen here too.
+                item_check = items._fields_check()
+                for element in value:
+                    if type(element) is not dict or not item_check(element):
+                        return False
+            return True
+
+        return check_list
+    if spec.type_name == "dict":
+
+        def check_dict(root: dict) -> bool:
+            value = read(root)
+            if value is _ABSENT:
+                return not required
+            return type(value) is dict
+
+        return check_dict
+    expected = _TYPE_NAMES[spec.type_name]
+    numeric = spec.type_name in ("int", "float", "number")
+    choices, check = spec.choices, spec.check
+
+    def check_scalar(root: dict) -> bool:
+        value = read(root)
+        if value is _ABSENT:
+            return not required
+        if not isinstance(value, expected) or (numeric and isinstance(value, bool)):
+            return False
+        if choices is not None and value not in choices:
+            return False
+        if check is not None:
+            try:
+                return bool(check(value))
+            except Exception:
+                return False
+        return True
+
+    return check_scalar
+
+
 @dataclass
 class DocumentSchema:
     """A named set of field constraints for one (format, doc_type) layout."""
@@ -136,6 +242,13 @@ class DocumentSchema:
     format_name: str = ""
     doc_type: str = ""
     fields: list[FieldSpec] = field(default_factory=list)
+
+    # The compiled accept check over ``fields`` and a copy of the list it
+    # was built from.  Unannotated class attributes, so not dataclass
+    # fields: content digests walk ``dataclasses.fields`` and must not see
+    # them.
+    _check = None
+    _checked_fields = None
 
     def add(self, spec: FieldSpec) -> "DocumentSchema":
         """Append a field spec (fluent)."""
@@ -159,8 +272,38 @@ class DocumentSchema:
             problems.extend(spec.violations_for(document))
         return problems
 
+    def _fields_check(self) -> Callable[[dict], bool]:
+        """The accept check over ``fields``, built on first use and rebuilt
+        when the list is edited (appended to, or an entry replaced)."""
+        if self._checked_fields != self.fields:
+            checks = tuple(_accept_check(spec) for spec in self.fields)
+
+            def check_fields(root: dict) -> bool:
+                for check in checks:
+                    if not check(root):
+                        return False
+                return True
+
+            self._check = check_fields
+            self._checked_fields = list(self.fields)
+        return self._check  # type: ignore[return-value]
+
+    def accepts(self, document: Document) -> bool:
+        """Fast check: True only when :meth:`violations` would be empty.
+
+        False means "not proven clean", not "invalid": callers that need
+        the verdict run :meth:`violations`.
+        """
+        if self.format_name and document.format_name != self.format_name:
+            return False
+        if self.doc_type and document.doc_type != self.doc_type:
+            return False
+        return self._fields_check()(document.data)
+
     def validate(self, document: Document) -> None:
         """Raise :class:`ValidationError` when ``document`` violates this schema."""
+        if self.accepts(document):
+            return
         problems = self.violations(document)
         if problems:
             raise ValidationError(

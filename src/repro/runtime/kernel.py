@@ -39,11 +39,10 @@ class Task:
     (``batcher`` + ``payload``): when the scheduler pops a batchable task
     whose queue head holds more tasks with the *same* ``batcher``, it
     coalesces the run and hands every payload to
-    ``batcher.run_batch(payloads)`` in one call — the hook the columnar
-    transformation path plugs into.  A batcher's contract is that
-    ``run_batch([p])`` is observably identical to running each payload's
-    task alone (same documents, same events, same order), so coalescing is
-    a pure throughput optimisation.
+    ``batcher.run_batch(payloads)`` in one call.  A batcher's contract is
+    that ``run_batch([p])`` is observably identical to running each
+    payload's task alone (same documents, same events, same order), so
+    coalescing is a pure throughput optimisation.
     """
 
     action: Callable[[], None] | None

@@ -21,11 +21,12 @@ Two application paths exist and must stay byte-identical (property-tested
 against the whole catalog):
 
 * ``Mapping.apply`` — the reference interpreter; every rule re-splits its
-  path strings on every document;
+  path strings and goes through ``Document.get``/``Document.set`` on every
+  document;
 * ``Mapping.compile()`` — lowers the rule list once into
-  :class:`CompiledMapping`, whose rules hold pre-resolved
-  :class:`~repro.documents.model.DocumentPath` accessors.  This is the
-  per-message hot path the transformation registry uses.
+  :class:`CompiledMapping`, one per-document program whose rules read and
+  write the raw ``data`` dicts through pre-resolved path accessors.  This
+  is the per-message hot path the transformation registry uses.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Any, Callable, Mapping as TypingMapping, Sequence
 
 from repro.documents.model import Document, DocumentPath
-from repro.documents.schema import DocumentSchema
+from repro.documents.schema import DocumentSchema, dict_reader
 from repro.errors import MappingError, TransformError
 
 __all__ = [
@@ -211,31 +212,82 @@ def rules_context_free(rules: Sequence[Rule]) -> bool:
     return not rules_read_context(rules)
 
 
-# Sentinel for "source path absent" in compiled Field rules; private to this
+# Sentinel for "source path absent" in compiled rules; private to this
 # module so no document value can collide with it.
 _ABSENT = object()
 
-RuleRunner = Callable[[Document, Document, Context], None]
+# A lowered rule runs on raw dicts: ``runner(source_doc, source, target,
+# context)`` reads ``source`` and writes ``target``.  ``source_doc`` (the
+# Document wrapping ``source``) and ``context`` are what a Compute receives;
+# inside an Each without a nested Compute both are None.
+RuleRunner = Callable[[Document | None, dict, dict, Context | None], None]
+
+
+def _dict_writer(path: DocumentPath) -> Callable[[dict, Any], None]:
+    """Return ``write(target, value)``: ``Document.set(path, value)`` on a
+    raw target dict.
+
+    Name-only paths create missing dict levels directly.  An index step,
+    or a level that exists but is not a dict, goes through
+    ``Document.set``, so the model's semantics and errors apply.
+    """
+
+    def write_via_document(target: dict, value: Any) -> None:
+        Document("item", "item", target).set(path, value)
+
+    steps = path.steps
+    if not all(type(step) is str for step in steps):
+        return write_via_document
+    *parents, last = steps
+    if not parents:
+
+        def write_one(target: dict, value: Any) -> None:
+            target[last] = value
+
+        return write_one
+
+    def write_nested(target: dict, value: Any) -> None:
+        node = target
+        for name in parents:
+            child = node.get(name, _ABSENT)
+            if child is _ABSENT:
+                child = node[name] = {}
+            elif type(child) is not dict:
+                write_via_document(target, value)
+                return
+            node = child
+        node[last] = value
+
+    return write_nested
+
+
+def _has_compute(rules: Sequence[Rule]) -> bool:
+    """True when a Compute sits anywhere in ``rules`` (through Each)."""
+    return any(
+        isinstance(rule, Compute)
+        or (isinstance(rule, Each) and _has_compute(rule.rules))
+        for rule in rules
+    )
 
 
 def _lower_rule(rule: Rule) -> RuleRunner:
-    """Lower one rule into a closure over pre-compiled document paths.
+    """Lower one rule into a closure over raw-dict path accessors.
 
     The closures replicate the interpreted ``apply`` methods exactly —
-    same checks, same error messages — minus the per-document path
-    re-parsing.
+    same checks, same error messages, same dict key order — minus the
+    per-document path parsing and ``Document`` dispatch.
     """
     if isinstance(rule, Field):
-        source_path = DocumentPath(rule.source)
-        target_path = DocumentPath(rule.target)
+        read = dict_reader(DocumentPath(rule.source), _ABSENT)
+        write = _dict_writer(DocumentPath(rule.target))
         source_text, target_text = rule.source, rule.target
         convert, default, required = rule.convert, rule.default, rule.required
 
-        def run_field(source_doc: Document, target_doc: Document, context: Context) -> None:
-            value = source_doc.get(source_path, default=_ABSENT)
+        def run_field(source_doc, source, target, context) -> None:
+            value = read(source)
             if value is _ABSENT:
                 if default is not MISSING:
-                    target_doc.set(target_path, default)
+                    write(target, default)
                     return
                 if required:
                     raise MappingError(
@@ -252,22 +304,22 @@ def _lower_rule(rule: Rule) -> RuleRunner:
                     raise MappingError(
                         f"converter failed on {source_text!r} -> {target_text!r}: {exc!r}"
                     ) from exc
-            target_doc.set(target_path, value)
+            write(target, value)
 
         return run_field
     if isinstance(rule, Const):
-        const_path = DocumentPath(rule.target)
+        write_const = _dict_writer(DocumentPath(rule.target))
         const_value = rule.value
 
-        def run_const(source_doc: Document, target_doc: Document, context: Context) -> None:
-            target_doc.set(const_path, const_value)
+        def run_const(source_doc, source, target, context) -> None:
+            write_const(target, const_value)
 
         return run_const
     if isinstance(rule, Compute):
-        compute_path = DocumentPath(rule.target)
+        write_computed = _dict_writer(DocumentPath(rule.target))
         compute_target, fn, label = rule.target, rule.fn, rule.label
 
-        def run_compute(source_doc: Document, target_doc: Document, context: Context) -> None:
+        def run_compute(source_doc, source, target, context) -> None:
             try:
                 value = fn(source_doc, context)
             except TransformError:
@@ -277,18 +329,21 @@ def _lower_rule(rule: Rule) -> RuleRunner:
                 raise MappingError(
                     f"compute {name!r} for target {compute_target!r} failed: {exc!r}"
                 ) from exc
-            target_doc.set(compute_path, value)
+            write_computed(target, value)
 
         return run_compute
     if isinstance(rule, Each):
-        each_source_path = DocumentPath(rule.source)
-        each_target_path = DocumentPath(rule.target)
+        read_items = dict_reader(DocumentPath(rule.source), _ABSENT)
+        write_built = _dict_writer(DocumentPath(rule.target))
         each_source, min_items = rule.source, rule.min_items
         item_rules = tuple(_lower_rule(nested) for nested in rule.rules)
+        # Item wrapper documents and item contexts exist for Compute rules
+        # only; field copies read and write the item dicts directly.
+        wrap_items = _has_compute(rule.rules)
 
-        def run_each(source_doc: Document, target_doc: Document, context: Context) -> None:
-            items = source_doc.get(each_source_path, default=MISSING)
-            if items is MISSING or not isinstance(items, list):
+        def run_each(source_doc, source, target, context) -> None:
+            items = read_items(source)
+            if not isinstance(items, list):
                 raise MappingError(f"source path {each_source!r} is not a list")
             if len(items) < min_items:
                 raise MappingError(
@@ -296,32 +351,34 @@ def _lower_rule(rule: Rule) -> RuleRunner:
                     f"mapping requires at least {min_items}"
                 )
             built: list[Any] = []
+            item_doc = item_context = None
             for index, item in enumerate(items):
                 if not isinstance(item, dict):
                     raise MappingError(
                         f"{each_source}[{index}] is {type(item).__name__}, expected dict"
                     )
-                item_source = Document(source_doc.format_name, "item", item)
-                item_target = Document(target_doc.format_name, "item", {})
-                item_context = {**context, "_index": index, "_ordinal": index + 1}
+                if wrap_items:
+                    item_doc = Document(source_doc.format_name, "item", item)
+                    item_context = {**context, "_index": index, "_ordinal": index + 1}
+                out: dict[str, Any] = {}
                 for nested in item_rules:
-                    nested(item_source, item_target, item_context)
-                built.append(item_target.data)
-            target_doc.set(each_target_path, built)
+                    nested(item_doc, item, out, item_context)
+                built.append(out)
+            write_built(target, built)
 
         return run_each
     raise MappingError(f"cannot compile rule of type {type(rule).__name__}")
 
 
 class CompiledMapping:
-    """A :class:`Mapping` lowered to pre-resolved path accessors.
+    """A :class:`Mapping` lowered to one per-document program.
 
     Built once by :meth:`Mapping.compile`; ``apply`` has the same contract
     (and raises the same errors) as the interpreted ``Mapping.apply``, but
-    no rule re-parses a path string per document.
+    its rules run on the raw source and target dicts.
     """
 
-    __slots__ = ("mapping", "name", "cacheable", "_rules", "_batch")
+    __slots__ = ("mapping", "name", "cacheable", "_rules")
 
     def __init__(self, mapping: "Mapping"):
         self.mapping = mapping
@@ -341,8 +398,6 @@ class CompiledMapping:
         self._rules: tuple[RuleRunner, ...] = tuple(
             _lower_rule(rule) for rule in mapping.rules
         )
-        # Lazily built batch program (False = vectorization unsupported).
-        self._batch: Any = None
 
     def apply(self, document: Document, context: Context | None = None) -> Document:
         """Transform ``document`` exactly as the interpreted path would."""
@@ -361,38 +416,14 @@ class CompiledMapping:
         if mapping.source_schema is not None:
             mapping.source_schema.validate(document)
         target = Document(mapping.target_format, mapping.doc_type, {})
+        source, data = document.data, target.data
         for rule in self._rules:
-            rule(document, target, context)
+            rule(document, source, data, context)
         if mapping.post is not None:
             mapping.post(document, target, context)
         if mapping.target_schema is not None:
             mapping.target_schema.validate(target)
         return target
-
-    def apply_batch(
-        self, documents: Sequence[Document], context: Context | None = None
-    ) -> list[Document]:
-        """Transform a vector of documents; equivalent to
-        ``[self.apply(d, context) for d in documents]`` byte-for-byte.
-
-        The first call lowers the mapping into a columnar batch program
-        (see :mod:`repro.transform.batch`): one schema-spec walk and one
-        rule-runner dispatch loop for the whole vector instead of per
-        document.  Mappings the vectorizer cannot prove equivalent run
-        the per-document loop instead.
-        """
-        documents = list(documents)
-        if not documents:
-            return []
-        program = self._batch
-        if program is None:
-            from repro.transform.batch import build_batch_program
-
-            program = build_batch_program(self)
-            self._batch = program if program is not None else False
-        if program is None or program is False:
-            return [self.apply(document, context) for document in documents]
-        return program.apply(documents, context)
 
     def __repr__(self) -> str:
         return f"CompiledMapping({self.name!r}, {len(self._rules)} rules)"

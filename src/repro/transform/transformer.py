@@ -8,10 +8,6 @@ in an enterprise and answers transformation requests:
   (``wire -> normalized -> back-end``), which is exactly the paper's
   argument for a normalized format: with *n* formats you maintain ``2n``
   expert mappings instead of ``n*(n-1)`` pairwise ones (Section 4.2).
-* ``transform_batch(documents, target_format)`` — the same routes applied
-  columnar: documents are grouped by (format, doc_type) and each group
-  runs through the vectorized batch path
-  (:meth:`~repro.transform.mapping.CompiledMapping.apply_batch`).
 
 Resolved routes compile into cached :class:`RouteExecutor` objects, which
 also consult the optional content-addressed result cache
@@ -27,7 +23,7 @@ hot paths that do not need it.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Iterable, Mapping as TypingMapping, Sequence
+from typing import Any, Iterable, Mapping as TypingMapping
 
 from repro.documents.model import Document
 from repro.documents.normalized import NORMALIZED
@@ -100,69 +96,6 @@ class RouteExecutor:
         if use_cache:
             cache.store(key, result, self.route_label)
         return result
-
-    def apply_batch(
-        self,
-        documents: Sequence[Document],
-        context: TypingMapping[str, Any] | None = None,
-    ) -> list[Document]:
-        """Run the chain columnar over ``documents`` (all of this route's
-        source format and doc type), consulting the cache per document."""
-        registry = self.registry
-        cache = registry.cache
-        use_cache = cache is not None and self.cacheable
-        count = len(documents)
-        results: list[Document | None] = [None] * count
-        if use_cache:
-            keys = [self._cache_key(document) for document in documents]
-            miss_indexes = []
-            missed_keys = set()
-            deferred = []
-            route = self.route_label
-            for index in range(count):
-                key = keys[index]
-                if key in missed_keys:
-                    # A duplicate of an earlier in-batch miss: sequential
-                    # processing would find it cached by now, so serve it
-                    # after the store pass (counting a hit, like sequential).
-                    deferred.append(index)
-                    continue
-                hit = cache.lookup(key, route)
-                if hit is not None:
-                    results[index] = hit
-                else:
-                    missed_keys.add(key)
-                    miss_indexes.append(index)
-        else:
-            if cache is not None:
-                for _ in range(count):
-                    cache.note_bypass(self.route_label)
-            miss_indexes = list(range(count))
-        if miss_indexes:
-            vector = [documents[index] for index in miss_indexes]
-            for compiled in self.compiled:
-                vector = compiled.apply_batch(vector, context)
-            for index, produced in zip(miss_indexes, vector):
-                results[index] = produced
-                if use_cache:
-                    cache.store(keys[index], produced, self.route_label)
-        if use_cache:
-            for index in deferred:
-                hit = cache.lookup(keys[index], self.route_label)
-                if hit is None:
-                    # Evicted between store and here (capacity < batch
-                    # distinct count) — recompute and re-store, exactly
-                    # what the sequential path would do on its miss.
-                    hit = documents[index]
-                    for compiled in self.compiled:
-                        hit = compiled.apply(hit, context)
-                    cache.store(keys[index], hit, self.route_label)
-                results[index] = hit
-        if registry.collect_stats:
-            stats = registry.stats
-            for name in self.names:
-                stats[name] += count
-        return results  # type: ignore[return-value]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         cached = "cacheable" if self.cacheable else "context-sensitive"
@@ -325,55 +258,6 @@ class TransformationRegistry:
         if executor is None:
             return document
         return executor.apply(document, context)
-
-    def transform_batch(
-        self,
-        documents: Sequence[Document],
-        target_format: str,
-        context: TypingMapping[str, Any] | None = None,
-    ) -> list[Document]:
-        """Transform a vector of documents into ``target_format``.
-
-        Equivalent to ``[self.transform(d, target_format, context) for d
-        in documents]``: documents are grouped by (format, doc_type) —
-        preserving input order in the output — and each group runs through
-        the columnar batch path.  If any group fails, the whole batch is
-        re-run per document so the surfaced error (and which document it
-        belongs to) matches the sequential path exactly.
-        """
-        documents = list(documents)
-        if not documents:
-            return []
-        try:
-            return self._transform_batch_grouped(documents, target_format, context)
-        except Exception:
-            return [
-                self.transform(document, target_format, context)
-                for document in documents
-            ]
-
-    def _transform_batch_grouped(
-        self,
-        documents: list[Document],
-        target_format: str,
-        context: TypingMapping[str, Any] | None,
-    ) -> list[Document]:
-        groups: dict[tuple[str, str], list[int]] = {}
-        for index, document in enumerate(documents):
-            groups.setdefault((document.format_name, document.doc_type), []).append(index)
-        results: list[Document | None] = [None] * len(documents)
-        for (format_name, doc_type), indexes in groups.items():
-            executor = self.executor(format_name, target_format, doc_type)
-            if executor is None:
-                for index in indexes:
-                    results[index] = documents[index]
-                continue
-            produced = executor.apply_batch(
-                [documents[index] for index in indexes], context
-            )
-            for index, document in zip(indexes, produced):
-                results[index] = document
-        return results  # type: ignore[return-value]
 
     def precompile(self) -> int:
         """Compile every registered mapping eagerly; returns the count.

@@ -2,7 +2,6 @@
 
 from repro.analysis.bench import SPEEDUP_FLOORS, run_benchmarks
 from repro.analysis.transform_bench import (
-    BATCH_SPEEDUP_FLOOR,
     CACHE_HIT_RATE_FLOOR,
     measure_cache_hit_rate,
     transform_hub_trace,
@@ -49,19 +48,13 @@ class TestTransformHub:
 
 class TestBenchIntegration:
     def test_floors_are_mirrored_in_the_bench_gate(self):
-        assert SPEEDUP_FLOORS["transform_batch_speedup"] == BATCH_SPEEDUP_FLOOR
         assert SPEEDUP_FLOORS["transform_cache_hit_rate"] == CACHE_HIT_RATE_FLOOR
 
     def test_transform_rides_the_bench_payload(self):
-        payload = run_benchmarks(
-            [], min_time=0.05, transform_cache=True, transform_batch_size=20
-        )
+        payload = run_benchmarks([], min_time=0.05, transform_cache=True)
         transform = payload["transform"]
         assert transform["hub"]["trace_parity"] is True
         derived = payload["derived"]
         assert derived["transform_cache_hit_rate"] == (
             transform["transform_cache_hit_rate"]
-        )
-        assert derived["transform_batch_speedup"] == (
-            transform["transform_batch_speedup"]
         )

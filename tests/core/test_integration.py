@@ -177,3 +177,29 @@ class TestConversationLifecycle:
         assert len(pair.buyer.b2b.open_conversations()) == 1
         run_community(pair.enterprises())
         assert pair.buyer.b2b.open_conversations() == []
+
+    @staticmethod
+    def _status_checks_for_one_more_order(completed_before: int) -> int:
+        """``_after_advance`` calls, on both sides, for one order sent after
+        ``completed_before`` completed ones."""
+        pair = build_two_enterprise_pair("rosettanet", seller_delay=0.0)
+        for index in range(completed_before):
+            pair.buyer.submit_order("SAP", "ACME", f"PO-H{index}", LINES)
+            run_community(pair.enterprises())
+        calls = []
+        for enterprise in pair.enterprises():
+            engine = enterprise.b2b
+            check = engine._after_advance
+            engine._after_advance = lambda c, check=check: (calls.append(c), check(c))
+        pair.buyer.submit_order("SAP", "ACME", "PO-NEXT", LINES)
+        run_community(pair.enterprises())
+        assert pair.seller.backends["Oracle"].has_order("PO-NEXT")
+        assert len(pair.seller.b2b.conversations) == completed_before + 1
+        return len(calls)
+
+    def test_status_checks_do_not_grow_with_completed_conversations(self):
+        # Back-end events and community rounds re-check open conversations
+        # only, so a long-running hub pays per order, not per order ever.
+        assert self._status_checks_for_one_more_order(
+            5
+        ) == self._status_checks_for_one_more_order(50)

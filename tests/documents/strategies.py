@@ -2,10 +2,11 @@
 
 from hypothesis import strategies as st
 
+from repro.documents.model import Document
 from repro.documents.normalized import make_po_ack, make_purchase_order
 from repro.transform.catalog import build_standard_registry
 
-__all__ = ["mutated", "wire_texts"]
+__all__ = ["mutated", "single_breaks", "wire_texts"]
 
 _REGISTRY = build_standard_registry()
 
@@ -49,3 +50,48 @@ def mutated(draw, texts, pieces):
         else:
             text = text[:position] + text[position + 1:]
     return text
+
+
+# How a broken document differs from a valid one: a required field or list
+# missing, a wrong type, a bool where a number is expected, a value outside
+# the allowed choices (any string on a choice field), a failing check
+# (negative amounts and quantities), an empty list or a non-dict item.
+_BREAKS = {
+    "missing": None,
+    "wrong-type": "not-a-choice",
+    "bool": True,
+    "negative": -1.0,
+    "null": None,
+    "empty-list": [],
+    "scalar-item": [7],
+}
+
+
+def _paths(node, prefix=()):
+    """Every path below ``node``, containers and leaves alike."""
+    if isinstance(node, dict):
+        steps = node.items()
+    elif isinstance(node, list):
+        steps = enumerate(node)
+    else:
+        return
+    for step, child in steps:
+        yield (*prefix, step)
+        yield from _paths(child, (*prefix, step))
+
+
+def single_breaks(document):
+    """``document``, then one copy per (path, break) with that one value
+    broken, so each schema and rule check meets every kind of bad input."""
+    yield document
+    for path in _paths(document.data):
+        for kind, value in _BREAKS.items():
+            broken = Document.from_dict(document.to_dict())
+            parent = broken.data
+            for step in path[:-1]:
+                parent = parent[step]
+            if kind == "missing" and isinstance(parent, dict):
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+            yield broken

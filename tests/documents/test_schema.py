@@ -1,14 +1,16 @@
 """Tests for document schemas and validation."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.documents.model import Document
 from repro.documents.schema import DocumentSchema, FieldSpec
 from repro.errors import SchemaError, ValidationError
+from repro.verify.incremental import content_digest
+from tests.documents.strategies import single_breaks
 
 
-@pytest.fixture
-def schema():
+def _make_schema():
     return DocumentSchema(
         "test",
         format_name="normalized",
@@ -30,6 +32,11 @@ def schema():
             ),
         ],
     )
+
+
+@pytest.fixture
+def schema():
+    return _make_schema()
 
 
 def _valid_doc():
@@ -135,3 +142,100 @@ class TestValidation:
         doc.set("header.amount", -5)
         doc.set("header.status", "bogus")
         assert len(schema.violations(doc)) == 2
+
+
+class TestAcceptCheck:
+    """``validate`` runs a compiled accept check first and walks the specs
+    only when it fails; the two must never disagree on a verdict."""
+
+    _values = st.one_of(
+        st.none(), st.booleans(), st.integers(-2, 2), st.floats(allow_nan=True),
+        st.sampled_from(["PO-1", "open", "closed", "pending", ""]),
+    )
+    _lines = st.lists(
+        st.one_of(
+            _values,
+            st.dictionaries(st.sampled_from(["sku", "quantity", "extra"]), _values),
+        ),
+        max_size=3,
+    )
+    _documents = st.builds(
+        lambda header, lines, keys, format_name: Document(
+            format_name,
+            "purchase_order",
+            {key: value for key, value in (("header", header), ("lines", lines)) if key in keys},
+        ),
+        header=st.one_of(
+            _values,
+            st.dictionaries(
+                st.sampled_from(["po_number", "amount", "notes", "status"]), _values
+            ),
+        ),
+        lines=st.one_of(_values, _lines),
+        keys=st.sets(st.sampled_from(["header", "lines"])),
+        format_name=st.sampled_from(["normalized", "edi-x12"]),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(document=_documents)
+    def test_accept_implies_no_violations_and_validate_is_exact(self, document):
+        schema = _make_schema()
+        problems = schema.violations(document)
+        if schema.accepts(document):
+            assert problems == []
+        assert schema.is_valid(document) == (problems == [])
+        try:
+            schema.validate(document)
+        except ValidationError as error:
+            assert error.violations == problems != []
+        else:
+            assert problems == []
+
+    def test_every_single_break_is_rejected_exactly(self, schema):
+        verdicts = set()
+        for document in single_breaks(_valid_doc()):
+            problems = schema.violations(document)
+            verdicts.add(problems == [])
+            assert schema.accepts(document) == (problems == [])
+            assert schema.is_valid(document) == (problems == [])
+        assert verdicts == {True, False}
+
+    def test_failing_or_raising_check_is_a_rejection(self):
+        schema = DocumentSchema("s", fields=[
+            FieldSpec("x", check=lambda value: value != "bad" and 1 / len(value) > 0,
+                      check_label="x check"),
+        ])
+        assert schema.accepts(Document("f", "t", {"x": "ok"}))
+        for value, message in (("bad", "failed x check"),
+                               ("", "x check raised ZeroDivisionError")):
+            document = Document("f", "t", {"x": value})
+            assert not schema.accepts(document)
+            with pytest.raises(ValidationError, match=message):
+                schema.validate(document)
+
+    def test_spec_appended_after_first_validate_takes_effect(self, schema):
+        doc = _valid_doc()
+        schema.validate(doc)
+        schema.add(FieldSpec("header.approver"))
+        assert not schema.accepts(doc)
+        with pytest.raises(ValidationError, match="header.approver"):
+            schema.validate(doc)
+
+    def test_replaced_spec_takes_effect(self, schema):
+        doc = _valid_doc()
+        schema.validate(doc)
+        schema.fields[0] = FieldSpec("header.po_number", choices=("PO-2",))
+        with pytest.raises(ValidationError, match="allowed choices"):
+            schema.validate(doc)
+
+    def test_item_schema_edit_takes_effect(self, schema):
+        doc = _valid_doc()
+        schema.validate(doc)
+        schema.fields[-1].items.add(FieldSpec("unit"))
+        with pytest.raises(ValidationError, match=r"lines\[0\]\.unit"):
+            schema.validate(doc)
+
+    def test_check_is_not_part_of_the_content_digest(self, schema):
+        before = content_digest(schema)
+        schema.validate(_valid_doc())
+        assert content_digest(schema) == before

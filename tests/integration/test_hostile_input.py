@@ -86,3 +86,31 @@ def test_hostile_variant_is_a_fault_or_an_order(captured, index, name):
     assert oracle.has_order("PO-CLEAN")
     assert oracle.order_count() == booked + 1
     assert "PO-CLEAN" in pair.buyer.backends["SAP"].stored_acks
+
+
+def test_resent_booked_po_under_a_fresh_conversation_is_a_fault(captured):
+    # The captured PO again, as a new message in a new conversation: the
+    # back end refuses the PO number it already booked.  That must end as
+    # a recorded fault and a failed conversation, not an exception.
+    pair, po = captured
+    seller = pair.seller.b2b
+    oracle = pair.seller.backends["Oracle"]
+    failed = []
+    pair.seller.runtime.subscribe(failed.append, events=["conversation_failed"])
+    resent = dataclasses.replace(po, message_id="M-resent", conversation_id="C-resent")
+    faults = len(seller.faults)
+    booked = oracle.order_count()
+    seller.handle_message(resent)  # must not raise
+    run_community(pair.enterprises())
+    assert len(seller.faults) == faults + 1
+    assert seller.faults[-1]["conversation"] == "C-resent"
+    assert CAPTURED in seller.faults[-1]["error"]
+    assert seller.conversation("C-resent").status == "failed"
+    assert [event.conversation_id for event in failed] == ["C-resent"]
+    assert seller.open_conversations() == []
+    assert oracle.order_count() == booked
+
+    pair.buyer.submit_order("SAP", "ACME", "PO-CLEAN", LINES)
+    run_community(pair.enterprises())
+    assert oracle.order_count() == booked + 1
+    assert "PO-CLEAN" in pair.buyer.backends["SAP"].stored_acks

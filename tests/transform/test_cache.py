@@ -5,7 +5,7 @@ breakdowns), the registry integration (enable/disable, invalidation on
 registration, bypass of context-sensitive chains, stats opt-out) and the
 observability surface (snapshot dict, kernel event).  The governing
 invariant — enabling the cache never changes any transformation output —
-is property-tested in test_batch.py.
+is property-tested in test_mapping_compile.py.
 """
 
 import functools
@@ -228,35 +228,6 @@ class TestRegistryIntegration:
         assert first.to_dict() == second.to_dict()
         assert quiet.applications() == 0  # no Counter updates at all
         assert quiet.cache.hits == 1  # the cache still works
-
-    def test_batch_within_batch_duplicates_count_as_hits(self):
-        # A batch containing duplicates must report the same counters as
-        # processing the documents one at a time (the trace-parity basis).
-        registry = build_standard_registry()
-        cache = registry.enable_cache()
-        wire = _wire_po(registry)
-        other = _wire_po(registry, "PO-2002")
-        batch = [wire, other, wire, wire, other]
-        sequential = build_standard_registry()
-        seq_cache = sequential.enable_cache()
-        expected = [sequential.transform(d, NORMALIZED) for d in batch]
-        produced = registry.transform_batch(batch, NORMALIZED)
-        assert [d.to_dict() for d in produced] == [d.to_dict() for d in expected]
-        assert (cache.hits, cache.misses) == (seq_cache.hits, seq_cache.misses)
-        assert cache.hits == 3 and cache.misses == 2
-
-    def test_batch_dedup_survives_tiny_capacity(self):
-        # Capacity 1 forces the deferred duplicates to be recomputed after
-        # their stored entry is evicted mid-batch; outputs must not change.
-        registry = build_standard_registry()
-        registry.enable_cache(capacity=1)
-        a = _wire_po(registry, "PO-1")
-        b = _wire_po(registry, "PO-2")
-        batch = [a, b, a, b, a]
-        reference = build_standard_registry()
-        expected = [reference.transform(d, NORMALIZED) for d in batch]
-        produced = registry.transform_batch(batch, NORMALIZED)
-        assert [d.to_dict() for d in produced] == [d.to_dict() for d in expected]
 
     def test_partial_of_pure_reader_is_now_cacheable(self):
         # The PR 8 bytecode check treated anything without a __code__
