@@ -2,6 +2,7 @@
 
     python benchmarks/e2e_pairs.py --parent HEAD --out BENCH_<change>.json \\
         --change "what the change does"
+    python benchmarks/e2e_pairs.py --smoke --parent <merge base>
 
 Run from the repository root.  The parent side is the ``--parent``
 revision exported with ``git archive``; the change side is a copy of the
@@ -24,6 +25,11 @@ whether the change stays within the metric's bound.  A traced
 (``--trace 1``) pair on seed 3 adds every per-layer metric of both
 sides, in calls, ms or bytes per order, and whether every ``*.calls``
 metric and ``documents.wire_bytes`` is identical.
+
+``--smoke`` is the short check CI runs against the merge base: 3 pairs
+of 10 s runs of ``steady_rn`` only, with no traced pair and no record
+written.  It exits 1 when the change loses every pair by more than the
+``orders_per_s`` bound of ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -44,6 +50,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SPEC = "BENCHMARK.json"
 SEEDS = range(1, 11)
 TRACE_SEED = 3
+SMOKE_WORKLOAD = "steady_rn"
+SMOKE_SEEDS = range(1, 4)
+SMOKE_SECONDS = 10
 
 
 def export_revision(revision: str, dest: Path) -> str:
@@ -150,8 +159,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", default="HEAD", help="git revision of the parent side")
     parser.add_argument("--change", default="", help="one line on what the change does")
-    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--out", type=Path, help="the BENCH record to write")
+    parser.add_argument("--smoke", action="store_true",
+                        help=f"{len(SMOKE_SEEDS)} pairs of {SMOKE_SECONDS} s on "
+                             f"{SMOKE_WORKLOAD}; exit 1 if the change loses every pair "
+                             "by more than the orders_per_s bound; writes no record")
     args = parser.parse_args(argv)
+    if not args.smoke and args.out is None:
+        parser.error("--out is required unless --smoke is given")
 
     spec = json.loads((ROOT / SPEC).read_text())
     with tempfile.TemporaryDirectory(prefix="e2e-pairs-") as workdir:
@@ -163,6 +178,8 @@ def main(argv: list[str] | None = None) -> int:
             print("e2e_pairs: refusing to compare; the benchmark itself differs between "
                   f"{commit[:12]} and the working tree: {', '.join(differing)}", file=sys.stderr)
             return 2
+        if args.smoke:
+            return smoke(spec, sides)
         record = {
             "change": args.change,
             "parent_revision": commit,
@@ -190,10 +207,12 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def _measure_workload(spec: dict, sides: dict[str, Path], workload: str) -> dict:
-    seconds = spec["run_seconds"]
+def run_pairs(spec: dict, sides: dict[str, Path], workload: str, seeds: range,
+              seconds: float) -> dict[str, list[dict]]:
+    """Untraced runs of ``workload`` on both sides, one pair per seed, the
+    parent first on odd seeds and the change first on even seeds."""
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
-    for seed in SEEDS:
+    for seed in seeds:
         order = ("parent", "change") if seed % 2 else ("change", "parent")
         for side in order:
             result = run_benchmark(sides[side], spec["command"], workload, seed, seconds, 0)
@@ -201,6 +220,28 @@ def _measure_workload(spec: dict, sides: dict[str, Path], workload: str) -> dict
             rate = result["metrics"]["orders_per_s"]["value"]
             print(f"e2e_pairs: {workload} seed={seed} {side}: {rate:.1f} orders/s, "
                   f"{result['failed']} failed", file=sys.stderr)
+    return runs
+
+
+def smoke(spec: dict, sides: dict[str, Path]) -> int:
+    """The CI check: 1 when the change loses every smoke pair by more than
+    the ``orders_per_s`` bound, else 0."""
+    bound = next(m["bound"] for m in spec["end_to_end"] if m["name"] == "orders_per_s")
+    runs = run_pairs(spec, sides, SMOKE_WORKLOAD, SMOKE_SEEDS, SMOKE_SECONDS)
+    rates = {side: [r["metrics"]["orders_per_s"]["value"] for r in runs[side]]
+             for side in runs}
+    lost = sum(1 for parent, change in zip(rates["parent"], rates["change"])
+               if change < parent * (1 - bound))
+    failed = lost == len(SMOKE_SEEDS)
+    print(f"e2e_pairs: smoke check {'fails' if failed else 'passes'}: the change lost "
+          f"{lost} of {len(SMOKE_SEEDS)} {SMOKE_WORKLOAD} pairs by more than the "
+          f"orders_per_s bound ({bound:.0%})", file=sys.stderr)
+    return 1 if failed else 0
+
+
+def _measure_workload(spec: dict, sides: dict[str, Path], workload: str) -> dict:
+    seconds = spec["run_seconds"]
+    runs = run_pairs(spec, sides, workload, SEEDS, seconds)
     summary: dict = {
         "failed": {side: sum(r["failed"] for r in runs[side]) for side in runs},
         "attempted": {side: sum(r["attempted"] for r in runs[side]) for side in runs},

@@ -30,6 +30,7 @@ from repro.errors import (
     ActivityError,
     AgreementError,
     BindingError,
+    DocumentError,
     IntegrationError,
     PartnerError,
     ProtocolError,
@@ -706,12 +707,13 @@ class B2BEngine:
                 self._handle_reply(conversation, wire_document)
             else:
                 self._handle_request(message, partner.partner_id, wire_document)
-        except (AgreementError, ProtocolError, TransformError, IntegrationError) as exc:
+        except (AgreementError, ProtocolError, IntegrationError) as exc:
             self._record_fault(message.conversation_id, message.message_id, exc)
-        except ActivityError as exc:
-            # A private-process activity rejected the document (say, the
-            # back end already booked this PO number): the conversation
-            # can never complete, so it fails here instead of staying open.
+        except (ActivityError, DocumentError, TransformError) as exc:
+            # The binding or a private-process activity rejected the
+            # document (say, a PO that fails the normalized schema, or one
+            # the back end already booked): the conversation can never
+            # complete, so it fails here instead of staying open.
             self._record_fault(message.conversation_id, message.message_id, exc)
             failed = self.conversations.get(message.conversation_id)
             if failed is not None and failed.is_open():

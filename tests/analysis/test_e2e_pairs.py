@@ -1,6 +1,7 @@
 """Tests for ``benchmarks/e2e_pairs.py``, the paired parent/change benchmark runner."""
 
 import importlib.util
+import json
 import shutil
 import subprocess
 import sys
@@ -53,6 +54,39 @@ class TestRunBenchmark:
         with pytest.raises(RuntimeError, match="without a correct result"):
             e2e_pairs.run_benchmark(tmp_path, self.fake_benchmark(correct, exit_code),
                                     "steady_rn", 1, 30, 0)
+
+
+class TestSmoke:
+    """``--smoke`` fails only when the change loses every pair by more
+    than the ``orders_per_s`` bound."""
+
+    # a benchmark stand-in that reports the rate its side lists for the seed
+    FAKE_BENCHMARK = (
+        "import json, sys; "
+        "rate = json.load(open('rates.json'))[sys.argv[sys.argv.index('--seed') + 1]]; "
+        "print(json.dumps({'correct': True, 'failed': 0, "
+        "'metrics': {'orders_per_s': {'value': rate}}}))"
+    )
+
+    @pytest.mark.parametrize("change_rates, verdict", [
+        ([80, 84, 70], 1),     # every pair lost by more than 15%
+        ([80, 84, 90], 0),     # one pair lost by less
+        ([86, 86, 86], 0),     # every pair lost, each within the bound
+        ([120, 110, 130], 0),  # every pair won
+    ])
+    def test_verdict(self, tmp_path, change_rates, verdict):
+        sides = {}
+        for side, rates in (("parent", [100, 100, 100]), ("change", change_rates)):
+            sides[side] = tmp_path / side
+            sides[side].mkdir()
+            (sides[side] / "rates.json").write_text(
+                json.dumps({str(seed): rate for seed, rate in zip(e2e_pairs.SMOKE_SEEDS, rates)})
+            )
+        spec = {
+            "command": [sys.executable, "-c", self.FAKE_BENCHMARK],
+            "end_to_end": [{"name": "orders_per_s", "bound": 0.15}],
+        }
+        assert e2e_pairs.smoke(spec, sides) == verdict
 
 
 class TestBenchmarkDifferences:

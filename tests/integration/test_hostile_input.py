@@ -4,8 +4,9 @@ A real RosettaNet PO is captured off the wire of the Figure 14 pair and
 replayed at the seller's ``B2BEngine.handle_message``, once per hostile
 variant.  Every variant must end as a recorded fault or an accepted
 order: none may raise out of the engine, because one untyped exception
-would abort the seller's drain for every partner.  A clean order sent
-afterwards must still be booked exactly once.
+would abort the seller's drain for every partner, and none may leave a
+conversation open.  A clean order sent afterwards must still be booked
+exactly once.
 """
 
 import dataclasses
@@ -19,6 +20,7 @@ LINES = [{"sku": "GPU", "quantity": 2, "unit_price": 900.0, "description": "grap
 CAPTURED = "PO-CAPTURED"
 DESCRIPTION = "<Description>graphics card</Description>"
 LINE_NUMBER = "<LineNumber>1</LineNumber>"
+QUANTITY = "<OrderedQuantity>2.0</OrderedQuantity>"
 
 
 def _deep_description(body: str) -> str:
@@ -35,6 +37,11 @@ VARIANTS = {
     "line-number-inf": lambda body: body.replace(LINE_NUMBER, "<LineNumber>inf</LineNumber>"),
     "line-number-nan": lambda body: body.replace(LINE_NUMBER, "<LineNumber>nan</LineNumber>"),
     "truncated": lambda body: body[: len(body) // 2],
+    # well-formed XML the codec accepts, but the normalized PO schema
+    # rejects (quantity > 0) in the inbound binding
+    "negative-quantity": lambda body: body.replace(
+        QUANTITY, "<OrderedQuantity>-2.0</OrderedQuantity>"
+    ),
 }
 
 
@@ -54,7 +61,7 @@ def captured():
     run_community(pair.enterprises())
     pair.network.send = send
     (po,) = [m for m in sent if m.kind == "business" and m.doc_type == "purchase_order"]
-    assert DESCRIPTION in po.body and LINE_NUMBER in po.body
+    assert DESCRIPTION in po.body and LINE_NUMBER in po.body and QUANTITY in po.body
     assert pair.seller.backends["Oracle"].has_order(CAPTURED)
     return pair, po
 
@@ -79,6 +86,7 @@ def test_hostile_variant_is_a_fault_or_an_order(captured, index, name):
     faulted = len(seller.faults) == faults + 1
     accepted = oracle.has_order(po_number)
     assert faulted != accepted
+    assert seller.open_conversations() == []
 
     booked = oracle.order_count()
     pair.buyer.submit_order("SAP", "ACME", "PO-CLEAN", LINES)

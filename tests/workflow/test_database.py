@@ -1,9 +1,14 @@
 """Tests for the workflow database (Figure 4) and replication."""
 
+import copy
 import dataclasses
+import json
+import pickle
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.scenarios import build_two_enterprise_pair
 from repro.core.enterprise import run_community
@@ -184,7 +189,8 @@ class TestInstances:
         db.store_instance(_instance())
         snapshot = db.snapshot()
         with open(tmp_path / "open.txt", "w") as handle:
-            for value in (lambda: None, handle, threading.Lock()):
+            unpicklable_document = Document("normalized", "purchase_order", {"f": handle})
+            for value in (lambda: None, handle, threading.Lock(), unpicklable_document):
                 instance = _instance()
                 instance.variables["bad"] = value
                 with pytest.raises(PersistenceError, match="'I1'"):
@@ -195,6 +201,255 @@ class TestInstances:
         assert db.instance_stores == 1
         assert not db.has_instance("I2")
         assert db.snapshot() == snapshot
+
+
+class PickleReferenceDatabase(WorkflowDatabase):
+    """The instance store as it was before records: every store pickles the
+    whole instance and every load unpickles a private copy.  The record
+    codec must load and snapshot exactly what this reference does."""
+
+    def store_instance(self, instance):
+        self._instances[instance.instance_id] = pickle.dumps(
+            instance, pickle.HIGHEST_PROTOCOL
+        )
+
+    def load_instance(self, instance_id):
+        return pickle.loads(self._instances[instance_id])
+
+    def snapshot(self):
+        return json.dumps(
+            {
+                "name": self.name,
+                "types": [],
+                "instances": [
+                    pickle.loads(snapshot).to_dict()
+                    for _, snapshot in sorted(self._instances.items())
+                ],
+            }
+        )
+
+
+def _document_sharing(instance):
+    """Which document slots hold the same object, as first-seen indexes."""
+    held = list(instance.variables.values())
+    for state in instance.steps.values():
+        held.extend(state.outputs.values())
+    first_seen = {}
+    return [
+        first_seen.setdefault(id(value), len(first_seen))
+        for value in held
+        if isinstance(value, Document)
+    ]
+
+
+_names = st.text("abcdefgh", min_size=1, max_size=4)
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.text(max_size=6)
+)
+_values = st.recursive(
+    _scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.dictionaries(_names, children, max_size=3),
+        st.tuples(children, children),
+    ),
+    max_leaves=6,
+)
+_documents = st.builds(
+    Document,
+    st.sampled_from(["normalized", "edi-x12"]),
+    st.sampled_from(["purchase_order", "po_ack"]),
+    st.dictionaries(_names, _values, max_size=4),
+)
+_record_entries = st.fixed_dictionaries(
+    {
+        "at": st.floats(0, 1e6),
+        "event": st.sampled_from(["created", "step_completed"]),
+        "step_id": st.sampled_from(["", "a", "b"]),
+        "detail": st.text(max_size=6),
+    }
+)
+_other_entries = st.one_of(
+    # the record() keys with a value that is not a scalar
+    _record_entries.flatmap(
+        lambda entry: st.builds(lambda detail: {**entry, "detail": detail}, _values)
+    ),
+    # the record() keys in another order, or other keys
+    _record_entries.map(lambda entry: dict(reversed(list(entry.items())))),
+    st.dictionaries(_names, _values, max_size=3),
+)
+
+
+@st.composite
+def _instances(draw):
+    shared = draw(st.lists(_documents, max_size=3))
+    held = st.one_of(_values, st.sampled_from(shared)) if shared else _values
+    step_ids = draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4, unique=True))
+    instance = WorkflowInstance(
+        "I1", "wf", "1", step_ids,
+        variables=draw(st.dictionaries(_names, held, max_size=5)),
+        created_at=draw(st.floats(0, 1e6)),
+    )
+    for state in instance.steps.values():
+        state.status = draw(st.sampled_from(["pending", "waiting", "completed"]))
+        state.outputs = draw(st.dictionaries(_names, held, max_size=3))
+        state.iterations = draw(st.integers(0, 3))
+        state.wait_key = draw(st.text(max_size=4))
+    for source, target in draw(st.lists(st.tuples(st.sampled_from(step_ids), _names))):
+        instance.set_signal(source, target, draw(st.booleans()))
+    instance.history = draw(st.lists(st.one_of(_record_entries, _other_entries), max_size=6))
+    instance.status = draw(st.sampled_from(["created", "waiting", "completed"]))
+    instance.completed_at = draw(st.none() | st.floats(0, 1e6))
+    instance.error = draw(st.text(max_size=4))
+    return instance
+
+
+class TestInstanceRecords:
+    @settings(max_examples=150, deadline=None)
+    @given(_instances())
+    def test_record_loads_and_snapshots_what_pickle_does(self, instance):
+        db, reference = WorkflowDatabase(), PickleReferenceDatabase()
+        db.store_instance(instance)
+        reference.store_instance(instance)
+        expected = reference.load_instance("I1")
+        for _ in range(2):
+            loaded = db.load_instance("I1")
+            assert _document_sharing(loaded) == _document_sharing(expected)
+            assert loaded.to_dict() == expected.to_dict()
+            assert db.snapshot() == reference.snapshot()
+            # store the load again before any document is read: the record
+            # reuses the documents' bytes and must not change
+            db.store_instance(db.load_instance("I1"))
+
+    def test_document_held_twice_loads_as_one_object(self):
+        db = WorkflowDatabase()
+        instance = _instance()
+        document = Document("normalized", "purchase_order", {"n": "PO-1"})
+        instance.variables["document"] = document
+        instance.step_state("a").outputs["document"] = document
+        db.store_instance(instance)
+        for _ in range(2):
+            loaded = db.load_instance("I1")
+            assert loaded.variables["document"] is loaded.step_state("a").outputs["document"]
+            db.store_instance(loaded)
+        loaded.variables["document"].set("n", "changed")
+        assert loaded.step_state("a").outputs["document"].get("n") == "changed"
+        assert db.load_instance("I1").variables["document"].get("n") == "PO-1"
+
+
+ORIGINAL = Document(
+    "normalized", "purchase_order", {"n": "PO-1", "lines": [{"sku": "X", "quantity": 2}]}
+)
+
+
+def _stored():
+    """A database holding one instance with a document, nested values,
+    step outputs, signals and history, and that live instance."""
+    db = WorkflowDatabase()
+    instance = WorkflowInstance("I1", "wf", "1", ["a", "b"])
+    document = ORIGINAL.copy()
+    instance.variables.update(document=document, items=[1, [2]], pair=(1, [2]), flag=True)
+    instance.step_state("a").outputs.update(document=document, approved=True)
+    instance.set_signal("a", "b", True)
+    instance.record(0.0, "created", detail="original")
+    instance.history.append({"at": 1.0, "event": "noted", "step_id": "", "detail": ["original"]})
+    db.store_instance(instance)
+    return db, instance
+
+
+def _write_nested_lists(db, live):
+    variables = db.load_instance("I1").variables
+    variables["items"][1].append(3)
+    variables["pair"][1].append(3)
+
+
+def _write_history_entries(db, live):
+    history = db.load_instance("I1").history
+    history[0]["detail"] = "changed"
+    history[1]["detail"].append("changed")
+
+
+def _write_document_before_first_read(db, live):
+    db.load_instance("I1").variables["document"].set("lines[0].quantity", 99)
+
+
+def _write_document_after_first_read(db, live):
+    document = db.load_instance("I1").step_state("a").outputs["document"]
+    assert document.get("n") == "PO-1"
+    document.data["lines"].append({"sku": "Y"})
+
+
+def _write_live_instance_after_store(db, live):
+    live.variables["document"].data["n"] = "changed"
+    live.variables["items"][1].append(3)
+    live.variables["pair"][1].append(3)
+    live.step_state("a").outputs["approved"] = False
+    live.history[0]["detail"] = "changed"
+
+
+def _store_undecoded_document_again_then_write(db, live):
+    loaded = db.load_instance("I1")
+    document = loaded.variables["document"]
+    assert type(document) is not Document  # not read yet: the store reuses its bytes
+    db.store_instance(loaded)
+    document.data["n"] = "changed"
+
+
+MUTATIONS = {
+    "variables": lambda db, live: db.load_instance("I1").variables.update(leak=True),
+    "nested-lists": _write_nested_lists,
+    "step-outputs": lambda db, live: db.load_instance("I1").step_state("a").outputs.clear(),
+    "signals": lambda db, live: db.load_instance("I1").set_signal("a", "b", False),
+    "history-entries": _write_history_entries,
+    "document-before-first-read": _write_document_before_first_read,
+    "document-after-first-read": _write_document_after_first_read,
+    "live-instance-after-store": _write_live_instance_after_store,
+    "stored-again-undecoded-document": _store_undecoded_document_again_then_write,
+}
+
+
+@pytest.mark.parametrize("mutate", MUTATIONS.values(), ids=list(MUTATIONS))
+def test_no_write_to_a_load_or_the_live_instance_reaches_the_store(mutate):
+    db, live = _stored()
+    expected = db.load_instance("I1").to_dict()
+    snapshot = db.snapshot()
+    mutate(db, live)
+    assert db.load_instance("I1").to_dict() == expected
+    assert db.snapshot() == snapshot
+
+
+DOCUMENT_OPERATIONS = {
+    "isinstance": lambda document: isinstance(document, Document),
+    "eq": lambda document: (document == ORIGINAL, ORIGINAL == document),
+    "get": lambda document: document.get("lines[0].sku"),
+    "set": lambda document: (document.set("lines[+]", {"sku": "Y"}), document.data)[1],
+    "copy": lambda document: document.copy(),
+    "to_dict": lambda document: document.to_dict(),
+    "content_digest": lambda document: document.content_digest(),
+    "repr": repr,
+}
+
+
+@pytest.mark.parametrize("operation", DOCUMENT_OPERATIONS.values(), ids=list(DOCUMENT_OPERATIONS))
+def test_loaded_document_behaves_as_a_document(operation):
+    db, _ = _stored()
+    loaded = db.load_instance("I1").variables["document"]
+    assert operation(loaded) == operation(ORIGINAL.copy())
+
+
+@pytest.mark.parametrize(
+    "duplicate",
+    [lambda document: pickle.loads(pickle.dumps(document)), copy.deepcopy, Document.copy],
+    ids=["pickle", "deepcopy", "copy"],
+)
+def test_loaded_document_copies_to_a_plain_document(duplicate):
+    db, _ = _stored()
+    loaded = db.load_instance("I1").variables["document"]
+    duplicated = duplicate(loaded)
+    assert type(duplicated) is Document
+    assert duplicated == loaded == ORIGINAL
+    duplicated.data["n"] = "changed"
+    assert loaded.get("n") == "PO-1"
 
 
 class TestDurability:
