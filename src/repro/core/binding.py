@@ -23,8 +23,10 @@ the first message through a chain resolves the transformation route (format
 lookups, mapping sequence) once, compiles the mappings, and caches the plan
 keyed on :meth:`Binding.fingerprint` and the registry version.  Later
 messages replay the plan; editing the chain or registering a new mapping
-invalidates it.  The unplanned interpreter (``_run_chain``) is kept as the
-behavioural reference and cross-checked in tests.
+invalidates it.  The unplanned interpreter, which walks the chain through
+``registry.transform`` step by step, lives in
+``tests/core/reference_binding.py`` as the behavioural reference the
+plans are cross-checked against.
 """
 
 from __future__ import annotations
@@ -244,28 +246,6 @@ class Binding:
                 routes[route_key] = executor
             if executor is not None:
                 document = executor.apply(document, context)
-        return document
-
-    def _run_chain(
-        self,
-        chain: list[BindingStep],
-        document: Document | None,
-        registry: TransformationRegistry,
-        context: Mapping[str, Any],
-    ) -> Document | None:
-        for step in chain:
-            if step.kind == KIND_CONSUME:
-                return None
-            if step.kind == KIND_PRODUCE:
-                assert step.producer is not None
-                document = step.producer(context)
-                continue
-            if document is None:
-                raise BindingError(
-                    f"binding {self.name!r}: step {step.step_id!r} has no "
-                    "document to transform (consumed earlier in the chain?)"
-                )
-            document = registry.transform(document, step.target_format, context)
         return document
 
     # -- metrics & change detection ----------------------------------------------

@@ -66,7 +66,7 @@ from typing import Any
 
 from repro.documents.model import Document
 from repro.documents.schema import DocumentSchema, FieldSpec
-from repro.documents.wire import wire_number as _number
+from repro.documents.wire import render, wire_number as _number
 from repro.errors import WireFormatError
 
 __all__ = [
@@ -122,44 +122,33 @@ def to_wire(document: Document) -> str:
         raise WireFormatError(
             f"to_wire expects format {EDI_X12!r}, got {document.format_name!r}"
         )
-    if document.doc_type == "purchase_order":
-        body = _po_body_segments(document)
-        set_id = "850"
-    elif document.doc_type == "po_ack":
-        body = _poa_body_segments(document)
-        set_id = "855"
-    elif document.doc_type == "ship_notice":
-        body = _asn_body_segments(document)
-        set_id = "856"
-    elif document.doc_type == "invoice":
-        body = _invoice_body_segments(document)
-        set_id = "810"
-    elif document.doc_type == "functional_ack":
-        body = _997_body_segments(document)
-        set_id = "997"
-    else:
+    body = _BODIES.get(document.doc_type)
+    if body is None:
         raise WireFormatError(f"EDI cannot carry doc_type {document.doc_type!r}")
-    return _wrap_envelope(document, set_id, body)
+    set_id, segments = body
+    return render(lambda data: _wrap_envelope(data, set_id, segments(data)), document)
 
 
-def _wrap_envelope(document: Document, set_id: str, body: list[str]) -> str:
-    isa = document.get("isa")
-    st_control = document.get("st.control_number")
+def _wrap_envelope(data: dict[str, Any], set_id: str, body: list[str]) -> str:
+    isa = data["isa"]
+    interchange = _segment(
+        "ISA",
+        "00", "", "00", "",
+        "ZZ", isa["sender_id"],
+        "ZZ", isa["receiver_id"],
+        isa["date"], "0000", "U", "00401",
+        isa["control_number"], "0", "P", ">",
+    )
+    group = _segment(
+        "GS",
+        {"850": "PO", "855": "PR", "856": "SH", "810": "IN", "997": "FA"}[set_id],
+        isa["sender_id"], isa["receiver_id"],
+        isa["date"], "0000", isa["control_number"], "X", "004010",
+    )
+    st_control = data["st"]["control_number"]
     segments = [
-        _segment(
-            "ISA",
-            "00", "", "00", "",
-            "ZZ", isa["sender_id"],
-            "ZZ", isa["receiver_id"],
-            isa["date"], "0000", "U", "00401",
-            isa["control_number"], "0", "P", ">",
-        ),
-        _segment(
-            "GS",
-            {"850": "PO", "855": "PR", "856": "SH", "810": "IN", "997": "FA"}[set_id],
-            isa["sender_id"], isa["receiver_id"],
-            isa["date"], "0000", isa["control_number"], "X", "004010",
-        ),
+        interchange,
+        group,
         _segment("ST", set_id, st_control),
         *body,
         _segment("SE", len(body) + 2, st_control),
@@ -169,16 +158,19 @@ def _wrap_envelope(document: Document, set_id: str, body: list[str]) -> str:
     return "".join(segments)
 
 
-def _po_body_segments(document: Document) -> list[str]:
-    beg = document.get("beg")
+def _po_body_segments(data: dict[str, Any]) -> list[str]:
+    beg = data["beg"]
     segments = [
         _segment("BEG", beg["purpose_code"], beg["type_code"], beg["po_number"], "", beg["date"]),
-        _segment("CUR", "BY", document.get("cur.currency")),
+        _segment("CUR", "BY", data["cur"]["currency"]),
     ]
-    terms = document.get("itd.terms_description", default=None)
+    try:
+        terms = data["itd"]["terms_description"]
+    except (KeyError, TypeError):  # no terms: the ITD segment is optional
+        terms = None
     if terms:
         segments.append(_segment("ITD", "", "", "", "", "", "", "", "", "", "", "", terms))
-    for line in document.get("po1"):
+    for line in data["po1"]:
         segments.append(
             _segment(
                 "PO1",
@@ -188,17 +180,17 @@ def _po_body_segments(document: Document) -> list[str]:
         )
         if line.get("description"):
             segments.append(_segment("PID", "F", "", "", "", line["description"]))
-    segments.append(_segment("CTT", document.get("ctt.line_count")))
-    segments.append(_segment("AMT", "TT", document.get("amt.total_amount")))
+    segments.append(_segment("CTT", data["ctt"]["line_count"]))
+    segments.append(_segment("AMT", "TT", data["amt"]["total_amount"]))
     return segments
 
 
-def _poa_body_segments(document: Document) -> list[str]:
-    bak = document.get("bak")
+def _poa_body_segments(data: dict[str, Any]) -> list[str]:
+    bak = data["bak"]
     segments = [
         _segment("BAK", bak["purpose_code"], bak["ack_type"], bak["po_number"], bak["date"]),
     ]
-    for line in document.get("ack"):
+    for line in data["ack"]:
         segments.append(
             _segment(
                 "ACK",
@@ -207,33 +199,33 @@ def _poa_body_segments(document: Document) -> list[str]:
                 "", "", "", "", "", "", "", "", "", "", "", "", line["line_no"],
             )
         )
-    segments.append(_segment("CTT", document.get("ctt.line_count")))
-    segments.append(_segment("AMT", "AA", document.get("amt.accepted_amount")))
+    segments.append(_segment("CTT", data["ctt"]["line_count"]))
+    segments.append(_segment("AMT", "AA", data["amt"]["accepted_amount"]))
     return segments
 
 
-def _asn_body_segments(document: Document) -> list[str]:
-    bsn = document.get("bsn")
+def _asn_body_segments(data: dict[str, Any]) -> list[str]:
+    bsn = data["bsn"]
     segments = [
         _segment("BSN", bsn["purpose_code"], bsn["shipment_id"], bsn["date"]),
-        _segment("PRF", document.get("prf.po_number")),
-        _segment("TD5", "B", "2", document.get("td5.carrier")),
-        _segment("TD1", "CTN", document.get("td1.package_count")),
+        _segment("PRF", data["prf"]["po_number"]),
+        _segment("TD5", "B", "2", data["td5"]["carrier"]),
+        _segment("TD1", "CTN", data["td1"]["package_count"]),
     ]
-    for line in document.get("lines"):
+    for line in data["lines"]:
         segments.append(_segment("LIN", line["line_no"], "VP", line["sku"]))
         segments.append(_segment("SN1", line["line_no"], line["quantity_shipped"], "EA"))
-    segments.append(_segment("CTT", document.get("ctt.line_count")))
+    segments.append(_segment("CTT", data["ctt"]["line_count"]))
     return segments
 
 
-def _invoice_body_segments(document: Document) -> list[str]:
-    big = document.get("big")
+def _invoice_body_segments(data: dict[str, Any]) -> list[str]:
+    big = data["big"]
     segments = [
         _segment("BIG", big["date"], big["invoice_number"], "", big["po_number"]),
-        _segment("CUR", "SE", document.get("cur.currency")),
+        _segment("CUR", "SE", data["cur"]["currency"]),
     ]
-    for line in document.get("it1"):
+    for line in data["it1"]:
         segments.append(
             _segment(
                 "IT1",
@@ -241,20 +233,28 @@ def _invoice_body_segments(document: Document) -> list[str]:
                 line["unit_price"], "VP", line["sku"], "", line["amount"],
             )
         )
-    segments.append(_segment("TDS", document.get("tds.total_cents")))
-    segments.append(_segment("AMT", "1", document.get("amt_subtotal.subtotal")))
-    segments.append(_segment("AMT", "T", document.get("amt_tax.tax")))
-    segments.append(_segment("CTT", document.get("ctt.line_count")))
+    segments.append(_segment("TDS", data["tds"]["total_cents"]))
+    segments.append(_segment("AMT", "1", data["amt_subtotal"]["subtotal"]))
+    segments.append(_segment("AMT", "T", data["amt_tax"]["tax"]))
+    segments.append(_segment("CTT", data["ctt"]["line_count"]))
     return segments
 
 
-def _997_body_segments(document: Document) -> list[str]:
-    ak1 = document.get("ak1")
-    ak9 = document.get("ak9")
-    return [
-        _segment("AK1", ak1["functional_code"], ak1["group_control_number"]),
-        _segment("AK9", ak9["status_code"], 1, 1, 1),
-    ]
+def _997_body_segments(data: dict[str, Any]) -> list[str]:
+    ak1 = data["ak1"]
+    segments = [_segment("AK1", ak1["functional_code"], ak1["group_control_number"])]
+    segments.append(_segment("AK9", data["ak9"]["status_code"], 1, 1, 1))
+    return segments
+
+
+# doc_type -> (transaction set, body segment writer)
+_BODIES = {
+    "purchase_order": ("850", _po_body_segments),
+    "po_ack": ("855", _poa_body_segments),
+    "ship_notice": ("856", _asn_body_segments),
+    "invoice": ("810", _invoice_body_segments),
+    "functional_ack": ("997", _997_body_segments),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from typing import Any
 
 from repro.documents.model import Document
 from repro.documents.schema import DocumentSchema, FieldSpec
-from repro.documents.wire import wire_number as _number
+from repro.documents.wire import render, wire_number as _number
 from repro.errors import WireFormatError
 
 __all__ = [
@@ -155,13 +155,17 @@ def to_wire(document: Document) -> str:
         item_segment = "E1EDP01A"
     else:
         raise WireFormatError(f"IDoc cannot carry doc_type {document.doc_type!r}")
-    lines = [_render_segment("EDI_DC40", document.get("control"))]
-    lines.append(_render_segment("E1EDK01", document.get("header")))
-    for partner in document.get("partners"):
+    return render(lambda data: _write(data, item_segment), document)
+
+
+def _write(data: dict[str, Any], item_segment: str) -> str:
+    lines = [_render_segment("EDI_DC40", data["control"])]
+    lines.append(_render_segment("E1EDK01", data["header"]))
+    for partner in data["partners"]:
         lines.append(_render_segment("E1EDKA1", partner))
-    for item in document.get("items"):
+    for item in data["items"]:
         lines.append(_render_segment(item_segment, item))
-    summary = dict(document.get("summary"))
+    summary = dict(data["summary"])
     summary.setdefault("sumid", "002")
     lines.append(_render_segment("E1EDS01", summary))
     return "\n".join(lines) + "\n"

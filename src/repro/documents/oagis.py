@@ -43,8 +43,8 @@ from typing import Any
 
 from repro.documents.model import Document
 from repro.documents.schema import DocumentSchema, FieldSpec
-from repro.documents.wire import wire_number
-from repro.documents.xmlio import XmlElement, parse, serialize
+from repro.documents.wire import render, wire_number
+from repro.documents.xmlio import XmlElement, XmlWriter, parse
 from repro.errors import WireFormatError
 
 __all__ = [
@@ -76,6 +76,7 @@ _QUOTE_ROOT = "ShowQuote"
 
 
 def _text(value: Any) -> str:
+    """The text of a number element: ``str(value)``, empty for ``None``."""
     return "" if value is None else str(value)
 
 
@@ -85,165 +86,180 @@ def to_wire(document: Document) -> str:
         raise WireFormatError(
             f"to_wire expects format {OAGIS!r}, got {document.format_name!r}"
         )
-    if document.doc_type == "purchase_order":
-        root = _render_process(document)
-    elif document.doc_type == "po_ack":
-        root = _render_acknowledge(document)
-    elif document.doc_type == "ship_notice":
-        root = _render_shipment(document)
-    elif document.doc_type == "invoice":
-        root = _render_invoice(document)
-    elif document.doc_type == "request_for_quote":
-        root = _render_rfq(document)
-    elif document.doc_type == "quote":
-        root = _render_quote(document)
-    else:
+    write = _WRITERS.get(document.doc_type)
+    if write is None:
         raise WireFormatError(f"OAGIS BODs here cannot carry doc_type {document.doc_type!r}")
-    return serialize(root, declaration=True, indent=2)
+    return render(write, document)
 
 
-def _render_application_area(root: XmlElement, document: Document) -> None:
-    area = document.get("application_area")
-    element = root.child("ApplicationArea")
-    sender = element.child("Sender")
-    sender.child("LogicalId", area["sender_id"])
-    receiver = element.child("Receiver")
-    receiver.child("LogicalId", area["receiver_id"])
-    element.child("CreationDateTime", _text(area["creation_time"]))
-    element.child("BODId", area["bod_id"])
+_RELEASE = {"releaseID": "SIM.9"}
 
 
-def _render_process(document: Document) -> XmlElement:
-    root = XmlElement(_PROCESS_ROOT, {"releaseID": "SIM.9"})
-    _render_application_area(root, document)
-    data_area = root.child("DataArea")
-    data_area.child("Process")
-    order = data_area.child("PurchaseOrder")
-    header = document.get("order_header")
-    header_element = order.child("PurchaseOrderHeader")
-    header_element.child("DocumentId", header["document_id"])
-    header_element.child("PurchaseOrderId", header["po_number"])
-    header_element.child("Currency", header["currency"])
-    header_element.child("TotalValue", _text(header["total_value"]))
-    header_element.child("PaymentTerms", header.get("terms", ""))
-    for line in document.get("order_lines"):
-        line_element = order.child("PurchaseOrderLine")
-        line_element.child("LineNumber", _text(line["line_num"]))
-        line_element.child("ItemId", line["item_id"])
-        line_element.child("ItemDescription", line.get("item_description", ""))
-        line_element.child("Quantity", _text(line["quantity"]))
-        line_element.child("UnitPrice", _text(line["price"]))
-    return root
+def _start_bod(root: str, data: dict[str, Any], verb: str, noun: str) -> XmlWriter:
+    """Open the BOD: root, ``ApplicationArea``, then ``DataArea`` with the verb and the noun open."""
+    writer = XmlWriter()
+    start, leaf, end = writer.start, writer.leaf, writer.end
+    start(root, _RELEASE)
+    area = data["application_area"]
+    start("ApplicationArea")
+    start("Sender")
+    leaf("LogicalId", area["sender_id"])
+    end()
+    start("Receiver")
+    leaf("LogicalId", area["receiver_id"])
+    end()
+    leaf("CreationDateTime", _text(area["creation_time"]))
+    leaf("BODId", area["bod_id"])
+    end()
+    start("DataArea")
+    leaf(verb, None)
+    start(noun)
+    return writer
 
 
-def _render_acknowledge(document: Document) -> XmlElement:
-    root = XmlElement(_ACK_ROOT, {"releaseID": "SIM.9"})
-    _render_application_area(root, document)
-    data_area = root.child("DataArea")
-    data_area.child("Acknowledge")
-    order = data_area.child("PurchaseOrder")
-    header = document.get("ack_header")
-    header_element = order.child("PurchaseOrderHeader")
-    header_element.child("DocumentId", header["document_id"])
-    header_element.child("PurchaseOrderId", header["po_number"])
-    header_element.child("AcknowledgeCode", header["acknowledge_code"])
-    header_element.child("TotalAccepted", _text(header["total_accepted"]))
-    for line in document.get("ack_lines"):
-        line_element = order.child("PurchaseOrderLine")
-        line_element.child("LineNumber", _text(line["line_num"]))
-        line_element.child("ItemId", line["item_id"])
-        line_element.child("LineCode", line["line_code"])
-        line_element.child("Quantity", _text(line["quantity"]))
-    return root
+def _end_bod(writer: XmlWriter) -> str:
+    """Close the noun, ``DataArea`` and the root; return the text."""
+    writer.end()
+    writer.end()
+    writer.end()
+    return writer.text()
 
 
-def _render_shipment(document: Document) -> XmlElement:
-    root = XmlElement(_SHIPMENT_ROOT, {"releaseID": "SIM.9"})
-    _render_application_area(root, document)
-    data_area = root.child("DataArea")
-    data_area.child("Show")
-    shipment = data_area.child("Shipment")
-    header = document.get("shipment_header")
-    header_element = shipment.child("ShipmentHeader")
-    header_element.child("DocumentId", header["document_id"])
-    header_element.child("ShipmentId", header["shipment_id"])
-    header_element.child("PurchaseOrderId", header["po_number"])
-    header_element.child("Carrier", header["carrier"])
-    header_element.child("PackageCount", _text(header["package_count"]))
-    for line in document.get("shipment_lines"):
-        line_element = shipment.child("ShipmentLine")
-        line_element.child("LineNumber", _text(line["line_num"]))
-        line_element.child("ItemId", line["item_id"])
-        line_element.child("QuantityShipped", _text(line["quantity_shipped"]))
-    return root
+def _write_process(data: dict[str, Any]) -> str:
+    writer = _start_bod(_PROCESS_ROOT, data, "Process", "PurchaseOrder")
+    start, leaf, end = writer.start, writer.leaf, writer.end
+    header = data["order_header"]
+    start("PurchaseOrderHeader")
+    leaf("DocumentId", header["document_id"])
+    leaf("PurchaseOrderId", header["po_number"])
+    leaf("Currency", header["currency"])
+    leaf("TotalValue", _text(header["total_value"]))
+    leaf("PaymentTerms", header.get("terms", ""))
+    end()
+    for line in data["order_lines"]:
+        start("PurchaseOrderLine")
+        leaf("LineNumber", _text(line["line_num"]))
+        leaf("ItemId", line["item_id"])
+        leaf("ItemDescription", line.get("item_description", ""))
+        leaf("Quantity", _text(line["quantity"]))
+        leaf("UnitPrice", _text(line["price"]))
+        end()
+    return _end_bod(writer)
 
 
-def _render_invoice(document: Document) -> XmlElement:
-    root = XmlElement(_INVOICE_ROOT, {"releaseID": "SIM.9"})
-    _render_application_area(root, document)
-    data_area = root.child("DataArea")
-    data_area.child("Process")
-    invoice = data_area.child("Invoice")
-    header = document.get("invoice_header")
-    header_element = invoice.child("InvoiceHeader")
-    header_element.child("DocumentId", header["document_id"])
-    header_element.child("InvoiceId", header["invoice_number"])
-    header_element.child("PurchaseOrderId", header["po_number"])
-    header_element.child("Currency", header["currency"])
-    header_element.child("Subtotal", _text(header["subtotal"]))
-    header_element.child("Tax", _text(header["tax"]))
-    header_element.child("TotalDue", _text(header["total_due"]))
-    for line in document.get("invoice_lines"):
-        line_element = invoice.child("InvoiceLine")
-        line_element.child("LineNumber", _text(line["line_num"]))
-        line_element.child("ItemId", line["item_id"])
-        line_element.child("Quantity", _text(line["quantity"]))
-        line_element.child("UnitPrice", _text(line["unit_price"]))
-        line_element.child("Amount", _text(line["amount"]))
-    return root
+def _write_acknowledge(data: dict[str, Any]) -> str:
+    writer = _start_bod(_ACK_ROOT, data, "Acknowledge", "PurchaseOrder")
+    start, leaf, end = writer.start, writer.leaf, writer.end
+    header = data["ack_header"]
+    start("PurchaseOrderHeader")
+    leaf("DocumentId", header["document_id"])
+    leaf("PurchaseOrderId", header["po_number"])
+    leaf("AcknowledgeCode", header["acknowledge_code"])
+    leaf("TotalAccepted", _text(header["total_accepted"]))
+    end()
+    for line in data["ack_lines"]:
+        start("PurchaseOrderLine")
+        leaf("LineNumber", _text(line["line_num"]))
+        leaf("ItemId", line["item_id"])
+        leaf("LineCode", line["line_code"])
+        leaf("Quantity", _text(line["quantity"]))
+        end()
+    return _end_bod(writer)
 
 
-def _render_rfq(document: Document) -> XmlElement:
-    root = XmlElement(_RFQ_ROOT, {"releaseID": "SIM.9"})
-    _render_application_area(root, document)
-    data_area = root.child("DataArea")
-    data_area.child("Get")
-    quote = data_area.child("Quote")
-    header = document.get("rfq_header")
-    header_element = quote.child("QuoteHeader")
-    header_element.child("DocumentId", header["document_id"])
-    header_element.child("RfqId", header["rfq_number"])
-    header_element.child("RespondBy", _text(header["respond_by"]))
-    for line in document.get("rfq_lines"):
-        line_element = quote.child("QuoteLine")
-        line_element.child("LineNumber", _text(line["line_num"]))
-        line_element.child("ItemId", line["item_id"])
-        line_element.child("ItemDescription", line.get("item_description", ""))
-        line_element.child("Quantity", _text(line["quantity"]))
-    return root
+def _write_shipment(data: dict[str, Any]) -> str:
+    writer = _start_bod(_SHIPMENT_ROOT, data, "Show", "Shipment")
+    start, leaf, end = writer.start, writer.leaf, writer.end
+    header = data["shipment_header"]
+    start("ShipmentHeader")
+    leaf("DocumentId", header["document_id"])
+    leaf("ShipmentId", header["shipment_id"])
+    leaf("PurchaseOrderId", header["po_number"])
+    leaf("Carrier", header["carrier"])
+    leaf("PackageCount", _text(header["package_count"]))
+    end()
+    for line in data["shipment_lines"]:
+        start("ShipmentLine")
+        leaf("LineNumber", _text(line["line_num"]))
+        leaf("ItemId", line["item_id"])
+        leaf("QuantityShipped", _text(line["quantity_shipped"]))
+        end()
+    return _end_bod(writer)
 
 
-def _render_quote(document: Document) -> XmlElement:
-    root = XmlElement(_QUOTE_ROOT, {"releaseID": "SIM.9"})
-    _render_application_area(root, document)
-    data_area = root.child("DataArea")
-    data_area.child("Show")
-    quote = data_area.child("Quote")
-    header = document.get("quote_header")
-    header_element = quote.child("QuoteHeader")
-    header_element.child("DocumentId", header["document_id"])
-    header_element.child("QuoteId", header["quote_number"])
-    header_element.child("RfqId", header["rfq_number"])
-    header_element.child("Currency", header["currency"])
-    header_element.child("ValidUntil", _text(header["valid_until"]))
-    header_element.child("TotalAmount", _text(header["total_amount"]))
-    for line in document.get("quote_lines"):
-        line_element = quote.child("QuoteLine")
-        line_element.child("LineNumber", _text(line["line_num"]))
-        line_element.child("ItemId", line["item_id"])
-        line_element.child("Quantity", _text(line["quantity"]))
-        line_element.child("UnitPrice", _text(line["unit_price"]))
-    return root
+def _write_invoice(data: dict[str, Any]) -> str:
+    writer = _start_bod(_INVOICE_ROOT, data, "Process", "Invoice")
+    start, leaf, end = writer.start, writer.leaf, writer.end
+    header = data["invoice_header"]
+    start("InvoiceHeader")
+    leaf("DocumentId", header["document_id"])
+    leaf("InvoiceId", header["invoice_number"])
+    leaf("PurchaseOrderId", header["po_number"])
+    leaf("Currency", header["currency"])
+    leaf("Subtotal", _text(header["subtotal"]))
+    leaf("Tax", _text(header["tax"]))
+    leaf("TotalDue", _text(header["total_due"]))
+    end()
+    for line in data["invoice_lines"]:
+        start("InvoiceLine")
+        leaf("LineNumber", _text(line["line_num"]))
+        leaf("ItemId", line["item_id"])
+        leaf("Quantity", _text(line["quantity"]))
+        leaf("UnitPrice", _text(line["unit_price"]))
+        leaf("Amount", _text(line["amount"]))
+        end()
+    return _end_bod(writer)
+
+
+def _write_rfq(data: dict[str, Any]) -> str:
+    writer = _start_bod(_RFQ_ROOT, data, "Get", "Quote")
+    start, leaf, end = writer.start, writer.leaf, writer.end
+    header = data["rfq_header"]
+    start("QuoteHeader")
+    leaf("DocumentId", header["document_id"])
+    leaf("RfqId", header["rfq_number"])
+    leaf("RespondBy", _text(header["respond_by"]))
+    end()
+    for line in data["rfq_lines"]:
+        start("QuoteLine")
+        leaf("LineNumber", _text(line["line_num"]))
+        leaf("ItemId", line["item_id"])
+        leaf("ItemDescription", line.get("item_description", ""))
+        leaf("Quantity", _text(line["quantity"]))
+        end()
+    return _end_bod(writer)
+
+
+def _write_quote(data: dict[str, Any]) -> str:
+    writer = _start_bod(_QUOTE_ROOT, data, "Show", "Quote")
+    start, leaf, end = writer.start, writer.leaf, writer.end
+    header = data["quote_header"]
+    start("QuoteHeader")
+    leaf("DocumentId", header["document_id"])
+    leaf("QuoteId", header["quote_number"])
+    leaf("RfqId", header["rfq_number"])
+    leaf("Currency", header["currency"])
+    leaf("ValidUntil", _text(header["valid_until"]))
+    leaf("TotalAmount", _text(header["total_amount"]))
+    end()
+    for line in data["quote_lines"]:
+        start("QuoteLine")
+        leaf("LineNumber", _text(line["line_num"]))
+        leaf("ItemId", line["item_id"])
+        leaf("Quantity", _text(line["quantity"]))
+        leaf("UnitPrice", _text(line["unit_price"]))
+        end()
+    return _end_bod(writer)
+
+
+_WRITERS = {
+    "purchase_order": _write_process,
+    "po_ack": _write_acknowledge,
+    "ship_notice": _write_shipment,
+    "invoice": _write_invoice,
+    "request_for_quote": _write_rfq,
+    "quote": _write_quote,
+}
 
 
 def from_wire(text: str) -> Document:

@@ -39,7 +39,7 @@ from typing import Any
 
 from repro.documents.model import Document
 from repro.documents.schema import DocumentSchema, FieldSpec
-from repro.documents.wire import wire_number as _number
+from repro.documents.wire import render, wire_number as _number
 from repro.errors import WireFormatError
 
 __all__ = [
@@ -186,8 +186,12 @@ def to_wire(document: Document) -> str:
         header_table, line_table = "PO_ACK_HEADERS", "PO_ACK_LINES"
     else:
         raise WireFormatError(f"OIF cannot carry doc_type {document.doc_type!r}")
-    lines = [_render_record(header_table, document.get("header"))]
-    for line in document.get("lines"):
+    return render(lambda data: _write(data, header_table, line_table), document)
+
+
+def _write(data: dict[str, Any], header_table: str, line_table: str) -> str:
+    lines = [_render_record(header_table, data["header"])]
+    for line in data["lines"]:
         lines.append(_render_record(line_table, line))
     return "\n".join(lines) + "\n"
 

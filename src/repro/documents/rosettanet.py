@@ -36,8 +36,8 @@ from typing import Any
 
 from repro.documents.model import Document
 from repro.documents.schema import DocumentSchema, FieldSpec
-from repro.documents.wire import wire_number
-from repro.documents.xmlio import XmlElement, parse, serialize
+from repro.documents.wire import render, wire_number
+from repro.documents.xmlio import XmlElement, XmlWriter, parse
 from repro.errors import WireFormatError
 
 __all__ = [
@@ -72,83 +72,101 @@ def to_wire(document: Document) -> str:
         raise WireFormatError(
             f"to_wire expects format {ROSETTANET!r}, got {document.format_name!r}"
         )
-    if document.doc_type == "purchase_order":
-        root = _render_request(document)
-    elif document.doc_type == "po_ack":
-        root = _render_confirmation(document)
-    elif document.doc_type == "receipt_ack":
-        root = _render_receipt(document)
-    else:
+    write = _WRITERS.get(document.doc_type)
+    if write is None:
         raise WireFormatError(
             f"RosettaNet PIP 3A4 cannot carry doc_type {document.doc_type!r}"
         )
-    return serialize(root, declaration=True, indent=2)
-
-
-def _render_service_header(parent: XmlElement, document: Document) -> None:
-    header = document.get("service_header")
-    element = parent.child("ServiceHeader")
-    element.child("PipCode", header["pip_code"])
-    element.child("PipInstanceId", header["pip_instance_id"])
-    element.child("FromRole", header["from_role"])
-    element.child("ToRole", header["to_role"])
-    element.child("FromPartner", header["from_partner"])
-    element.child("ToPartner", header["to_partner"])
-
-
-def _render_request(document: Document) -> XmlElement:
-    root = XmlElement(_REQUEST_ROOT)
-    _render_service_header(root, document)
-    order = document.get("order")
-    order_element = root.child("PurchaseOrder")
-    order_element.child("GlobalDocumentIdentifier", order["global_document_id"])
-    order_element.child("PurchaseOrderNumber", order["po_number"])
-    order_element.child("GlobalCurrencyCode", order["currency_code"])
-    order_element.child("DocumentDate", _text(order["document_date"]))
-    order_element.child("PaymentTerms", order.get("payment_terms", ""))
-    order_element.child("TotalAmount", _text(order["total_amount"]))
-    for line in order["product_lines"]:
-        line_element = order_element.child("ProductLineItem")
-        line_element.child("LineNumber", _text(line["line_number"]))
-        line_element.child("GlobalProductIdentifier", line["global_product_id"])
-        line_element.child("Description", line.get("description", ""))
-        line_element.child("OrderedQuantity", _text(line["ordered_quantity"]))
-        line_element.child("UnitPrice", _text(line["unit_price"]))
-    return root
-
-
-def _render_confirmation(document: Document) -> XmlElement:
-    root = XmlElement(_CONFIRM_ROOT)
-    _render_service_header(root, document)
-    ack = document.get("acknowledgment")
-    ack_element = root.child("PurchaseOrderAcknowledgment")
-    ack_element.child("GlobalDocumentIdentifier", ack["global_document_id"])
-    ack_element.child("PurchaseOrderNumber", ack["po_number"])
-    ack_element.child("DocumentDate", _text(ack["document_date"]))
-    ack_element.child("GlobalResponseCode", ack["global_response_code"])
-    ack_element.child("AcceptedAmount", _text(ack["accepted_amount"]))
-    for line in ack["ack_lines"]:
-        line_element = ack_element.child("AcknowledgedLineItem")
-        line_element.child("LineNumber", _text(line["line_number"]))
-        line_element.child("GlobalProductIdentifier", line["global_product_id"])
-        line_element.child("ResponseCode", line["response_code"])
-        line_element.child("AcceptedQuantity", _text(line["accepted_quantity"]))
-    return root
+    return render(write, document)
 
 
 def _text(value: Any) -> str:
+    """The text of a number element: ``str(value)``, empty for ``None``."""
     return "" if value is None else str(value)
 
 
-def _render_receipt(document: Document) -> XmlElement:
-    root = XmlElement(_RECEIPT_ROOT)
-    _render_service_header(root, document)
-    receipt = document.get("receipt")
-    receipt_element = root.child("Receipt")
-    receipt_element.child("OriginalDocumentIdentifier", receipt["original_document_id"])
-    receipt_element.child("OriginalDocumentType", receipt["original_doc_type"])
-    receipt_element.child("ReceivedAt", _text(receipt["received_at"]))
-    return root
+def _write_service_header(writer: XmlWriter, header: dict[str, Any]) -> None:
+    leaf = writer.leaf
+    writer.start("ServiceHeader")
+    leaf("PipCode", header["pip_code"])
+    leaf("PipInstanceId", header["pip_instance_id"])
+    leaf("FromRole", header["from_role"])
+    leaf("ToRole", header["to_role"])
+    leaf("FromPartner", header["from_partner"])
+    leaf("ToPartner", header["to_partner"])
+    writer.end()
+
+
+def _write_request(data: dict[str, Any]) -> str:
+    writer = XmlWriter()
+    start, leaf, end = writer.start, writer.leaf, writer.end
+    start(_REQUEST_ROOT)
+    _write_service_header(writer, data["service_header"])
+    order = data["order"]
+    start("PurchaseOrder")
+    leaf("GlobalDocumentIdentifier", order["global_document_id"])
+    leaf("PurchaseOrderNumber", order["po_number"])
+    leaf("GlobalCurrencyCode", order["currency_code"])
+    leaf("DocumentDate", _text(order["document_date"]))
+    leaf("PaymentTerms", order.get("payment_terms", ""))
+    leaf("TotalAmount", _text(order["total_amount"]))
+    for line in order["product_lines"]:
+        start("ProductLineItem")
+        leaf("LineNumber", _text(line["line_number"]))
+        leaf("GlobalProductIdentifier", line["global_product_id"])
+        leaf("Description", line.get("description", ""))
+        leaf("OrderedQuantity", _text(line["ordered_quantity"]))
+        leaf("UnitPrice", _text(line["unit_price"]))
+        end()
+    end()
+    end()
+    return writer.text()
+
+
+def _write_confirmation(data: dict[str, Any]) -> str:
+    writer = XmlWriter()
+    start, leaf, end = writer.start, writer.leaf, writer.end
+    start(_CONFIRM_ROOT)
+    _write_service_header(writer, data["service_header"])
+    ack = data["acknowledgment"]
+    start("PurchaseOrderAcknowledgment")
+    leaf("GlobalDocumentIdentifier", ack["global_document_id"])
+    leaf("PurchaseOrderNumber", ack["po_number"])
+    leaf("DocumentDate", _text(ack["document_date"]))
+    leaf("GlobalResponseCode", ack["global_response_code"])
+    leaf("AcceptedAmount", _text(ack["accepted_amount"]))
+    for line in ack["ack_lines"]:
+        start("AcknowledgedLineItem")
+        leaf("LineNumber", _text(line["line_number"]))
+        leaf("GlobalProductIdentifier", line["global_product_id"])
+        leaf("ResponseCode", line["response_code"])
+        leaf("AcceptedQuantity", _text(line["accepted_quantity"]))
+        end()
+    end()
+    end()
+    return writer.text()
+
+
+def _write_receipt(data: dict[str, Any]) -> str:
+    writer = XmlWriter()
+    leaf = writer.leaf
+    writer.start(_RECEIPT_ROOT)
+    _write_service_header(writer, data["service_header"])
+    receipt = data["receipt"]
+    writer.start("Receipt")
+    leaf("OriginalDocumentIdentifier", receipt["original_document_id"])
+    leaf("OriginalDocumentType", receipt["original_doc_type"])
+    leaf("ReceivedAt", _text(receipt["received_at"]))
+    writer.end()
+    writer.end()
+    return writer.text()
+
+
+_WRITERS = {
+    "purchase_order": _write_request,
+    "po_ack": _write_confirmation,
+    "receipt_ack": _write_receipt,
+}
 
 
 def from_wire(text: str) -> Document:

@@ -12,8 +12,13 @@ a small, dependency-free XML subset implemented from scratch:
 
 It deliberately excludes namespaces-as-objects (prefixes are kept verbatim
 in tag names), CDATA, DTDs and processing instructions — none of which the
-wire formats here use.  ``parse(serialize(tree)) == tree`` is property-tested
-in ``tests/documents/test_xmlio.py``.
+wire formats here use.
+
+:class:`XmlWriter` streams a document to text element by element, in the
+one layout the codecs put on the wire; no tree is built.
+``tests/documents/reference_xmlio.py`` keeps the tree serializer and the
+codecs' tree renderers it replaced, and a property test holds the codecs'
+writers to their bytes.
 
 ``parse`` reads untrusted partner bytes, so it makes one guarantee: on any
 ``str`` it returns a tree or raises :class:`~repro.errors.XmlSyntaxError`
@@ -38,7 +43,7 @@ from typing import Iterator
 
 from repro.errors import XmlSyntaxError
 
-__all__ = ["XmlElement", "parse", "serialize"]
+__all__ = ["XmlElement", "XmlWriter", "parse"]
 
 
 @dataclass
@@ -115,72 +120,91 @@ class XmlElement:
 
 
 # ---------------------------------------------------------------------------
-# Serialization
+# Writing
 # ---------------------------------------------------------------------------
 
-_TEXT_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;"}
-_ATTR_ESCAPES = {**_TEXT_ESCAPES, '"': "&quot;"}
+_DECLARATION = '<?xml version="1.0" encoding="UTF-8"?>\n'
 
-# The one XML name pattern, shared by the serializer's check and the parser.
+# The one XML name pattern, shared by the writer's check and the parser.
 _NAME = re.compile(r"[A-Za-z_:][A-Za-z0-9_:.\-]*")
 
-
-def _escape(value: str, table: dict[str, str]) -> str:
-    for raw, replacement in table.items():
-        value = value.replace(raw, replacement)
-    return value
+# Names that passed the check.  The codecs write constant tags, so each
+# distinct name is matched once per process instead of once per element.
+_CHECKED_NAMES: set[str] = set()
 
 
 def _check_name(name: str) -> str:
-    if _NAME.fullmatch(name) is None:
-        raise XmlSyntaxError(f"invalid XML name {name!r}")
+    if name not in _CHECKED_NAMES:
+        if _NAME.fullmatch(name) is None:
+            raise XmlSyntaxError(f"invalid XML name {name!r}")
+        _CHECKED_NAMES.add(name)
     return name
 
 
-def serialize(root: XmlElement, declaration: bool = True, indent: int = 0) -> str:
-    """Serialize ``root`` to an XML string.
+def _escape_text(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
-    ``indent > 0`` pretty-prints element-only content with that many spaces
-    per level; mixed content (text alongside elements) is always emitted
-    verbatim so that round-tripping preserves text exactly.
+
+class XmlWriter:
+    """Writes one XML document as text, element by element, in document order.
+
+    The layout is fixed: the XML declaration, then one element per line,
+    indented two spaces per level.  :meth:`start` opens an element and
+    :meth:`end` closes the innermost one (as ``<tag/>`` when nothing was
+    written inside it); :meth:`leaf` writes an element that holds only
+    text.  Text escapes ``&``, ``<`` and ``>``, attribute values escape
+    ``"`` as well, and an invalid tag or attribute name raises
+    :class:`XmlSyntaxError`.
     """
-    pieces: list[str] = []
-    if declaration:
-        pieces.append('<?xml version="1.0" encoding="UTF-8"?>')
-        if indent:
-            pieces.append("\n")
-    _serialize_element(root, pieces, indent, 0)
-    return "".join(pieces)
 
+    __slots__ = ("_pieces", "_open", "_pad")
 
-def _serialize_element(
-    element: XmlElement, pieces: list[str], indent: int, depth: int
-) -> None:
-    pad = " " * (indent * depth) if indent else ""
-    pieces.append(f"{pad}<{_check_name(element.tag)}")
-    for key in element.attrs:
-        pieces.append(f' {_check_name(key)}="{_escape(element.attrs[key], _ATTR_ESCAPES)}"')
-    if not element.content:
-        pieces.append("/>")
-        if indent:
-            pieces.append("\n")
-        return
-    pieces.append(">")
-    element_only = all(isinstance(item, XmlElement) for item in element.content)
-    if indent and element_only:
-        pieces.append("\n")
-        for item in element.content:
-            _serialize_element(item, pieces, indent, depth + 1)  # type: ignore[arg-type]
-        pieces.append(pad)
-    else:
-        for item in element.content:
-            if isinstance(item, str):
-                pieces.append(_escape(item, _TEXT_ESCAPES))
-            else:
-                _serialize_element(item, pieces, 0, 0)
-    pieces.append(f"</{element.tag}>")
-    if indent:
-        pieces.append("\n")
+    def __init__(self) -> None:
+        self._pieces: list[str] = [_DECLARATION]
+        # open elements: tag, indentation, start tag and its index in _pieces
+        self._open: list[tuple[str, str, str, int]] = []
+        self._pad = ""
+
+    def start(self, tag: str, attrs: dict[str, str] | None = None) -> None:
+        """Open element ``tag``; what is written until :meth:`end` goes inside it."""
+        pad = self._pad
+        head = f"{pad}<{_check_name(tag)}"
+        if attrs:
+            for key, value in attrs.items():
+                value = _escape_text(value).replace('"', "&quot;")
+                head += f' {_check_name(key)}="{value}"'
+        self._open.append((tag, pad, head, len(self._pieces)))
+        self._pieces.append(head + ">\n")
+        self._pad = pad + "  "
+
+    def leaf(self, tag: str, text: str | None) -> None:
+        """Write element ``tag`` holding ``text``; ``None`` writes ``<tag/>``."""
+        if tag not in _CHECKED_NAMES:
+            _check_name(tag)
+        if text is None:
+            self._pieces.append(f"{self._pad}<{tag}/>\n")
+            return
+        if not isinstance(text, str):
+            raise TypeError(f"<{tag}> holds {type(text).__name__}, not text")
+        if "&" in text or "<" in text or ">" in text:
+            text = _escape_text(text)
+        self._pieces.append(f"{self._pad}<{tag}>{text}</{tag}>\n")
+
+    def end(self) -> None:
+        """Close the innermost open element."""
+        tag, pad, head, index = self._open.pop()
+        self._pad = pad
+        pieces = self._pieces
+        if len(pieces) == index + 1:
+            pieces[index] = head + "/>\n"
+        else:
+            pieces.append(f"{pad}</{tag}>\n")
+
+    def text(self) -> str:
+        """The document written so far; every element must be closed."""
+        if self._open:
+            raise XmlSyntaxError(f"element <{self._open[-1][0]}> is not closed")
+        return "".join(self._pieces)
 
 
 # ---------------------------------------------------------------------------

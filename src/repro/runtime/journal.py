@@ -711,6 +711,9 @@ class KernelJournal(_JournalSessionBase):
         fsync: bool = False,
         flush_interval: int = 64,
     ) -> None:
+        # Refuse before opening anything, so a failed attach leaves no file.
+        if kernel.bus.write_ahead is not None:
+            raise JournalError("kernel bus already has a write-ahead journal")
         super().__init__(directory)
         self.kernel = kernel
         self.writer = JournalWriter(
@@ -719,8 +722,6 @@ class KernelJournal(_JournalSessionBase):
             fsync=fsync,
             flush_interval=flush_interval,
         )
-        if kernel.bus.write_ahead is not None:
-            raise JournalError("kernel bus already has a write-ahead journal")
         # Bind once: ``self._write_event`` builds a fresh bound method per
         # access, so close() must compare against the exact object installed.
         self._hook = self._write_event
@@ -782,6 +783,13 @@ class ShardedJournal(_JournalSessionBase):
                 "ShardedJournal requires deterministic drain mode; the "
                 "parallel drain has no global order to journal"
             )
+        # Check every shard before opening any writer, so a failed attach
+        # leaves no file and no hook behind.
+        for shard in kernel.shards:
+            if shard.bus.write_ahead is not None:
+                raise JournalError(
+                    f"shard {shard.index} bus already has a write-ahead journal"
+                )
         super().__init__(directory)
         self.kernel = kernel
         self.writers: list[JournalWriter] = []
@@ -794,10 +802,6 @@ class ShardedJournal(_JournalSessionBase):
                 flush_interval=flush_interval,
             )
             self.writers.append(writer)
-            if shard.bus.write_ahead is not None:
-                raise JournalError(
-                    f"shard {shard.index} bus already has a write-ahead journal"
-                )
             hook = self._make_hook(writer)
             self._hooks.append(hook)
             shard.bus.write_ahead = hook

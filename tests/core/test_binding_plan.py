@@ -11,6 +11,7 @@ from repro.documents.model import Document
 from repro.documents.normalized import NORMALIZED, make_purchase_order
 from repro.transform.catalog import build_standard_registry
 from repro.transform.mapping import Field, Mapping
+from tests.core.reference_binding import run_chain
 
 LINES = [
     {"sku": "LAPTOP-15", "quantity": 50, "unit_price": 1200.0},
@@ -34,14 +35,14 @@ class TestPlannedEqualsInterpreted:
     def test_outbound_transform(self):
         binding, registry = _binding(), build_standard_registry()
         planned = binding.apply_outbound(_po(), registry, CONTEXT)
-        reference = binding._run_chain(binding.outbound, _po(), registry, CONTEXT)
+        reference = run_chain(binding, binding.outbound, _po(), registry, CONTEXT)
         assert planned.to_dict() == reference.to_dict()
 
     def test_round_trip(self):
         binding, registry = _binding(), build_standard_registry()
         wire = binding.apply_outbound(_po(), registry, CONTEXT)
         back = binding.apply_inbound(wire, registry, CONTEXT)
-        reference = binding._run_chain(binding.inbound, wire, registry, CONTEXT)
+        reference = run_chain(binding, binding.inbound, wire, registry, CONTEXT)
         assert back.format_name == NORMALIZED
         assert back.to_dict() == reference.to_dict()
 

@@ -121,8 +121,5 @@ class TestTransformerEdges:
                 BindingStep("make", "transform", target_format="edi-x12"),
             ],
         )
-        with pytest.raises(BindingError):
-            binding._run_chain(
-                [BindingStep("t", "transform", target_format="edi-x12")],
-                None, registry, {},
-            )
+        with pytest.raises(BindingError, match="has no document to transform"):
+            binding.apply_outbound(None, registry, {})

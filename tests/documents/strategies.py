@@ -6,7 +6,7 @@ from repro.documents.model import Document
 from repro.documents.normalized import make_po_ack, make_purchase_order
 from repro.transform.catalog import build_standard_registry
 
-__all__ = ["mutated", "single_breaks", "wire_texts"]
+__all__ = ["document_paths", "mutated", "single_breaks", "wire_documents", "wire_texts"]
 
 _REGISTRY = build_standard_registry()
 
@@ -26,11 +26,17 @@ _LINES = st.lists(
 
 
 @st.composite
-def wire_texts(draw, module, format_name):
-    """The wire text ``module`` renders for a random PO or its POA."""
+def wire_documents(draw, format_name):
+    """A random PO or its POA, transformed to ``format_name``."""
     order = make_purchase_order("PO-7", "TP1", "ACME", draw(_LINES), issued_at=5.0)
     document = draw(st.sampled_from((order, make_po_ack(order, issued_at=9.0))))
-    return module.to_wire(_REGISTRY.transform(document, format_name))
+    return _REGISTRY.transform(document, format_name)
+
+
+@st.composite
+def wire_texts(draw, module, format_name):
+    """The wire text ``module`` renders for a random PO or its POA."""
+    return module.to_wire(draw(wire_documents(format_name)))
 
 
 @st.composite
@@ -67,7 +73,7 @@ _BREAKS = {
 }
 
 
-def _paths(node, prefix=()):
+def document_paths(node, prefix=()):
     """Every path below ``node``, containers and leaves alike."""
     if isinstance(node, dict):
         steps = node.items()
@@ -77,14 +83,14 @@ def _paths(node, prefix=()):
         return
     for step, child in steps:
         yield (*prefix, step)
-        yield from _paths(child, (*prefix, step))
+        yield from document_paths(child, (*prefix, step))
 
 
 def single_breaks(document):
     """``document``, then one copy per (path, break) with that one value
     broken, so each schema and rule check meets every kind of bad input."""
     yield document
-    for path in _paths(document.data):
+    for path in document_paths(document.data):
         for kind, value in _BREAKS.items():
             broken = Document.from_dict(document.to_dict())
             parent = broken.data

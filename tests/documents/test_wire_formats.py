@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.documents import edi, idoc, oagis, oracle_oif, rosettanet
 from repro.documents.model import Document
 from repro.errors import WireFormatError
-from tests.documents.strategies import mutated, wire_texts
+from tests.documents.strategies import document_paths, mutated, wire_documents, wire_texts
 
 FORMATS = {
     "edi": (edi, edi.EDI_X12),
@@ -305,3 +305,36 @@ def test_from_wire_raises_only_wire_format_errors(format_key, data):
         assert isinstance(module.from_wire(text), Document)
     except WireFormatError:
         pass
+
+
+# -- fuzz: a document that does not fit its layout never escapes untyped -------
+
+_EDITS = st.sampled_from([("replace", 7), ("replace", [1]), ("replace", None), ("delete", None)])
+
+
+def _path_text(path):
+    text = ""
+    for step in path:
+        text += f"[{step}]" if isinstance(step, int) else f".{step}" if text else step
+    return text
+
+
+@pytest.mark.parametrize("format_key", sorted(FORMATS))
+@settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_to_wire_raises_only_wire_format_errors(format_key, data):
+    module, format_name = FORMATS[format_key]
+    document = Document.from_dict(data.draw(wire_documents(format_name)).to_dict())
+    path = data.draw(st.sampled_from(list(document_paths(document.data))))
+    edit, value = data.draw(_EDITS)
+    parent = document.data
+    for step in path[:-1]:
+        parent = parent[step]
+    if edit == "delete":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    try:
+        assert isinstance(module.to_wire(document), str)
+    except WireFormatError as error:
+        assert _path_text(path) in str(error)

@@ -24,6 +24,7 @@ from repro.runtime.journal import (
     read_segment_dir,
     segment_files,
 )
+from repro.runtime.sharding import DETERMINISTIC, ShardedKernel
 
 SAMPLE_VALUES = {"str": "value-01", "float": 12.5, "int": 7}
 
@@ -250,6 +251,34 @@ class TestKernelJournalSession:
         kernel2 = Kernel()
         reattached = attach_journal(kernel2, tmp_path / "other")
         reattached.close()
+
+    def test_refused_attach_creates_no_file(self, tmp_path):
+        kernel = Kernel()
+        journal = attach_journal(kernel, tmp_path / "first")
+        refused = tmp_path / "refused"
+        with pytest.raises(JournalError, match="already has"):
+            attach_journal(kernel, refused)
+        journal.close()
+        assert not refused.exists() or not any(refused.rglob("*"))
+
+    def test_refused_sharded_attach_leaves_no_hook_and_no_file(self, tmp_path):
+        kernel = ShardedKernel(shards=4, mode=DETERMINISTIC)
+        def other_hook(event):
+            return None
+
+        kernel.shards[2].bus.write_ahead = other_hook
+        directory = tmp_path / "journal"
+        with pytest.raises(JournalError, match="shard 2 bus already has"):
+            attach_journal(kernel, directory)
+        assert [shard.bus.write_ahead for shard in kernel.shards] == [
+            None, None, other_hook, None,
+        ]
+        assert not directory.exists() or not any(directory.rglob("*"))
+        kernel.shards[2].bus.write_ahead = None
+        journal = attach_journal(kernel, directory)
+        assert all(shard.bus.write_ahead is not None for shard in kernel.shards)
+        journal.close()
+        assert all(shard.bus.write_ahead is None for shard in kernel.shards)
 
     def test_events_commands_and_markers_share_one_sequence(self, tmp_path):
         kernel = Kernel()
