@@ -12,10 +12,10 @@ Run standalone with the performance gate::
     PYTHONPATH=src python benchmarks/bench_journal.py --gate
 
 The gate enforces the two durability floors: journal write overhead on
-the calibrated sharded-hub path <= 15%, and recovery throughput >= 50k
-events replayed per second.  ``--json PATH`` additionally writes the raw
-measurement payload (the same sub-dict ``repro bench --journal`` embeds
-in the BENCH envelope).
+the calibrated 4-shard deterministic hub workload <= 15%, and recovery
+throughput >= 50k events replayed per second.  ``--json PATH``
+additionally writes the raw measurement payload (the same sub-dict
+``repro bench --journal`` embeds in the BENCH envelope).
 """
 
 import os
@@ -121,7 +121,7 @@ def main(argv=None) -> int:
         }],
         ["messages", "records", "overhead", "cpu_overhead",
          "us_per_event", "bytes"],
-        "Journal write overhead (sharded-hub path)",
+        "Journal write overhead (4-shard deterministic hub workload)",
     ))
     print()
     print(table(

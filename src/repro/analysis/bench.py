@@ -1,6 +1,6 @@
 """Hot-path benchmark driver: the repository's performance trajectory.
 
-Four hot paths are tracked, chosen for the paper's scaling claim (public/
+Six hot paths are tracked, chosen for the paper's scaling claim (public/
 private process management must stay cheap per message as partners,
 protocols and back ends grow, §4 Figures 11-15):
 
@@ -63,24 +63,19 @@ TRACKED = (
 
 # Acceptance floors for dimensionless (machine-independent) derived
 # metrics: compiled expressions must be >=2x interpreted, compiled
-# mappings >=1.5x, the sharded hub's 4-shard parallel throughput >=2x
-# its single-shard throughput, partial-order reduction must prune the
-# bursty pair's interleaving space >=5x, and a warm registry re-sweep
-# must serve >=90% of agreements from the digest cache.  Floors are
-# only checked when the metric is present in the payload, so partial
-# runs (e.g. without ``--sharded-hub``) skip the absent gates.
+# mappings >=1.5x, partial-order reduction must prune the bursty pair's
+# interleaving space >=5x, and a warm registry re-sweep must serve >=90%
+# of agreements from the digest cache.  Floors are only checked when the
+# metric is present in the payload, so partial runs (e.g. without
+# ``--journal``) skip the absent gates.
 SPEEDUP_FLOORS = {
     "expression_compile_speedup": 2.0,
     "mapping_compile_speedup": 1.5,
-    "sharded_hub_scaling_4x": 2.0,
     "statespace_reduction_ratio": 5.0,
     "registry_lint_cache_hit_rate": 0.9,
     # Recovery must replay >=50k events/sec (mirrors RECOVERY_FLOOR in
     # repro.analysis.journal_bench).
     "recovery_events_per_sec": 50_000.0,
-    # The content-addressed cache must serve >=90% of a warm Zipf stream
-    # (mirrors CACHE_HIT_RATE_FLOOR in repro.analysis.transform_bench).
-    "transform_cache_hit_rate": 0.9,
     # The B2B7xx schema dataflow pass must verify >=200 binding routes/sec
     # across the example fleet (~5x headroom under the measured ~1.1k/s)
     # and a warm registry re-sweep must serve >=90% of route verdicts from
@@ -91,8 +86,9 @@ SPEEDUP_FLOORS = {
 }
 
 # Acceptance ceilings: derived metrics that must stay *below* a bound.
-# Write-ahead journaling may cost at most 15% of the sharded-hub path's
-# wall time (mirrors OVERHEAD_CEILING in repro.analysis.journal_bench).
+# Write-ahead journaling may cost at most 15% of the 4-shard
+# deterministic hub workload's wall time (mirrors OVERHEAD_CEILING in
+# repro.analysis.journal_bench).
 CEILINGS = {
     "journal_write_overhead": 0.15,
 }
@@ -426,11 +422,8 @@ def run_benchmarks(
     names: Iterable[str] | None = None,
     min_time: float = 0.2,
     label: str = "PR3",
-    sharded_hub: bool = False,
-    sharded_hub_messages: int = 250_000,
     journal: bool = False,
     journal_messages: int = 20_000,
-    transform_cache: bool = False,
     dataflow: bool = False,
 ) -> dict[str, Any]:
     """Run the selected benchmarks and return the result payload."""
@@ -484,17 +477,6 @@ def run_benchmarks(
         derived["statespace_reduction_ratio"] = _statespace_reduction_ratio()
     if "registry_sweep" in results:
         derived["registry_lint_cache_hit_rate"] = _registry_cache_hit_rate()
-    if sharded_hub:
-        from repro.analysis.sharded_hub import run_hub_benchmark
-
-        hub = run_hub_benchmark(messages_per_config=sharded_hub_messages)
-        payload["sharded_hub"] = hub
-        if hub["scaling_4x"] is not None:
-            derived["sharded_hub_scaling_4x"] = hub["scaling_4x"]
-        if not hub["deterministic_trace_invariant"]:
-            raise RuntimeError(
-                "sharded hub: deterministic traces differ across shard counts"
-            )
     if journal:
         from repro.analysis.journal_bench import run_journal_benchmark
 
@@ -508,14 +490,6 @@ def run_benchmarks(
         ]
         derived["recovery_time_per_1k_events_ms"] = journal_payload[
             "recovery_time_per_1k_events_ms"
-        ]
-    if transform_cache:
-        from repro.analysis.transform_bench import run_transform_benchmark
-
-        transform_payload = run_transform_benchmark()
-        payload["transform"] = transform_payload
-        derived["transform_cache_hit_rate"] = transform_payload[
-            "transform_cache_hit_rate"
         ]
     if dataflow:
         derived.update(_dataflow_metrics())
@@ -599,28 +573,13 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         "--label", default="PR3", help="label recorded in the output payload"
     )
     parser.add_argument(
-        "--sharded-hub", action="store_true",
-        help="also run the sharded-hub throughput benchmark "
-        "(msgs/sec at shard counts 1/2/4/8, ~1M messages)",
-    )
-    parser.add_argument(
-        "--sharded-hub-messages", type=int, default=250_000, metavar="N",
-        help="messages per shard-count configuration (default: 250000)",
-    )
-    parser.add_argument(
         "--journal", action="store_true",
         help="also run the durability benchmarks (journal write overhead "
-        "on the sharded-hub path and recovery replay throughput)",
+        "on the 4-shard hub workload and recovery replay throughput)",
     )
     parser.add_argument(
         "--journal-messages", type=int, default=20_000, metavar="N",
         help="hub messages per journal-overhead run (default: 20000)",
-    )
-    parser.add_argument(
-        "--transform-cache", action="store_true",
-        help="also run the transformation benchmarks (content-addressed "
-        "cache hit rate on a Zipf stream and the batched transform-hub "
-        "trace-parity check)",
     )
     parser.add_argument(
         "--dataflow", action="store_true",
@@ -635,23 +594,18 @@ def run(args: argparse.Namespace) -> int:
     names = list(BENCHMARKS)
     if args.filter:
         names = [name for name in names if args.filter in name]
-        # With --sharded-hub an empty micro-benchmark selection is fine:
-        # e.g. ``--sharded-hub --filter sharded`` runs only the hub.
-        if not names and not (
-            args.sharded_hub or args.journal or args.transform_cache
-            or args.dataflow
-        ):
+        # With --journal or --dataflow an empty micro-benchmark selection
+        # is fine: e.g. ``--journal --filter journal`` runs only the
+        # durability benchmarks.
+        if not names and not (args.journal or args.dataflow):
             print(f"no benchmark matches filter {args.filter!r}", file=sys.stderr)
             return 2
     payload = run_benchmarks(
         names,
         min_time=args.min_time,
         label=args.label,
-        sharded_hub=args.sharded_hub,
-        sharded_hub_messages=args.sharded_hub_messages,
         journal=args.journal,
         journal_messages=args.journal_messages,
-        transform_cache=args.transform_cache,
         dataflow=args.dataflow,
     )
 
@@ -664,31 +618,6 @@ def run(args: argparse.Namespace) -> int:
     for metric, value in payload["derived"].items():
         unit = "" if metric.endswith(("_per_sec", "_ms", "_overhead")) else "x"
         print(f"{metric:32s} {value:>10.2f}{unit}")
-    if "sharded_hub" in payload:
-        hub = payload["sharded_hub"]
-        print(f"\nsharded hub ({hub['total_messages']:,} messages total):")
-        for shards in hub["shard_counts"]:
-            entry = hub["parallel"][str(shards)]
-            print(
-                f"  {shards} shard(s) {entry['msgs_per_sec']:>12,.1f} msgs/s   "
-                f"(x{hub['scaling'][str(shards)]:.2f}, "
-                f"{entry['cross_shard_tasks']} cross-shard)"
-            )
-        print(
-            "  deterministic trace invariant: "
-            f"{hub['deterministic_trace_invariant']}"
-        )
-    if "transform" in payload:
-        entry = payload["transform"]
-        cache = entry["cache"]
-        hub = entry["hub"]
-        print("\ntransformation (cache):")
-        print(
-            f"  cache hit rate {cache['transform_cache_hit_rate']:>8.2%} on the "
-            f"Zipf stream ({cache['hits']} hits / {cache['misses']} misses, "
-            f"x{cache['cache_speedup']:.2f} wall time)"
-        )
-        print(f"  hub trace parity across shards: {hub['trace_parity']}")
     if "journal" in payload:
         entry = payload["journal"]
         write = entry["write"]
@@ -696,7 +625,7 @@ def run(args: argparse.Namespace) -> int:
         print("\ndurability (journal + recovery):")
         print(
             f"  write overhead {write['journal_write_overhead']:>8.2%} of the "
-            f"hub path ({write['journal_cost_per_event_us']:.2f}us/event, "
+            f"hub workload ({write['journal_cost_per_event_us']:.2f}us/event, "
             f"{write['records_journaled']} records)"
         )
         print(

@@ -3,12 +3,14 @@
 Two numbers gate the durability layer in CI:
 
 * ``journal_write_overhead`` — fractional wall-time cost of write-ahead
-  journaling on the sharded-hub throughput path.  The measured workload
-  is the §4.6 hub benchmark exactly as PR 5 ships it
-  (:class:`repro.analysis.sharded_hub._HubWorkload`: deterministic
-  4-shard drain, one lifecycle event per message, every 500th message
-  paying a calibrated durable-commit wait sized to ``wait_factor x``
-  the per-message Python cost).  The workload executes bare and with a
+  journaling on the 4-shard deterministic hub workload.  The workload
+  models the paper's §4.6 hub (:class:`_HubWorkload`): P trading partners
+  fire messages at one hub, each message is routed to its partner's
+  shard, updates that partner's counters and emits one lifecycle event,
+  and every 50th message notifies another partner through the
+  inter-shard channel.  Every 500th message stands for a durable commit
+  whose wait is sized to ``wait_factor x`` the per-message Python cost.
+  The workload executes bare and with a
   :class:`~repro.runtime.journal.ShardedJournal` attached; see
   :func:`measure_write_overhead` for how the commit-wait budget enters
   the ratio.  Ceiling: 15%.  The fused per-class event framer, the
@@ -41,9 +43,10 @@ import time
 from pathlib import Path
 from typing import Any
 
+from repro.runtime.events import DocumentReceived
 from repro.runtime.journal import attach_journal
 from repro.runtime.recovery import recover
-from repro.runtime.sharding import DETERMINISTIC, ShardedKernel
+from repro.runtime.sharding import ShardedKernel
 
 __all__ = [
     "run_journal_benchmark",
@@ -58,33 +61,131 @@ __all__ = [
 OVERHEAD_CEILING = 0.15
 RECOVERY_FLOOR = 50_000.0
 
+# Every _CROSS_EVERY-th message notifies another partner; the hub drains
+# every _CHUNK messages.
+_CROSS_EVERY = 50
+_CHUNK = 10_000
+
+
+class _HubWorkload:
+    """Per-partner counters and checksums, with cross-partner notifies."""
+
+    def __init__(
+        self,
+        kernel: ShardedKernel,
+        partner_ids: list[str],
+        emit_events: bool = True,
+    ) -> None:
+        self.kernel = kernel
+        self.partner_ids = partner_ids
+        self.emit_events = emit_events
+        self.counts = {partner: 0 for partner in partner_ids}
+        self.notified = {partner: 0 for partner in partner_ids}
+        self.checksums = {partner: 0 for partner in partner_ids}
+
+    @property
+    def processed(self) -> int:
+        return sum(self.counts.values()) + sum(self.notified.values())
+
+    def handle(self, partner: str, sequence: int) -> None:
+        """One inbound message: update partner state, maybe fan out."""
+        self.counts[partner] += 1
+        self.checksums[partner] = (
+            self.checksums[partner] * 31 + sequence
+        ) & 0xFFFFFFFF
+        if self.emit_events:
+            self.kernel.emit(
+                DocumentReceived,
+                "hub",
+                conversation_id=f"C-{sequence}",
+                doc_type="purchase_order",
+                partner_id=partner,
+            )
+        if sequence % _CROSS_EVERY == 0:
+            # Notify the next partner (usually on another shard) through
+            # the explicit inter-shard channel.
+            sibling = self.partner_ids[
+                (self.partner_ids.index(partner) + 1) % len(self.partner_ids)
+            ]
+            self.kernel.submit(
+                lambda: self.notify(sibling, sequence),
+                label=f"notify:{sibling}",
+                partner_key=sibling,
+            )
+
+    def notify(self, partner: str, sequence: int) -> None:
+        self.checksums[partner] = (self.checksums[partner] * 17 + sequence) & 0xFFFFFFFF
+        self.notified[partner] += 1
+        if self.emit_events:
+            self.kernel.emit(
+                DocumentReceived,
+                "hub",
+                conversation_id=f"X-{sequence}",
+                doc_type="notification",
+                partner_id=partner,
+            )
+
+
+def _feed(kernel: ShardedKernel, workload: _HubWorkload, messages: int) -> None:
+    """Submit ``messages`` round-robin over the partners, draining every
+    ``_CHUNK`` messages."""
+    partner_ids = workload.partner_ids
+    partner_count = len(partner_ids)
+    fed = 0
+    while fed < messages:
+        batch = min(_CHUNK, messages - fed)
+        for offset in range(batch):
+            sequence = fed + offset
+            partner = partner_ids[sequence % partner_count]
+            kernel.submit(
+                lambda partner=partner, sequence=sequence: workload.handle(
+                    partner, sequence
+                ),
+                partner_key=partner,
+            )
+        kernel.drain()
+        fed += batch
+
+
+def _partner_ids(partners: int) -> list[str]:
+    return [f"partner-{index:03d}" for index in range(partners)]
+
+
+def _calibrate_commit_wait(
+    partners: int,
+    commit_interval: int,
+    wait_factor: float,
+    sample: int = 20_000,
+) -> float:
+    """Pick the commit wait so total wait ~= wait_factor x Python cost.
+
+    Measures the per-message Python cost on an event-free 1-shard run,
+    then sizes the wait so the ratio is governed by the
+    (machine-independent) wait factor instead of absolute CPU speed.
+    """
+    kernel = ShardedKernel(shards=1)
+    workload = _HubWorkload(kernel, _partner_ids(partners), emit_events=False)
+    start = time.perf_counter()
+    _feed(kernel, workload, sample)
+    per_message_cost = (time.perf_counter() - start) / workload.processed
+    return wait_factor * per_message_cost * commit_interval
+
 
 def _hub_elapsed(
     messages: int,
     shards: int,
     partners: int,
     journal_dir: Path | None,
-    commit_interval: int = 500,
-    commit_wait: float = 0.0,
 ) -> float:
-    """Wall time of one deterministic hub run, optionally journaled."""
-    from repro.analysis.sharded_hub import _HubWorkload, _feed
-
-    kernel = ShardedKernel(shards=shards, mode=DETERMINISTIC)
-    partner_ids = [f"partner-{index:03d}" for index in range(partners)]
-    workload = _HubWorkload(
-        kernel,
-        partner_ids,
-        commit_interval=commit_interval,
-        commit_wait=commit_wait,
-        cross_every=50,
-        emit_events=True,  # every message journals one lifecycle event
-    )
+    """Wall time of one hub run, optionally journaled."""
+    kernel = ShardedKernel(shards=shards)
+    # Every message journals one lifecycle event.
+    workload = _HubWorkload(kernel, _partner_ids(partners))
     journal = None
     if journal_dir is not None:
         journal = attach_journal(kernel, journal_dir)
     start = time.perf_counter()
-    _feed(kernel, workload, messages, chunk=10_000)
+    _feed(kernel, workload, messages)
     if journal is not None:
         journal.close()
     return time.perf_counter() - start
@@ -109,16 +210,14 @@ def measure_write_overhead(
     commit_interval: int = 500,
     wait_factor: float = 8.0,
 ) -> dict[str, Any]:
-    """Journal write overhead on the sharded-hub path.
+    """Journal write overhead on the 4-shard deterministic hub workload.
 
-    Gated number: overhead on the calibrated hub path — the PR-5 hub
-    benchmark's configuration (4 deterministic shards, one lifecycle
-    event per message, a durable-commit wait every ``commit_interval``
-    messages sized to ``wait_factor x`` the per-message Python cost).
-    The commit wait is *synthetic* in the hub benchmark itself (a
-    ``time.sleep`` standing in for a durable commit), so this gate adds
-    its exact budget arithmetically instead of sleeping through it:
-    journaling adds no wait time, hence
+    Gated number: overhead on the calibrated hub path (4 shards, one
+    lifecycle event per message, a durable-commit wait every
+    ``commit_interval`` messages sized to ``wait_factor x`` the
+    per-message Python cost).  The commit wait is modelled, not slept:
+    the gate adds its exact budget arithmetically, and journaling adds
+    no wait time, hence
 
         overhead = (journaled_cpu - bare_cpu) / (bare_cpu + wait_budget)
 
@@ -134,12 +233,8 @@ def measure_write_overhead(
     the smallest wait kept.  Also reported, not gated: the CPU-only
     overhead ``delta_cpu / bare_cpu``.
     """
-    from repro.analysis.sharded_hub import _calibrate_commit_wait
-
     commit_wait = min(
-        _calibrate_commit_wait(
-            partners, commit_interval, cross_every=50, wait_factor=wait_factor
-        )
+        _calibrate_commit_wait(partners, commit_interval, wait_factor)
         for _ in range(3)
     )
     bare: list[float] = []
@@ -196,21 +291,11 @@ def measure_write_overhead(
 
 def build_recovery_journal(directory: Path, events: int, shards: int = 4) -> int:
     """Write a journal with ~``events`` lifecycle events; returns the count."""
-    from repro.analysis.sharded_hub import _HubWorkload, _feed
-
-    kernel = ShardedKernel(shards=shards, mode=DETERMINISTIC)
-    partner_ids = [f"partner-{index:03d}" for index in range(32)]
-    workload = _HubWorkload(
-        kernel,
-        partner_ids,
-        commit_interval=10**9,
-        commit_wait=0.0,
-        cross_every=50,
-        emit_events=True,
-    )
+    kernel = ShardedKernel(shards=shards)
+    workload = _HubWorkload(kernel, _partner_ids(32))
     journal = attach_journal(kernel, directory)
     # ~1 event per message plus notify fan-outs; feed until the target.
-    _feed(kernel, workload, events, chunk=10_000)
+    _feed(kernel, workload, events)
     count = journal.events_journaled
     journal.close()
     return count

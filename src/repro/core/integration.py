@@ -692,6 +692,14 @@ class B2BEngine:
         )
         try:
             partner = self.model.partners.partner_by_address(message.sender)
+            conversation = self.conversations.get(message.conversation_id)
+            if conversation is not None and conversation.partner_id != partner.partner_id:
+                # Only the conversation's own partner may answer on it.
+                raise PartnerError(
+                    f"partner {partner.partner_id!r} sent on conversation "
+                    f"{message.conversation_id!r} of partner "
+                    f"{conversation.partner_id!r}"
+                )
             protocol = self.model.protocols.get(message.protocol)
             if protocol is None:
                 raise ProtocolError(
@@ -701,7 +709,6 @@ class B2BEngine:
         except (PartnerError, ProtocolError, WireFormatError) as exc:
             self._record_fault(message.conversation_id, message.message_id, exc)
             return
-        conversation = self.conversations.get(message.conversation_id)
         try:
             if conversation is not None:
                 self._handle_reply(conversation, wire_document)

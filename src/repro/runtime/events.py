@@ -59,7 +59,6 @@ __all__ = [
     "BatchAbandoned",
     "ShardSaturated",
     "ShardDrained",
-    "TransformCacheSnapshot",
     "WORKFLOW_EVENTS",
     "MESSAGING_EVENTS",
     "CONVERSATION_EVENTS",
@@ -375,25 +374,6 @@ class ShardDrained(RuntimeEvent):
     type = "shard_drained"
 
 
-@dataclass(frozen=True)
-class TransformCacheSnapshot(RuntimeEvent):
-    """Point-in-time counters of the content-addressed transformation cache.
-
-    Published by :meth:`repro.transform.cache.TransformCache.publish` so the
-    metrics observer sees cache effectiveness alongside the kernel's other
-    scheduler-level signals.  Counters are cumulative since cache creation;
-    ``entries`` is the current resident set size.
-    """
-
-    hits: int
-    misses: int
-    evictions: int
-    bypasses: int
-    entries: int
-
-    type = "transform_cache_snapshot"
-
-
 WORKFLOW_EVENTS: tuple[type[RuntimeEvent], ...] = (
     InstanceCreated,
     InstanceStarted,
@@ -427,7 +407,6 @@ KERNEL_EVENTS: tuple[type[RuntimeEvent], ...] = (
     BatchAbandoned,
     ShardSaturated,
     ShardDrained,
-    TransformCacheSnapshot,
 )
 
 ALL_EVENT_TYPES: frozenset[str] = frozenset(

@@ -49,7 +49,7 @@ import re
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from repro.runtime.events import (
     ALL_EVENT_TYPES,
@@ -763,9 +763,6 @@ class ShardedJournal(_JournalSessionBase):
     k-way-merge the per-shard logs back into the exact deterministic
     global order the drain executed.  Commands and markers (hub-level,
     not shard-level) land in shard 0's log.
-
-    Deterministic drain mode only: the parallel drain has no global
-    publish order to journal (tracked as future work in ROADMAP).
     """
 
     def __init__(
@@ -776,13 +773,6 @@ class ShardedJournal(_JournalSessionBase):
         fsync: bool = False,
         flush_interval: int = 64,
     ) -> None:
-        from repro.runtime.sharding import DETERMINISTIC
-
-        if kernel.mode != DETERMINISTIC:
-            raise JournalError(
-                "ShardedJournal requires deterministic drain mode; the "
-                "parallel drain has no global order to journal"
-            )
         # Check every shard before opening any writer, so a failed attach
         # leaves no file and no hook behind.
         for shard in kernel.shards:

@@ -33,29 +33,11 @@ __all__ = ["Kernel", "RunQueue", "Runtime", "Task"]
 
 @dataclass
 class Task:
-    """A unit of work on the run queue (usually: advance one instance).
+    """A unit of work on the run queue (usually: advance one instance):
+    a plain thunk plus a label for diagnostics."""
 
-    A task is either a plain thunk (``action``) or **batchable**
-    (``batcher`` + ``payload``): when the scheduler pops a batchable task
-    whose queue head holds more tasks with the *same* ``batcher``, it
-    coalesces the run and hands every payload to
-    ``batcher.run_batch(payloads)`` in one call.  A batcher's contract is
-    that ``run_batch([p])`` is observably identical to running each
-    payload's task alone (same documents, same events, same order), so
-    coalescing is a pure throughput optimisation.
-    """
-
-    action: Callable[[], None] | None
+    action: Callable[[], None]
     label: str = ""
-    batcher: Any = None
-    payload: Any = None
-
-    def run(self) -> None:
-        if self.batcher is not None:
-            self.batcher.run_batch([self.payload])
-        else:
-            assert self.action is not None
-            self.action()
 
 
 class RunQueue:
@@ -83,11 +65,6 @@ class RunQueue:
     def submit(self, action: Callable[[], None], label: str = "") -> None:
         """Queue a task; it runs on the next (or the enclosing) ``drain()``."""
         self._queue.append(Task(action, label))
-
-    def submit_batchable(self, batcher: Any, payload: Any, label: str = "") -> None:
-        """Queue a coalescible task: adjacent queued tasks sharing
-        ``batcher`` run as one ``batcher.run_batch(payloads)`` call."""
-        self._queue.append(Task(None, label, batcher, payload))
 
     def pending(self) -> int:
         return len(self._queue)
@@ -118,22 +95,7 @@ class RunQueue:
                 task = self._queue.popleft()
                 self.tasks_executed += 1
                 executed += 1
-                batcher = task.batcher
-                if batcher is None:
-                    task.action()
-                    continue
-                payloads = [task.payload]
-                queue = self._queue
-                while (
-                    queue
-                    and queue[0].batcher is batcher
-                    and self._batch_budget > 0
-                ):
-                    self._batch_budget -= 1
-                    self.tasks_executed += 1
-                    executed += 1
-                    payloads.append(queue.popleft().payload)
-                batcher.run_batch(payloads)
+                task.action()
         except BaseException as error:
             if self.depth == 1:
                 dropped = len(self._queue)
@@ -152,9 +114,11 @@ class RunQueue:
 class Runtime(Protocol):
     """What engines require of their runtime substrate.
 
-    :class:`Kernel` is the (only) shipped implementation; the protocol
-    exists so tests can swap in instrumented doubles and so future
-    sharded/async kernels can slot in without touching the engines.
+    Two implementations ship: :class:`Kernel`, the single-queue runtime
+    every architecture runs on, and
+    :class:`~repro.runtime.sharding.ShardedKernel`, which partitions the
+    queue by partner and drains in the same global order.  Tests swap in
+    instrumented doubles through the same protocol.
     """
 
     clock: Clock
@@ -173,17 +137,6 @@ class Runtime(Protocol):
         the same key land on the same shard.  Single-queue runtimes ignore
         it.
         """
-        ...
-
-    def submit_batchable(
-        self,
-        batcher: Any,
-        payload: Any,
-        label: str = "",
-        partner_key: str | None = None,
-    ) -> None:
-        """Queue a coalescible task (see :class:`Task`): adjacent tasks
-        with the same ``batcher`` run as one ``run_batch(payloads)`` call."""
         ...
 
     def drain(self) -> int:
@@ -242,15 +195,6 @@ class Kernel:
         # partner_key is a sharding hint; the single-queue kernel has one
         # shard, so every key routes to the same place.
         self.run_queue.submit(action, label)
-
-    def submit_batchable(
-        self,
-        batcher: Any,
-        payload: Any,
-        label: str = "",
-        partner_key: str | None = None,
-    ) -> None:
-        self.run_queue.submit_batchable(batcher, payload, label)
 
     def drain(self) -> int:
         return self.run_queue.drain()

@@ -5,9 +5,7 @@ growth.  :class:`ShardedKernel` makes that concrete: it implements the
 same :class:`~repro.runtime.kernel.Runtime` protocol as the single-queue
 :class:`~repro.runtime.kernel.Kernel`, but partitions work across N
 **shards**.  Each shard owns its own task queue, bounded inter-shard
-inbox, event-bus segment, metrics observer, and read-only clock view —
-shards never share mutable state, which is what makes the parallel drain
-mode safe.
+inbox, event-bus segment, metrics observer, and read-only clock view.
 
 Routing
     ``submit(..., partner_key=...)`` routes through a pluggable
@@ -32,29 +30,29 @@ Backpressure
     :class:`~repro.runtime.events.ShardDrained` (hysteresis, so the pair
     brackets each overload episode instead of toggling per task).
 
-Drain modes
-    ``deterministic`` (default) executes tasks in **global submission
-    order**: every task carries a monotonically increasing sequence
-    number and the single-threaded drain repeatedly pops the smallest
-    head across all shard queues and inboxes.  A k-way merge of per-shard
-    FIFOs ordered by a global sequence *is* the single FIFO, so traces
-    and metrics are identical for every shard count — including 1, where
-    they are byte-identical to the plain ``Kernel``.  ``parallel`` runs
-    one worker thread per shard in waves until all queues and inboxes are
-    empty; event segments stay per-shard (no cross-thread bus writes) and
-    the global views aggregate on read.
+Drain order
+    The drain executes tasks in **global submission order**: every task
+    carries a monotonically increasing sequence number and the
+    single-threaded drain repeatedly pops the smallest head across all
+    shard queues and inboxes.  A k-way merge of per-shard FIFOs ordered
+    by a global sequence *is* the single FIFO, so traces and metrics are
+    identical for every shard count — including 1, where they are
+    byte-identical to the plain ``Kernel``.  Each shard publishes on its
+    own bus segment (which is what lets
+    :class:`~repro.runtime.journal.ShardedJournal` keep one log per
+    shard), and every segment forwards onto the kernel bus, which
+    therefore carries the same totally ordered stream a ``Kernel`` bus
+    would.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
-import time
 import zlib
 from collections import Counter, deque
 from typing import Any, Callable, Iterable, Protocol, runtime_checkable
 
-from repro.runtime.bus import EventBus
+from repro.runtime.bus import EventBus, Subscription
 from repro.runtime.events import (
     BatchAbandoned,
     RuntimeEvent,
@@ -72,9 +70,6 @@ __all__ = [
     "ShardRouter",
     "ShardedKernel",
 ]
-
-DETERMINISTIC = "deterministic"
-PARALLEL = "parallel"
 
 
 @runtime_checkable
@@ -110,9 +105,8 @@ class ShardClockView:
 class Shard:
     """One partition: task queue + bounded inbox + bus segment + metrics.
 
-    Only the shard's own worker pops its queues; other shards only
-    *append* to the inbox (``deque.append`` is atomic under the GIL), so
-    the shard's mutable state never needs cross-thread locking.
+    Tasks submitted from another shard arrive through the inbox, never
+    directly on the task queue.
     """
 
     def __init__(
@@ -134,7 +128,6 @@ class Shard:
         self.saturated = False
         self.tasks_executed = 0
         self.inbox_received = 0
-        self.inbox_overflows = 0
 
     def load(self) -> int:
         """Combined queue + inbox depth (the backpressure signal)."""
@@ -224,80 +217,12 @@ class _AggregateRunQueue:
         )
 
 
-class _MergedTrace:
-    """Read view over per-shard trace recorders (parallel mode only).
-
-    Parallel shards have no global event order; the merge sorts by event
-    timestamp (stable by shard index) which is the best available total
-    order.  Deterministic mode never uses this — it records one globally
-    ordered trace on the kernel bus.
-    """
-
-    def __init__(self, recorders: list[TraceRecorder], capacity: int) -> None:
-        self.capacity = capacity
-        self._recorders = recorders
-
-    @property
-    def recorded(self) -> int:
-        return sum(recorder.recorded for recorder in self._recorders)
-
-    def _merged(self) -> list[RuntimeEvent]:
-        events: list[RuntimeEvent] = []
-        for recorder in self._recorders:
-            events.extend(recorder.events())
-        events.sort(key=lambda event: event.at)
-        return events
-
-    def __len__(self) -> int:
-        return sum(len(recorder) for recorder in self._recorders)
-
-    def events(self, **filters: Any) -> list[RuntimeEvent]:
-        merged: list[RuntimeEvent] = []
-        for recorder in self._recorders:
-            merged.extend(recorder.events(**filters))
-        merged.sort(key=lambda event: event.at)
-        return merged
-
-    def event_types(self) -> set[str]:
-        types: set[str] = set()
-        for recorder in self._recorders:
-            types |= recorder.event_types()
-        return types
-
-    def last(self, type: str | type[RuntimeEvent] | None = None) -> RuntimeEvent | None:
-        matches = self.events(type=type)
-        return matches[-1] if matches else None
-
-    def render(self, limit: int | None = None) -> str:
-        events = self._merged()
-        if limit is not None:
-            events = events[-limit:]
-        return "\n".join(event.describe() for event in events)
-
-    def clear(self) -> None:
-        for recorder in self._recorders:
-            recorder.clear()
-
-
-class _CompositeSubscription:
-    """One handle over per-shard bus subscriptions (parallel mode)."""
-
-    def __init__(self, subscriptions: list) -> None:
-        self._subscriptions = subscriptions
-
-    def unsubscribe(self) -> None:
-        for subscription in self._subscriptions:
-            subscription.unsubscribe()
-
-
 class ShardedKernel:
     """N-shard implementation of the :class:`~repro.runtime.kernel.Runtime`
     protocol.
 
     :param shards: number of partitions (>= 1).
     :param clock: shared logical clock (each shard gets a read-only view).
-    :param mode: ``"deterministic"`` (global-order single-threaded merge)
-        or ``"parallel"`` (one worker thread per shard).
     :param router: partner-key partitioner; defaults to
         :class:`HashShardRouter`.
     :param inbox_capacity: bound on each shard's inter-shard inbox.
@@ -311,7 +236,6 @@ class ShardedKernel:
         self,
         shards: int = 1,
         clock: Clock | None = None,
-        mode: str = DETERMINISTIC,
         router: ShardRouter | None = None,
         inbox_capacity: int = 100_000,
         saturation_watermark: int = 50_000,
@@ -319,10 +243,7 @@ class ShardedKernel:
     ) -> None:
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
-        if mode not in (DETERMINISTIC, PARALLEL):
-            raise ValueError(f"mode must be deterministic|parallel, got {mode!r}")
         self.clock = clock or Clock()
-        self.mode = mode
         self.shard_count = shards
         self.router = router or HashShardRouter()
         self.max_tasks_per_batch = max_tasks_per_batch
@@ -333,27 +254,24 @@ class ShardedKernel:
         ]
         self.metrics = _AggregateMetrics(self.shards)
         self.run_queue = _AggregateRunQueue(self)
-        self.trace: TraceRecorder | _MergedTrace | None = None
+        self.trace: TraceRecorder | None = None
         self.link_counters: Counter[tuple[int, int]] = Counter()
         self._seq = itertools.count()
-        self._tls = threading.local()
+        #: index of the shard whose task is running; None outside a drain.
+        self.current_shard: int | None = None
         self._batches = 0
         self._depth = 0
         self._batch_budget = 0
         self._abandoned = 0
         self._network = None
         self._in_flight: dict[str, tuple[int, Task]] = {}
-        if mode == DETERMINISTIC:
-            # Forward every segment onto the kernel bus: single-threaded
-            # drains publish in global order, so the kernel bus carries
-            # the same totally ordered stream a plain Kernel's bus would.
-            for shard in self.shards:
-                shard.bus.subscribe(self.bus.publish)
+        # Forward every segment onto the kernel bus: the drain publishes
+        # in global order, so the kernel bus carries the same totally
+        # ordered stream a plain Kernel's bus would.
+        for shard in self.shards:
+            shard.bus.subscribe(self.bus.publish)
 
     # -- routing -----------------------------------------------------------
-
-    def _current_shard(self) -> int | None:
-        return getattr(self._tls, "shard", None)
 
     def shard_for(self, partner_key: str) -> int:
         """The shard that owns ``partner_key`` under the current router."""
@@ -372,7 +290,7 @@ class ShardedKernel:
         A cross-shard submit becomes an explicit inter-shard message.
         """
         seq = next(self._seq)
-        current = self._current_shard()
+        current = self.current_shard
         if partner_key is not None:
             target = self.router.route(partner_key, self.shard_count)
         elif current is not None:
@@ -380,33 +298,6 @@ class ShardedKernel:
         else:
             target = 0
         task = Task(action, label)
-        if current is None or current == target:
-            shard = self.shards[target]
-            shard.tasks.append((seq, task))
-            self._check_watermark(shard)
-        else:
-            self._send_cross_shard(current, target, seq, task)
-
-    def submit_batchable(
-        self,
-        batcher: Any,
-        payload: Any,
-        label: str = "",
-        partner_key: str | None = None,
-    ) -> None:
-        """Queue a coalescible task on its owning shard (same routing as
-        :meth:`submit`).  During a drain, runs of tasks sharing ``batcher``
-        that are adjacent *in execution order* collapse into one
-        ``batcher.run_batch(payloads)`` call."""
-        seq = next(self._seq)
-        current = self._current_shard()
-        if partner_key is not None:
-            target = self.router.route(partner_key, self.shard_count)
-        elif current is not None:
-            target = current
-        else:
-            target = 0
-        task = Task(None, label, batcher, payload)
         if current is None or current == target:
             shard = self.shards[target]
             shard.tasks.append((seq, task))
@@ -423,20 +314,10 @@ class ShardedKernel:
             return
         target = self.shards[target_index]
         if len(target.inbox) >= target.inbox_capacity:
-            if self.mode == DETERMINISTIC:
-                raise RuntimeError(
-                    f"shard {target_index} inbox overflow "
-                    f"(capacity={target.inbox_capacity})"
-                )
-            # Parallel: wait briefly for the target worker to make room,
-            # then force-append — dropping work would be worse than
-            # briefly exceeding the bound.
-            for _ in range(200):
-                if len(target.inbox) < target.inbox_capacity:
-                    break
-                time.sleep(0.0005)
-            else:
-                target.inbox_overflows += 1
+            raise RuntimeError(
+                f"shard {target_index} inbox overflow "
+                f"(capacity={target.inbox_capacity})"
+            )
         target.inbox.append((seq, task))
         target.inbox_received += 1
         self._check_watermark(target)
@@ -461,15 +342,12 @@ class ShardedKernel:
     def attach_network(self, network) -> None:
         """Route cross-shard tasks over a ``SimulatedNetwork`` transport.
 
-        Deterministic mode only (the event scheduler is single-threaded).
         Each shard registers a ``shard:<i>`` address; cross-shard submits
         then travel as wire messages subject to the network's conditions
         and counted in its per-link stats.  Use a dedicated transport
         network (its own runtime kernel) so transport-plane events don't
         interleave with the workload's own trace.
         """
-        if self.mode != DETERMINISTIC:
-            raise ValueError("attach_network requires deterministic mode")
         self._network = network
         for shard in self.shards:
             address = f"shard:{shard.index}"
@@ -508,13 +386,7 @@ class ShardedKernel:
 
     # -- draining ----------------------------------------------------------
 
-    def drain(self) -> int:
-        """Run every queued task to quiescence; returns tasks executed."""
-        if self.mode == PARALLEL:
-            return self._drain_parallel()
-        return self._drain_deterministic()
-
-    def _next_deterministic(self) -> tuple[Shard, deque] | None:
+    def _next_head(self) -> tuple[Shard, deque] | None:
         """The (shard, deque) holding the globally smallest sequence head."""
         best_seq = None
         best: tuple[Shard, deque] | None = None
@@ -525,16 +397,18 @@ class ShardedKernel:
                     best = (shard, queue)
         return best
 
-    def _drain_deterministic(self) -> int:
+    def drain(self) -> int:
+        """Run every queued task to quiescence, in global submission
+        order; returns tasks executed."""
         if self._depth == 0:
             self._batches += 1
             self._batch_budget = self.max_tasks_per_batch
         self._depth += 1
-        previous = self._current_shard()
+        previous = self.current_shard
         executed = 0
         try:
             while True:
-                head = self._next_deterministic()
+                head = self._next_head()
                 if head is None:
                     if self._in_flight and self._network is not None:
                         self._network.scheduler.run_until_idle()
@@ -553,33 +427,11 @@ class ShardedKernel:
                     )
                 self._batch_budget -= 1
                 shard, queue = head
-                seq, task = queue.popleft()
+                task = queue.popleft()[1]
                 shard.tasks_executed += 1
                 executed += 1
-                self._tls.shard = shard.index
-                batcher = task.batcher
-                if batcher is None:
-                    task.action()
-                else:
-                    # Coalesce the run of same-batcher tasks with strictly
-                    # consecutive sequence numbers at this queue's head.
-                    # Consecutive seqs guarantee global adjacency: every
-                    # other pending task has a larger seq, so executing the
-                    # run in one call preserves the global submission order.
-                    payloads = [task.payload]
-                    expected = seq + 1
-                    while (
-                        queue
-                        and queue[0][0] == expected
-                        and queue[0][1].batcher is batcher
-                        and self._batch_budget > 0
-                    ):
-                        self._batch_budget -= 1
-                        shard.tasks_executed += 1
-                        executed += 1
-                        payloads.append(queue.popleft()[1].payload)
-                        expected += 1
-                    batcher.run_batch(payloads)
+                self.current_shard = shard.index
+                task.action()
                 if shard.saturated:
                     self._check_watermark(shard)
         except BaseException as error:
@@ -588,121 +440,7 @@ class ShardedKernel:
             raise
         finally:
             self._depth -= 1
-            self._tls.shard = previous
-        return executed
-
-    def _drain_parallel(self) -> int:
-        current = self._current_shard()
-        if current is not None:
-            # Nested drain from inside a worker: run the local shard's
-            # backlog synchronously (shards never touch peers' queues).
-            return self._drain_local(self.shards[current])
-        self._batches += 1
-        self._depth += 1
-        executed = 0
-        errors: list[BaseException] = []
-        try:
-            while True:
-                if not any(shard.load() for shard in self.shards):
-                    break
-                tallies = [0] * self.shard_count
-                workers = [
-                    threading.Thread(
-                        target=self._shard_worker,
-                        args=(shard, tallies, errors),
-                        name=f"shard-{shard.index}",
-                        daemon=True,
-                    )
-                    for shard in self.shards
-                ]
-                for worker in workers:
-                    worker.start()
-                for worker in workers:
-                    worker.join()
-                executed += sum(tallies)
-                if errors:
-                    raise errors[0]
-                if executed > self.max_tasks_per_batch:
-                    raise RuntimeError(
-                        "ShardedKernel exceeded max_tasks_per_batch="
-                        f"{self.max_tasks_per_batch}; likely a submit loop"
-                    )
-        except BaseException as error:
-            self._abandon_all(error)
-            raise
-        finally:
-            self._depth -= 1
-        return executed
-
-    def _shard_worker(
-        self, shard: Shard, tallies: list[int], errors: list[BaseException]
-    ) -> None:
-        self._tls.shard = shard.index
-        try:
-            tallies[shard.index] = self._drain_local(shard)
-        except BaseException as error:  # surfaced by the coordinating drain
-            errors.append(error)
-        finally:
-            self._tls.shard = None
-
-    def _drain_local(self, shard: Shard) -> int:
-        """Pop and run the shard's own queue+inbox until both are empty.
-
-        Only this shard's worker pops, so no locks: peers merely append
-        to the inbox.  Heads are merged by sequence number for fairness
-        between local work and inter-shard arrivals.
-        """
-        executed = 0
-        tasks, inbox = shard.tasks, shard.inbox
-
-        def pop_merged() -> Task | None:
-            if tasks:
-                if inbox and inbox[0][0] < tasks[0][0]:
-                    return inbox.popleft()[1]
-                return tasks.popleft()[1]
-            if inbox:
-                return inbox.popleft()[1]
-            return None
-
-        def peek_merged() -> Task | None:
-            if tasks:
-                if inbox and inbox[0][0] < tasks[0][0]:
-                    return inbox[0][1]
-                return tasks[0][1]
-            if inbox:
-                return inbox[0][1]
-            return None
-
-        while True:
-            task = pop_merged()
-            if task is None:
-                break
-            shard.tasks_executed += 1
-            executed += 1
-            batcher = task.batcher
-            if batcher is None:
-                task.action()
-            else:
-                # Adjacent-in-execution-order same-batcher tasks coalesce;
-                # this worker is the only popper, so merged heads seen here
-                # are exactly the tasks that would have run next anyway.
-                payloads = [task.payload]
-                while executed < self.max_tasks_per_batch:
-                    upcoming = peek_merged()
-                    if upcoming is None or upcoming.batcher is not batcher:
-                        break
-                    pop_merged()
-                    shard.tasks_executed += 1
-                    executed += 1
-                    payloads.append(upcoming.payload)
-                batcher.run_batch(payloads)
-            if shard.saturated:
-                self._check_watermark(shard)
-            if executed > self.max_tasks_per_batch:
-                raise RuntimeError(
-                    "ShardedKernel exceeded max_tasks_per_batch="
-                    f"{self.max_tasks_per_batch}; likely a submit loop"
-                )
+            self.current_shard = previous
         return executed
 
     def _abandon_all(self, error: BaseException) -> None:
@@ -718,22 +456,15 @@ class ShardedKernel:
     # -- observation -------------------------------------------------------
 
     def _segment(self) -> Shard:
-        current = self._current_shard()
+        current = self.current_shard
         return self.shards[current if current is not None else 0]
 
     def subscribe(
         self,
         observer: Callable[[RuntimeEvent], None],
         events: Iterable[type[RuntimeEvent] | str] | None = None,
-    ):
-        if self.mode == DETERMINISTIC:
-            return self.bus.subscribe(observer, events)
-        # Parallel: the kernel bus receives nothing (no cross-thread
-        # forwarding), so attach to every segment.  The observer may be
-        # invoked concurrently from different shard workers.
-        return _CompositeSubscription(
-            [shard.bus.subscribe(observer, events) for shard in self.shards]
-        )
+    ) -> Subscription:
+        return self.bus.subscribe(observer, events)
 
     def publish(self, event: RuntimeEvent) -> None:
         self._segment().bus.publish(event)
@@ -741,7 +472,7 @@ class ShardedKernel:
     def emit(self, event_cls: type[RuntimeEvent], source: str, **fields: Any) -> None:
         self.publish(event_cls(at=self.clock.now(), source=source, **fields))
 
-    def enable_trace(self, capacity: int = 10_000):
+    def enable_trace(self, capacity: int = 10_000) -> TraceRecorder:
         """Attach (or return) the trace; same contract as ``Kernel``."""
         if self.trace is not None:
             if self.trace.capacity != capacity:
@@ -750,16 +481,8 @@ class ShardedKernel:
                     f"cannot re-enable with capacity={capacity}"
                 )
             return self.trace
-        if self.mode == DETERMINISTIC:
-            self.trace = TraceRecorder(capacity)
-            self.bus.subscribe(self.trace)
-        else:
-            recorders = []
-            for shard in self.shards:
-                recorder = TraceRecorder(capacity)
-                shard.bus.subscribe(recorder)
-                recorders.append(recorder)
-            self.trace = _MergedTrace(recorders, capacity)
+        self.trace = TraceRecorder(capacity)
+        self.bus.subscribe(self.trace)
         return self.trace
 
     # -- reporting ---------------------------------------------------------
@@ -770,15 +493,3 @@ class ShardedKernel:
             f"{sender}->{receiver}": count
             for (sender, receiver), count in sorted(self.link_counters.items())
         }
-
-    def shard_report(self) -> list[dict[str, int]]:
-        """Per-shard execution/inbox statistics for the benchmark output."""
-        return [
-            {
-                "shard": shard.index,
-                "tasks_executed": shard.tasks_executed,
-                "inbox_received": shard.inbox_received,
-                "inbox_overflows": shard.inbox_overflows,
-            }
-            for shard in self.shards
-        ]

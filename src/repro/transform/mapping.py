@@ -46,7 +46,6 @@ __all__ = [
     "Mapping",
     "CompiledMapping",
     "MISSING",
-    "rules_context_free",
 ]
 
 
@@ -183,33 +182,6 @@ class Each:
 
 
 Rule = Field | Const | Compute | Each
-
-
-# ---------------------------------------------------------------------------
-# Cacheability analysis (delegates to the shared effect analyzer)
-# ---------------------------------------------------------------------------
-
-
-def _function_reads_context(fn: Callable[..., Any]) -> bool:
-    """Conservative static check: can ``fn(document, context)`` depend on
-    ``context``?
-
-    Thin wrapper over :func:`repro.verify.effects.analyze_function`, the
-    shared bytecode effect analyzer both the transformation cache and the
-    schema dataflow pass consume.  Anything the analysis cannot see
-    through is treated as context-reading.
-    """
-    from repro.verify.effects import analyze_function
-
-    return analyze_function(fn).reads_context
-
-
-def rules_context_free(rules: Sequence[Rule]) -> bool:
-    """True when no rule in the tree (recursing through Each) can read the
-    transformation context — the static half of cacheability."""
-    from repro.verify.effects import rules_read_context
-
-    return not rules_read_context(rules)
 
 
 # Sentinel for "source path absent" in compiled rules; private to this
@@ -378,23 +350,11 @@ class CompiledMapping:
     its rules run on the raw source and target dicts.
     """
 
-    __slots__ = ("mapping", "name", "cacheable", "_rules")
+    __slots__ = ("mapping", "name", "_rules")
 
     def __init__(self, mapping: "Mapping"):
         self.mapping = mapping
         self.name = mapping.name
-        from repro.verify.effects import rules_cacheable
-
-        #: static cacheability: a post hook or a compute whose effects are
-        #: not provably pure (context reads, or bytecode the analyzer
-        #: cannot see) means identical documents may transform
-        #: differently, so the result cache must be bypassed.  The shared
-        #: effect analyzer sees through ``functools.partial`` and bound
-        #: methods, so partial applications of pure document readers stay
-        #: cacheable.  Computed once, at compile.
-        self.cacheable: bool = mapping.post is None and rules_cacheable(
-            mapping.rules
-        )
         self._rules: tuple[RuleRunner, ...] = tuple(
             _lower_rule(rule) for rule in mapping.rules
         )

@@ -9,15 +9,9 @@ in an enterprise and answers transformation requests:
   argument for a normalized format: with *n* formats you maintain ``2n``
   expert mappings instead of ``n*(n-1)`` pairwise ones (Section 4.2).
 
-Resolved routes compile into cached :class:`RouteExecutor` objects, which
-also consult the optional content-addressed result cache
-(:meth:`enable_cache`): cacheable chains (a static property, computed at
-compile time) are memoized on ``(content digest, chain fingerprints,
-registry version)``; context-sensitive chains bypass the cache.
-
-Application counters (`stats`) feed the transformation benchmarks; pass
-``collect_stats=False`` to skip the per-application Counter update on
-hot paths that do not need it.
+Resolved routes compile into memoized :class:`RouteExecutor` objects,
+each running its chain of lowered mappings; every application is counted
+per mapping in ``stats``.
 """
 
 from __future__ import annotations
@@ -28,21 +22,19 @@ from typing import Any, Iterable, Mapping as TypingMapping
 from repro.documents.model import Document
 from repro.documents.normalized import NORMALIZED
 from repro.errors import ConfigurationError, NoRouteError
-from repro.transform.cache import TransformCache
 from repro.transform.mapping import Mapping
 
 __all__ = ["RouteExecutor", "TransformationRegistry"]
 
 
 class RouteExecutor:
-    """One resolved route, compiled and cache-aware.
+    """One resolved route, compiled.
 
     Built (and memoized) by :meth:`TransformationRegistry.executor`; holds
-    the compiled mapping chain, the chain's fingerprint tuple (the mapping
-    half of the cache key) and its static cacheability verdict.
+    the compiled mapping chain.
     """
 
-    __slots__ = ("registry", "route_label", "compiled", "names", "chain_key", "cacheable")
+    __slots__ = ("registry", "route_label", "compiled")
 
     def __init__(
         self,
@@ -54,52 +46,20 @@ class RouteExecutor:
         self.registry = registry
         self.route_label = f"{source_format}->{target_format}/{doc_type}"
         self.compiled = tuple(mapping.compile() for mapping in chain)
-        self.names = tuple(compiled.name for compiled in self.compiled)
-        self.chain_key = tuple(mapping.fingerprint() for mapping in chain)
-        self.cacheable = all(compiled.cacheable for compiled in self.compiled)
-
-    def _cache_key(self, document: Document) -> tuple:
-        return (document.content_digest(), self.chain_key, self.registry.version)
 
     def apply(
         self, document: Document, context: TypingMapping[str, Any] | None = None
     ) -> Document:
-        """Run the chain on one document, consulting the result cache.
-
-        Cache hits still count as logical mapping applications in
-        ``registry.stats`` — enabling the cache must not change what the
-        engine counters report.
-        """
-        registry = self.registry
-        cache = registry.cache
-        use_cache = cache is not None and self.cacheable
-        if use_cache:
-            key = self._cache_key(document)
-            hit = cache.lookup(key, self.route_label)
-            if hit is not None:
-                if registry.collect_stats:
-                    stats = registry.stats
-                    for name in self.names:
-                        stats[name] += 1
-                return hit
-        elif cache is not None:
-            cache.note_bypass(self.route_label)
+        """Run the chain on one document, counting each mapping applied."""
+        stats = self.registry.stats
         result = document
-        if registry.collect_stats:
-            stats = registry.stats
-            for compiled in self.compiled:
-                result = compiled.apply(result, context)
-                stats[compiled.name] += 1
-        else:
-            for compiled in self.compiled:
-                result = compiled.apply(result, context)
-        if use_cache:
-            cache.store(key, result, self.route_label)
+        for compiled in self.compiled:
+            result = compiled.apply(result, context)
+            stats[compiled.name] += 1
         return result
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        cached = "cacheable" if self.cacheable else "context-sensitive"
-        return f"RouteExecutor({self.route_label!r}, {len(self.compiled)} hop(s), {cached})"
+        return f"RouteExecutor({self.route_label!r}, {len(self.compiled)} hop(s))"
 
 
 class TransformationRegistry:
@@ -107,22 +67,15 @@ class TransformationRegistry:
 
     :param hub_format: the pivot layout for two-step routing; the paper's
         normalized format by default.
-    :param collect_stats: update the per-mapping application Counter on
-        every transformation (the default).  Disable on hot paths where
-        the Counter update itself is measurable.
     """
 
-    def __init__(self, hub_format: str = NORMALIZED, collect_stats: bool = True):
+    def __init__(self, hub_format: str = NORMALIZED):
         self.hub_format = hub_format
-        self.collect_stats = collect_stats
         self._mappings: dict[tuple[str, str, str], Mapping] = {}
         self.stats: Counter[str] = Counter()
-        #: bumped on every registration; binding plan caches and the result
-        #: cache key on it so a reconfigured registry invalidates every
-        #: cached execution plan and memoized result.
+        #: bumped on every registration; binding plan caches key on it so
+        #: a reconfigured registry invalidates every cached execution plan.
         self.version = 0
-        #: optional content-addressed result cache (:meth:`enable_cache`).
-        self.cache: TransformCache | None = None
         self._route_cache: dict[tuple[str, str, str], tuple[Mapping, ...]] = {}
         self._executors: dict[tuple[str, str, str], RouteExecutor] = {}
 
@@ -140,32 +93,12 @@ class TransformationRegistry:
         self.version += 1
         self._route_cache.clear()
         self._executors.clear()
-        if self.cache is not None:
-            # The version bump already makes old keys unreachable; dropping
-            # the entries too keeps them from squatting in the LRU.
-            self.cache.clear()
         return mapping
 
     def register_all(self, mappings: Iterable[Mapping]) -> None:
         """Register every mapping in ``mappings``."""
         for mapping in mappings:
             self.register(mapping)
-
-    # -- result cache --------------------------------------------------------
-
-    def enable_cache(self, capacity: int = 4096) -> TransformCache:
-        """Attach (or resize) the content-addressed result cache."""
-        self.cache = TransformCache(capacity)
-        return self.cache
-
-    def disable_cache(self) -> None:
-        """Detach the result cache (entries are dropped)."""
-        self.cache = None
-
-    def cache_stats(self) -> dict[str, Any]:
-        """The cache's aggregate + per-route counters (empty dict when no
-        cache is attached) — the registry stats surface for observability."""
-        return self.cache.snapshot() if self.cache is not None else {}
 
     # -- lookup ---------------------------------------------------------------
 
@@ -211,8 +144,8 @@ class TransformationRegistry:
     def executor(
         self, source_format: str, target_format: str, doc_type: str
     ) -> RouteExecutor | None:
-        """The compiled, cache-aware executor for a route; ``None`` for the
-        identity route (document already in the target format).
+        """The compiled executor for a route; ``None`` for the identity
+        route (document already in the target format).
 
         Executors are memoized alongside the route cache and dropped on
         registration, so a stale executor can never serve a reconfigured

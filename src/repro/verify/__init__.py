@@ -77,8 +77,6 @@ from repro.verify.incremental import (
 from repro.verify.effects import (
     FunctionEffects,
     analyze_function,
-    compute_effects,
-    rules_cacheable,
 )
 from repro.verify.model_checks import verify_model
 from repro.verify.race_checks import concurrent_step_pairs, verify_workflow_races
@@ -133,6 +131,4 @@ __all__ = [
     "verify_dataflow",
     "FunctionEffects",
     "analyze_function",
-    "compute_effects",
-    "rules_cacheable",
 ]

@@ -1,30 +1,19 @@
 """Bytecode-level purity/effect analysis for computes and hooks.
 
-PR 8 taught the transformation cache to bypass context-sensitive routes
-by scanning each ``Compute`` function's bytecode for references to its
-``context`` parameter (``rules_context_free`` in ``repro.transform.
-mapping``).  That check answered exactly one question — "does this read
-context?" — and answered it conservatively: anything without an
-inspectable code object (``functools.partial``, bound methods, C
-builtins) was treated as context-reading and bypassed the cache.
-
-This module generalizes the scan into a small effect analyzer shared by
-the transformation cache and the schema dataflow pass
-(:mod:`repro.verify.dataflow`):
+The schema dataflow pass (:mod:`repro.verify.dataflow`) asks of every
+``Compute`` function what it may touch.  :func:`analyze_function` scans
+the function's bytecode and answers with:
 
 * classification — ``pure`` (reads only its document and immutable
   closure state), ``reads-context`` (touches the per-call context
-  mapping), or ``unanalyzable`` (no bytecode to inspect);
+  mapping), or ``unanalyzable`` (no bytecode to inspect; B2B707);
 * ``reads_globals`` — module-level names the function loads (informational:
-  globals are assumed constant after catalog construction, matching the
-  PR 8 cacheability contract);
+  globals are assumed constant after catalog construction);
 * ``may_raise`` — whether the bytecode contains an explicit ``raise``.
 
-The analyzer also *widens* the old check: ``functools.partial`` wrappers
-and bound methods are unwrapped (with the context-parameter index
-shifted past the pre-bound arguments), so a partial application of a
-pure document reader is now recognized as pure — and its route stays
-cacheable — where the PR 8 scan forced a bypass.
+``functools.partial`` wrappers and bound methods are unwrapped (with the
+context-parameter index shifted past the pre-bound arguments), so a
+partial application of a pure document reader is classified as pure.
 """
 
 from __future__ import annotations
@@ -39,9 +28,6 @@ __all__ = [
     "EFFECT_UNANALYZABLE",
     "FunctionEffects",
     "analyze_function",
-    "compute_effects",
-    "rules_cacheable",
-    "rules_read_context",
 ]
 
 EFFECT_PURE = "pure"
@@ -69,17 +55,6 @@ class FunctionEffects:
     @property
     def analyzable(self) -> bool:
         return self.classification != EFFECT_UNANALYZABLE
-
-    @property
-    def reads_context(self) -> bool:
-        # Unanalyzable functions *may* read context; both answers must be
-        # treated conservatively by callers, so expose the safe one here.
-        return self.classification != EFFECT_PURE
-
-    @property
-    def cacheable(self) -> bool:
-        """True when memoizing on document content alone is sound."""
-        return self.classification == EFFECT_PURE
 
 
 def _unwrap(fn, context_index: int):
@@ -148,38 +123,3 @@ def analyze_function(fn, context_index: int = 1) -> FunctionEffects:
         reads_globals=tuple(global_reads),
         may_raise=may_raise,
     )
-
-
-def compute_effects(rules) -> list[tuple[str, object, FunctionEffects]]:
-    """Effect summaries for every ``Compute`` rule, recursing into ``Each``.
-
-    Returns ``(target_path, rule, effects)`` triples; nested ``Each``
-    targets are rendered ``parent[].child`` to match the coverage-check
-    notation used elsewhere in the verifier.
-    """
-    from repro.transform.mapping import Compute, Each
-
-    found: list[tuple[str, object, FunctionEffects]] = []
-
-    def walk(rules, prefix: str) -> None:
-        for rule in rules:
-            if isinstance(rule, Compute):
-                target = f"{prefix}{rule.target}"
-                found.append((target, rule, analyze_function(rule.fn)))
-            elif isinstance(rule, Each):
-                walk(rule.rules, f"{prefix}{rule.target}[].")
-
-    walk(rules, "")
-    return found
-
-
-def rules_read_context(rules) -> bool:
-    """True when any compute may read its context (the PR 8 question)."""
-    return any(
-        effects.reads_context for _, _, effects in compute_effects(rules)
-    )
-
-
-def rules_cacheable(rules) -> bool:
-    """True when every compute is provably pure (document-only)."""
-    return all(effects.cacheable for _, _, effects in compute_effects(rules))

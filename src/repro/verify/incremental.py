@@ -75,9 +75,8 @@ ENGINE_VERSION = "2"
 """Bumped whenever verifier semantics change; embedded in every digest so
 stale caches from an older engine can never satisfy a newer lint.
 
-History: ``"1"`` through PR 9; ``"2"`` adds the B2B7xx schema dataflow
-pass and the shared effect analyzer (PR 10), which also changes
-``TransformCache`` cacheability decisions."""
+History: ``"1"`` predates the B2B7xx schema dataflow pass; ``"2"`` adds
+that pass and the shared effect analyzer."""
 
 CACHE_SCHEMA = "repro-lint-cache/1"
 DEFAULT_CACHE_PATH = ".repro-lint-cache.json"

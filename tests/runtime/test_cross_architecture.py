@@ -191,7 +191,7 @@ class TestShardedKernelParity:
     """A single-shard ShardedKernel is a drop-in Kernel replacement.
 
     Every architecture runs unmodified on ``ShardedKernel(shards=1)``
-    (deterministic mode) and must produce **byte-identical** metrics and
+    and must produce **byte-identical** metrics and
     an identical rendered event trace versus the plain ``Kernel`` run —
     the acceptance bar for the sharded hub refactor.
     """

@@ -24,7 +24,7 @@ from repro.runtime.journal import (
     read_segment_dir,
     segment_files,
 )
-from repro.runtime.sharding import DETERMINISTIC, ShardedKernel
+from repro.runtime.sharding import ShardedKernel
 
 SAMPLE_VALUES = {"str": "value-01", "float": 12.5, "int": 7}
 
@@ -262,7 +262,7 @@ class TestKernelJournalSession:
         assert not refused.exists() or not any(refused.rglob("*"))
 
     def test_refused_sharded_attach_leaves_no_hook_and_no_file(self, tmp_path):
-        kernel = ShardedKernel(shards=4, mode=DETERMINISTIC)
+        kernel = ShardedKernel(shards=4)
         def other_hook(event):
             return None
 

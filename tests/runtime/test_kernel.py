@@ -333,5 +333,4 @@ class TestKernel:
         assert "batch_abandoned" in ALL_EVENT_TYPES
         assert "shard_saturated" in ALL_EVENT_TYPES
         assert "shard_drained" in ALL_EVENT_TYPES
-        assert "transform_cache_snapshot" in ALL_EVENT_TYPES
-        assert len(ALL_EVENT_TYPES) == 24
+        assert len(ALL_EVENT_TYPES) == 23

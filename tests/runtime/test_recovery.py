@@ -15,7 +15,7 @@ from repro.runtime import (
     recover,
 )
 from repro.runtime.journal import segment_files
-from repro.runtime.sharding import DETERMINISTIC, ShardedKernel
+from repro.runtime.sharding import ShardedKernel
 
 # -- workload --------------------------------------------------------------
 
@@ -183,7 +183,7 @@ def test_projection_queries_surface_crash_fragile_state(tmp_path):
 def write_sharded_journal(directory, count, shards=4):
     """Drain ``count`` keyed tasks so events land on their owning shards
     (a direct ``emit`` from outside a drain always lands on shard 0)."""
-    kernel = ShardedKernel(shards=shards, mode=DETERMINISTIC)
+    kernel = ShardedKernel(shards=shards)
     journal = attach_journal(kernel, directory, flush_interval=1)
 
     def receive(index, partner):

@@ -1,10 +1,10 @@
-"""ShardedKernel: routing, drain modes, backpressure, inter-shard wiring."""
+"""ShardedKernel: routing, drain order, backpressure, inter-shard wiring."""
 
 import pytest
 
 from repro.messaging.network import NetworkConditions, SimulatedNetwork
 from repro.runtime import HashShardRouter, ShardedKernel
-from repro.runtime.sharding import DETERMINISTIC, PARALLEL, ShardClockView
+from repro.runtime.sharding import ShardClockView
 from repro.sim import Clock, EventScheduler
 
 
@@ -48,7 +48,7 @@ class TestRouting:
         ran_on = []
 
         def follow_up():
-            ran_on.append(kernel._current_shard())
+            ran_on.append(kernel.current_shard)
 
         kernel.submit(lambda: kernel.submit(follow_up), partner_key="b")
         kernel.drain()
@@ -57,8 +57,6 @@ class TestRouting:
     def test_constructor_validates_arguments(self):
         with pytest.raises(ValueError):
             ShardedKernel(shards=0)
-        with pytest.raises(ValueError):
-            ShardedKernel(mode="eager")
 
     def test_shard_clock_views_share_the_kernel_clock(self):
         clock = Clock(start=7.5)
@@ -200,117 +198,6 @@ class TestBackpressure:
         assert kernel.shards[1].inbox_received == 1
 
 
-class TestParallelDrain:
-    def test_all_tasks_execute_exactly_once(self):
-        kernel = ShardedKernel(shards=4, mode=PARALLEL)
-        counts = {f"p{index}": 0 for index in range(6)}
-
-        def handle(partner):
-            counts[partner] += 1
-
-        for sequence in range(240):
-            partner = f"p{sequence % 6}"
-            kernel.submit(lambda partner=partner: handle(partner), partner_key=partner)
-        assert kernel.drain() == 240
-        assert all(value == 40 for value in counts.values())
-        assert kernel.run_queue.tasks_executed == 240
-        assert kernel.run_queue.pending() == 0
-
-    def test_cross_shard_submits_are_delivered(self):
-        kernel = ShardedKernel(
-            shards=2, mode=PARALLEL, router=MapRouter({"a": 0, "b": 1})
-        )
-        delivered = []
-        kernel.submit(
-            lambda: kernel.submit(
-                lambda: delivered.append(kernel._current_shard()), partner_key="b"
-            ),
-            partner_key="a",
-        )
-        kernel.drain()
-        assert delivered == [1]
-        assert kernel.link_counters[(0, 1)] == 1
-
-    def test_nested_drain_from_worker_drains_the_local_shard(self):
-        kernel = ShardedKernel(shards=2, mode=PARALLEL, router=MapRouter({"a": 0}))
-        order = []
-
-        def parent():
-            order.append("parent")
-            kernel.submit(lambda: order.append("child"))
-            kernel.drain()
-            order.append("after-nested")
-
-        kernel.submit(parent, partner_key="a")
-        kernel.drain()
-        assert order == ["parent", "child", "after-nested"]
-
-    def test_worker_failure_propagates_and_abandons(self):
-        kernel = ShardedKernel(
-            shards=2, mode=PARALLEL, router=MapRouter({"a": 0, "b": 1})
-        )
-        events = []
-        kernel.subscribe(events.append, events=["batch_abandoned"])
-
-        def boom():
-            raise RuntimeError("shard worker failed")
-
-        kernel.submit(boom, partner_key="a")
-        with pytest.raises(RuntimeError, match="shard worker failed"):
-            kernel.drain()
-        assert kernel.run_queue.depth == 0
-
-    def test_merged_trace_and_composite_subscription(self):
-        kernel = ShardedKernel(shards=2, mode=PARALLEL, router=MapRouter({"a": 0, "b": 1}))
-        trace = kernel.enable_trace(capacity=50)
-        seen = []
-        handle = kernel.subscribe(seen.append, events=["document_received"])
-
-        def ping():
-            from repro.runtime.events import DocumentReceived
-
-            kernel.emit(
-                DocumentReceived,
-                "hub",
-                conversation_id="C1",
-                doc_type="purchase_order",
-                partner_id="TP1",
-            )
-
-        kernel.submit(ping, partner_key="a")
-        kernel.submit(ping, partner_key="b")
-        kernel.drain()
-        assert trace.recorded == 2 and len(trace.events()) == 2
-        assert trace.event_types() == {"document_received"}
-        assert len(seen) == 2
-        handle.unsubscribe()
-        kernel.submit(ping, partner_key="a")
-        kernel.drain()
-        assert len(seen) == 2 and trace.recorded == 3
-
-    def test_aggregate_metrics_merge_per_shard_segments(self):
-        kernel = ShardedKernel(shards=4, mode=PARALLEL)
-
-        def ping(partner):
-            from repro.runtime.events import DocumentReceived
-
-            kernel.emit(
-                DocumentReceived,
-                "hub",
-                conversation_id="C1",
-                doc_type="purchase_order",
-                partner_id=partner,
-            )
-
-        for sequence in range(40):
-            partner = f"p{sequence % 8}"
-            kernel.submit(lambda partner=partner: ping(partner), partner_key=partner)
-        kernel.drain()
-        assert kernel.metrics.count("document_received") == 40
-        assert kernel.metrics.count("document_received", source="hub") == 40
-        assert kernel.metrics.sources("document_received") == {"hub": 40}
-
-
 class TestInterShardNetwork:
     def _kernel(self, conditions, seed=5):
         scheduler = EventScheduler()
@@ -345,13 +232,6 @@ class TestInterShardNetwork:
         assert kernel.run_queue.abandoned == 1
         assert kernel.run_queue.pending() == 0
 
-    def test_attach_network_requires_deterministic_mode(self):
-        scheduler = EventScheduler()
-        transport = SimulatedNetwork(scheduler, NetworkConditions.perfect())
-        kernel = ShardedKernel(shards=2, mode=PARALLEL, clock=scheduler.clock)
-        with pytest.raises(ValueError, match="deterministic"):
-            kernel.attach_network(transport)
-
     def test_duplicate_delivery_executes_once(self):
         kernel, transport = self._kernel(
             NetworkConditions(duplicate_rate=1.0, min_latency=0.01, max_latency=0.01)
@@ -365,7 +245,3 @@ class TestInterShardNetwork:
         assert ran == ["b"]
         assert transport.link_report()["shard:0->shard:1"]["duplicated"] == 1
 
-
-class TestModeConstants:
-    def test_default_mode_is_deterministic(self):
-        assert ShardedKernel().mode == DETERMINISTIC

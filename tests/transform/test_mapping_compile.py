@@ -269,19 +269,6 @@ def test_catalog_schemas_accept_only_clean_documents(document):
                 assert problems == []
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.lists(source_documents(), min_size=1, max_size=6))
-def test_cache_changes_no_output(documents):
-    plain = build_standard_registry()
-    cached = build_standard_registry()
-    cached.enable_cache(capacity=2)  # small: exercises eviction too
-    for document in documents:
-        expected = _outcome(plain.transform, document, NORMALIZED, CONTEXT)
-        # twice, so the second call can be a hit
-        assert _outcome(cached.transform, document, NORMALIZED, CONTEXT) == expected
-        assert _outcome(cached.transform, document, NORMALIZED, CONTEXT) == expected
-
-
 def _check_on_note(value):
     if value == "boom":
         raise ValueError("boom")
@@ -426,22 +413,6 @@ def test_error_identity_on_invalid_document():
     assert _outcome(registry.transform, wire, NORMALIZED, CONTEXT) == _outcome(
         mapping.apply, wire, CONTEXT
     )
-
-
-def test_error_identity_with_cache():
-    registry = build_standard_registry()
-    registry.enable_cache()
-    wire = registry.transform(make_purchase_order("PO-1", "TP1", "ACME", LINES),
-                              "edi-x12", CONTEXT)
-    broken = Document.from_dict(wire.to_dict())
-    broken.delete("beg.po_number")
-    expected = _outcome(build_standard_registry().transform, broken, NORMALIZED, CONTEXT)
-    assert expected[0] == "error"
-    assert _outcome(registry.transform, wire, NORMALIZED, CONTEXT)[0] == "ok"
-    assert _outcome(registry.transform, broken, NORMALIZED, CONTEXT) == expected
-    # The failing document must never have been cached.
-    assert _outcome(registry.transform, broken, NORMALIZED, CONTEXT) == expected
-    assert registry.cache.misses == 3 and registry.cache.hits == 0
 
 
 def test_post_hook_runs_on_the_lowered_path():

@@ -4,7 +4,7 @@ import pytest
 
 from repro.documents.model import Document
 from repro.errors import ConfigurationError, NoRouteError
-from repro.transform.mapping import Field, Mapping
+from repro.transform.mapping import Compute, Field, Mapping
 from repro.transform.transformer import TransformationRegistry
 
 
@@ -94,6 +94,19 @@ class TestTransformExecution:
         hub_registry.transform(_doc("a"), "b")
         assert hub_registry.stats["a__to__hub/order"] == 2
         assert hub_registry.applications() == 4
+
+    def test_stale_result_never_served_after_reregistration(self):
+        registry = TransformationRegistry(hub_format="hub")
+        registry.register(
+            Mapping("v1", "src", "hub", "t", [Compute("out", lambda d, c: "v1")])
+        )
+        document = Document("src", "t", {})
+        assert registry.transform(document, "hub").get("out") == "v1"
+        registry._mappings.clear()  # simulate a redeployed catalog
+        registry.register(
+            Mapping("v2", "src", "hub", "t", [Compute("out", lambda d, c: "v2")])
+        )
+        assert registry.transform(document, "hub").get("out") == "v2"
 
     def test_standard_registry_uses_normalized_hub(self, registry, sample_po):
         # wire -> other wire goes through the normalized layout

@@ -2,15 +2,11 @@
 
 import functools
 
-from repro.transform.mapping import Compute, Each, Field
 from repro.verify.effects import (
     EFFECT_PURE,
     EFFECT_READS_CONTEXT,
     EFFECT_UNANALYZABLE,
     analyze_function,
-    compute_effects,
-    rules_cacheable,
-    rules_read_context,
 )
 
 TOTAL = 100.0
@@ -58,14 +54,12 @@ class TestAnalyzeFunction:
     def test_pure_document_reader(self):
         effects = analyze_function(pure_reader)
         assert effects.classification == EFFECT_PURE
-        assert effects.cacheable and effects.analyzable
-        assert not effects.reads_context
+        assert effects.analyzable
         assert not effects.may_raise
 
     def test_context_reader(self):
         effects = analyze_function(context_reader)
         assert effects.classification == EFFECT_READS_CONTEXT
-        assert effects.reads_context and not effects.cacheable
         assert effects.analyzable
 
     def test_explicit_raise_is_flagged(self):
@@ -81,8 +75,7 @@ class TestAnalyzeFunction:
         effects = analyze_function(len)
         assert effects.classification == EFFECT_UNANALYZABLE
         assert effects.reason == "no inspectable bytecode"
-        # conservative: may read context, not cacheable
-        assert effects.reads_context and not effects.cacheable
+        assert not effects.analyzable
 
     def test_variadic_is_unanalyzable(self):
         effects = analyze_function(lambda *args: None)
@@ -96,11 +89,11 @@ class TestAnalyzeFunction:
 
 
 class TestWidening:
-    """The cases PR 8's ``__code__`` probe forced into a cache bypass."""
+    """Wrappers without a ``__code__`` of their own are unwrapped."""
 
     def test_partial_of_pure_reader_is_pure(self):
         fn = functools.partial(generic_reader, "summary.total")
-        assert not hasattr(fn, "__code__")  # the old check would bail here
+        assert not hasattr(fn, "__code__")
         assert analyze_function(fn).classification == EFFECT_PURE
 
     def test_partial_of_context_reader_still_reads_context(self):
@@ -128,25 +121,3 @@ class TestWidening:
         fn = functools.partial(functools.partial(deep, "x"), "y")
         assert analyze_function(fn).classification == EFFECT_PURE
 
-
-class TestRuleWalks:
-    def test_compute_effects_renders_nested_each_targets(self):
-        rules = [
-            Field("a", "b"),
-            Compute("total", pure_reader),
-            Each("lines", "items", [Compute("price", context_reader)]),
-        ]
-        found = compute_effects(rules)
-        targets = [target for target, _rule, _effects in found]
-        assert targets == ["total", "items[].price"]
-
-    def test_rules_read_context_and_cacheable(self):
-        pure = [Compute("total", pure_reader)]
-        impure = [Compute("total", pure_reader), Compute("now", context_reader)]
-        assert not rules_read_context(pure) and rules_cacheable(pure)
-        assert rules_read_context(impure) and not rules_cacheable(impure)
-
-    def test_unanalyzable_counts_as_context_reading(self):
-        rules = [Compute("out", len)]
-        assert rules_read_context(rules)
-        assert not rules_cacheable(rules)
