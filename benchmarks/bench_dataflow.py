@@ -11,7 +11,7 @@ Run standalone with the performance gate::
 
     PYTHONPATH=src python benchmarks/bench_dataflow.py --gate
 
-The gate enforces the two dataflow floors mirrored by SPEEDUP_FLOORS in
+The gate enforces the two dataflow floors declared in SPEEDUP_FLOORS of
 ``repro.analysis.bench``: >= 200 routes verified per second across the
 example models, and >= 90% of route verdicts served from the digest
 cache on a warm registry re-sweep.  It also proves the incremental
@@ -27,6 +27,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from conftest import table  # noqa: E402
 
+from repro.analysis.bench import SPEEDUP_FLOORS  # noqa: E402
 from repro.analysis.scenarios import build_registry_model  # noqa: E402
 from repro.transform.mapping import Const  # noqa: E402
 from repro.verify.dataflow import (  # noqa: E402
@@ -37,10 +38,6 @@ from repro.verify.incremental import VerificationCache  # noqa: E402
 from repro.verify.registry import sweep_registry  # noqa: E402
 from repro.verify.targets import lint_units  # noqa: E402
 
-# Floors enforced by --gate (mirrored by SPEEDUP_FLOORS in
-# repro.analysis.bench for the run_bench.py regression gate).
-ROUTES_PER_SEC_FLOOR = 200.0
-WARM_HIT_FLOOR = 0.9
 
 
 def _fleet():
@@ -101,7 +98,7 @@ def bench_dataflow_registry_warm(benchmark, report):
         return sweep_registry(model, deep=False, dataflow=True, cache=cache)
 
     result = benchmark(warm_sweep)
-    assert result.route_cache_hit_rate >= WARM_HIT_FLOOR
+    assert result.route_cache_hit_rate >= SPEEDUP_FLOORS["dataflow_route_cache_hit_rate"]
     report(table(
         [{
             "routes": result.dataflow_routes,
@@ -197,20 +194,22 @@ def main(argv=None) -> int:
         print(f"\nwrote {args.json}")
 
     if args.gate:
+        routes_floor = SPEEDUP_FLOORS["dataflow_routes_per_sec"]
+        hit_floor = SPEEDUP_FLOORS["dataflow_route_cache_hit_rate"]
         problems = []
         if cold.diagnostics:
             problems.append(
                 f"cold sweep reported {len(cold.diagnostics)} diagnostics"
             )
-        if routes_per_sec < ROUTES_PER_SEC_FLOOR:
+        if routes_per_sec < routes_floor:
             problems.append(
                 f"fleet throughput {routes_per_sec:.1f} routes/s is below "
-                f"the {ROUTES_PER_SEC_FLOOR:.0f}/s floor"
+                f"the {routes_floor:.0f}/s floor"
             )
-        if warm.route_cache_hit_rate < WARM_HIT_FLOOR:
+        if warm.route_cache_hit_rate < hit_floor:
             problems.append(
                 f"warm route hit rate {warm.route_cache_hit_rate:.1%} is "
-                f"below {WARM_HIT_FLOOR:.0%}"
+                f"below {hit_floor:.0%}"
             )
         if not 0 < after_edit.routes_verified < after_edit.dataflow_routes:
             problems.append(
@@ -226,7 +225,7 @@ def main(argv=None) -> int:
             return 1
         print(
             f"\ndataflow gate OK ({routes_per_sec:,.0f} routes/s >= "
-            f"{ROUTES_PER_SEC_FLOOR:.0f}, warm "
+            f"{routes_floor:.0f}, warm "
             f"{warm.route_cache_hit_rate:.1%} hits, 1-edit re-verified "
             f"{after_edit.routes_verified}/{after_edit.dataflow_routes})"
         )

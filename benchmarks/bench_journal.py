@@ -11,11 +11,12 @@ Run standalone with the performance gate::
 
     PYTHONPATH=src python benchmarks/bench_journal.py --gate
 
-The gate enforces the two durability floors: journal write overhead on
-the calibrated 4-shard deterministic hub workload <= 15%, and recovery
-throughput >= 50k events replayed per second.  ``--json PATH``
-additionally writes the raw measurement payload (the same sub-dict
-``repro bench --journal`` embeds in the BENCH envelope).
+The gate enforces the two durability bounds declared in
+:mod:`repro.analysis.bench`: journal write overhead on the calibrated
+deterministic hub workload <= 15% (``CEILINGS``), and recovery
+throughput >= 50k events replayed per second (``SPEEDUP_FLOORS``).
+``--json PATH`` additionally writes the raw measurement payload (the
+same sub-dict ``repro bench --journal`` embeds in the BENCH envelope).
 """
 
 import os
@@ -28,9 +29,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from conftest import table  # noqa: E402
 
+from repro.analysis.bench import CEILINGS, SPEEDUP_FLOORS  # noqa: E402
 from repro.analysis.journal_bench import (  # noqa: E402
-    OVERHEAD_CEILING,
-    RECOVERY_FLOOR,
     build_recovery_journal,
     run_journal_benchmark,
 )
@@ -46,11 +46,11 @@ def bench_journal_write_overhead(benchmark, report):
 
     def journaled_run():
         runs["index"] += 1
-        return _hub_elapsed(5_000, 4, 64, workdir / f"run-{runs['index']}")
+        return _hub_elapsed(5_000, 64, workdir / f"run-{runs['index']}")
 
     try:
         benchmark(journaled_run)
-        bare = _hub_elapsed(5_000, 4, 64, None)
+        bare = _hub_elapsed(5_000, 64, None)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     report(table(
@@ -121,7 +121,7 @@ def main(argv=None) -> int:
         }],
         ["messages", "records", "overhead", "cpu_overhead",
          "us_per_event", "bytes"],
-        "Journal write overhead (4-shard deterministic hub workload)",
+        "Journal write overhead (deterministic hub workload)",
     ))
     print()
     print(table(
@@ -143,18 +143,20 @@ def main(argv=None) -> int:
         print(f"\nwrote {args.json}")
 
     if args.gate:
+        ceiling = CEILINGS["journal_write_overhead"]
+        floor = SPEEDUP_FLOORS["recovery_events_per_sec"]
         problems = []
         overhead = payload["journal_write_overhead"]
-        if overhead > OVERHEAD_CEILING:
+        if overhead > ceiling:
             problems.append(
                 f"journal write overhead {100 * overhead:.2f}% is above the "
-                f"{100 * OVERHEAD_CEILING:.0f}% ceiling"
+                f"{100 * ceiling:.0f}% ceiling"
             )
         rate = payload["recovery_events_per_sec"]
-        if rate < RECOVERY_FLOOR:
+        if rate < floor:
             problems.append(
                 f"recovery throughput {rate:,.0f} events/s is below the "
-                f"{RECOVERY_FLOOR:,.0f} floor"
+                f"{floor:,.0f} floor"
             )
         if problems:
             print("\nJOURNAL GATE FAILED:", file=sys.stderr)
@@ -162,8 +164,8 @@ def main(argv=None) -> int:
                 print(f"  - {problem}", file=sys.stderr)
             return 1
         print(
-            f"\njournal gate OK (overhead <= {100 * OVERHEAD_CEILING:.0f}%, "
-            f"recovery >= {RECOVERY_FLOOR:,.0f} events/s)"
+            f"\njournal gate OK (overhead <= {100 * ceiling:.0f}%, "
+            f"recovery >= {floor:,.0f} events/s)"
         )
     return 0
 

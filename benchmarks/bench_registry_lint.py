@@ -24,11 +24,10 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from conftest import table  # noqa: E402
 
+from repro.analysis.bench import SPEEDUP_FLOORS  # noqa: E402
 from repro.analysis.scenarios import build_registry_model  # noqa: E402
 from repro.verify.incremental import VerificationCache  # noqa: E402
 from repro.verify.registry import sweep_registry  # noqa: E402
-
-WARM_HIT_FLOOR = 0.9
 
 
 def bench_registry_sweep_cold(benchmark, report):
@@ -63,7 +62,7 @@ def bench_registry_sweep_warm(benchmark, report):
         return sweep_registry(model, deep=True, cache=cache)
 
     result = benchmark(warm_sweep)
-    assert result.cache_hit_rate >= WARM_HIT_FLOOR
+    assert result.cache_hit_rate >= SPEEDUP_FLOORS["registry_lint_cache_hit_rate"]
     assert result.explorations == 0
     report(table(
         [{
@@ -114,6 +113,7 @@ def main(argv=None) -> int:
         f"Registry lint over {args.agreements} agreements",
     ))
 
+    hit_floor = SPEEDUP_FLOORS["registry_lint_cache_hit_rate"]
     problems = []
     if cold.diagnostics:
         problems.append(f"cold sweep reported {len(cold.diagnostics)} diagnostics")
@@ -122,10 +122,10 @@ def main(argv=None) -> int:
             f"cold sweep took {cold.duration:.3f}s "
             f"(budget {args.budget:.1f}s)"
         )
-    if warm.cache_hit_rate < WARM_HIT_FLOOR:
+    if warm.cache_hit_rate < hit_floor:
         problems.append(
             f"warm hit rate {warm.cache_hit_rate:.1%} is below "
-            f"{WARM_HIT_FLOOR:.0%}"
+            f"{hit_floor:.0%}"
         )
     if after_edit.verified != 1:
         problems.append(

@@ -25,6 +25,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from conftest import table  # noqa: E402
 
+from repro.analysis.bench import SPEEDUP_FLOORS  # noqa: E402
 from repro.b2b.protocol import extended_protocols  # noqa: E402
 from repro.core.public_process import (  # noqa: E402
     PublicProcessDefinition,
@@ -32,9 +33,8 @@ from repro.core.public_process import (  # noqa: E402
 )
 from repro.verify.statespace import explore_pair  # noqa: E402
 
-# Floors enforced by --gate (and mirrored by SPEEDUP_FLOORS in
-# repro.analysis.bench for the run_bench.py regression gate).
-REDUCTION_FLOOR = 5.0
+# Throughput floor enforced by --gate; the reduction floor is
+# SPEEDUP_FLOORS["statespace_reduction_ratio"] in repro.analysis.bench.
 NORMALIZED_STATES_FLOOR = 8.0
 
 
@@ -123,9 +123,10 @@ def bench_partial_order_reduction_ratio(benchmark, report):
         ["burst", "full_states", "reduced_states", "pruned", "ratio"],
         "Deep lint: partial-order reduction on the bursty pair",
     ))
-    assert ratio >= REDUCTION_FLOOR, (
+    floor = SPEEDUP_FLOORS["statespace_reduction_ratio"]
+    assert ratio >= floor, (
         f"partial-order reduction only x{ratio:.2f} on burst={burst} "
-        f"(floor x{REDUCTION_FLOOR:.1f})"
+        f"(floor x{floor:.1f})"
     )
 
 
@@ -202,11 +203,12 @@ def main(argv=None) -> int:
     ))
 
     if args.gate:
+        reduction_floor = SPEEDUP_FLOORS["statespace_reduction_ratio"]
         problems = []
-        if ratio < REDUCTION_FLOOR:
+        if ratio < reduction_floor:
             problems.append(
                 f"reduction ratio x{ratio:.2f} is below the "
-                f"x{REDUCTION_FLOOR:.1f} floor"
+                f"x{reduction_floor:.1f} floor"
             )
         if normalized < NORMALIZED_STATES_FLOOR:
             problems.append(
@@ -219,7 +221,7 @@ def main(argv=None) -> int:
                 print(f"  - {problem}", file=sys.stderr)
             return 1
         print(
-            f"\nstatespace gate OK (reduction >= x{REDUCTION_FLOOR:.1f}, "
+            f"\nstatespace gate OK (reduction >= x{reduction_floor:.1f}, "
             f"normalized >= {NORMALIZED_STATES_FLOOR:.1f})"
         )
     return 0

@@ -32,7 +32,6 @@ from repro.runtime import (
     Kernel,
     MetricsObserver,
     RunQueue,
-    Runtime,
     RuntimeEvent,
     TraceRecorder,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "Kernel",
     "MetricsObserver",
     "RunQueue",
-    "Runtime",
     "RuntimeEvent",
     "TraceRecorder",
     "Document",

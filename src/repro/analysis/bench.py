@@ -67,28 +67,27 @@ TRACKED = (
 # interleaving space >=5x, and a warm registry re-sweep must serve >=90%
 # of agreements from the digest cache.  Floors are only checked when the
 # metric is present in the payload, so partial runs (e.g. without
-# ``--journal``) skip the absent gates.
+# ``--journal``) skip the absent gates.  The standalone gate scripts
+# (benchmarks/bench_journal.py, bench_dataflow.py, bench_statespace.py,
+# bench_registry_lint.py) read their bounds from here.
 SPEEDUP_FLOORS = {
     "expression_compile_speedup": 2.0,
     "mapping_compile_speedup": 1.5,
     "statespace_reduction_ratio": 5.0,
     "registry_lint_cache_hit_rate": 0.9,
-    # Recovery must replay >=50k events/sec (mirrors RECOVERY_FLOOR in
-    # repro.analysis.journal_bench).
+    # Recovery must replay >=50k events/sec.
     "recovery_events_per_sec": 50_000.0,
     # The B2B7xx schema dataflow pass must verify >=200 binding routes/sec
     # across the example fleet (~5x headroom under the measured ~1.1k/s)
     # and a warm registry re-sweep must serve >=90% of route verdicts from
-    # the chain-fingerprint cache (mirrors the floors in
-    # benchmarks/bench_dataflow.py).
+    # the chain-fingerprint cache.
     "dataflow_routes_per_sec": 200.0,
     "dataflow_route_cache_hit_rate": 0.9,
 }
 
 # Acceptance ceilings: derived metrics that must stay *below* a bound.
-# Write-ahead journaling may cost at most 15% of the 4-shard
-# deterministic hub workload's wall time (mirrors OVERHEAD_CEILING in
-# repro.analysis.journal_bench).
+# Write-ahead journaling may cost at most 15% of the deterministic hub
+# workload's wall time (see repro.analysis.journal_bench).
 CEILINGS = {
     "journal_write_overhead": 0.15,
 }
@@ -575,7 +574,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--journal", action="store_true",
         help="also run the durability benchmarks (journal write overhead "
-        "on the 4-shard hub workload and recovery replay throughput)",
+        "on the hub workload and recovery replay throughput)",
     )
     parser.add_argument(
         "--journal-messages", type=int, default=20_000, metavar="N",

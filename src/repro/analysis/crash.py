@@ -3,8 +3,9 @@ exactly-once.
 
 The acceptance experiment for the durability layer
 (:mod:`repro.runtime.journal` / :mod:`repro.runtime.recovery`).  For each
-of the four architectures, on both the plain :class:`Kernel` and a
-4-shard deterministic :class:`ShardedKernel`:
+of the four architectures, and for the hub pair on a lossy, duplicating
+network (``advanced-lossy``, where retransmissions and duplicate
+suppression run across the crash):
 
 1. **Reference run** — drive N purchase orders end to end with a
    write-ahead journal attached (every order is a ``log_command`` record
@@ -19,8 +20,7 @@ of the four architectures, on both the plain :class:`Kernel` and a
    snapshot file (``mid-snapshot``), or cut at a randomized journal
    offset (``random``).  Snapshots "from the future" of the cut are
    removed, since a real crash at that moment could not have written
-   them.  For a sharded journal each shard's tail is cut independently
-   at the same global sequence, exercising the contiguous-prefix merge.
+   them.
 3. **Recover + resume** — :func:`repro.runtime.recovery.recover` rebuilds
    the projection, then a fresh world re-executes the journaled command
    WAL in order (using only the recovered payloads, never the original
@@ -46,11 +46,12 @@ import tempfile
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
-from repro.runtime import Kernel, ShardedKernel
+from repro.messaging.network import NetworkConditions
+from repro.messaging.reliable import RetryPolicy
+from repro.runtime import Kernel
 from repro.runtime.journal import (
-    SHARD_DIR_PREFIX,
     JournalRecord,
     attach_journal,
     read_segment_dir,
@@ -61,16 +62,14 @@ from repro.runtime.recovery import RecoveredState, recover
 __all__ = [
     "ARCHITECTURES",
     "CRASH_POINTS",
-    "KERNELS",
     "CrashReport",
     "run_crash_case",
     "run_crash_matrix",
     "render_reports",
 ]
 
-ARCHITECTURES = ("advanced", "monolithic", "cooperative", "distributed")
+ARCHITECTURES = ("advanced", "advanced-lossy", "monolithic", "cooperative", "distributed")
 CRASH_POINTS = ("pre-journal", "mid-append", "post-append", "mid-snapshot", "random")
-KERNELS = ("kernel", "sharded-4")
 
 LINES = [{"sku": "X", "quantity": 2, "unit_price": 100.0}]
 TRACE_CAPACITY = 65_536
@@ -90,14 +89,21 @@ class _AdvancedDriver:
     messaging (this is the literal mid-RNIF-exchange crash target)."""
 
     name = "advanced"
+    conditions: NetworkConditions | None = None
+    retry_policy: RetryPolicy | None = None
+    network_seed = 7
 
-    def __init__(self, runtime_factory: Callable | None) -> None:
+    def __init__(self) -> None:
         from repro.analysis.scenarios import build_two_enterprise_pair
         from repro.core.enterprise import run_community
 
         self._run_community = run_community
         self.pair = build_two_enterprise_pair(
-            "rosettanet", seller_delay=0.0, runtime=runtime_factory
+            "rosettanet",
+            conditions=self.conditions,
+            seed=self.network_seed,
+            seller_delay=0.0,
+            retry_policy=self.retry_policy,
         )
         self.runtime = self.pair.runtime
         self.trace = self.runtime.enable_trace(TRACE_CAPACITY)
@@ -134,12 +140,27 @@ class _AdvancedDriver:
         return uncovered
 
 
+class _AdvancedLossyDriver(_AdvancedDriver):
+    """The hub pair on the ``lossy_journaled`` benchmark network: 2% loss
+    and 5% duplication on every transmission, acks included, and a
+    latency window wide enough to reorder.  With this seed the reference
+    run retransmits and suppresses duplicates, so the crash lands among
+    RNIF retries and the resumed dedup window is put to work."""
+
+    name = "advanced-lossy"
+    conditions = NetworkConditions(
+        loss_rate=0.02, duplicate_rate=0.05, min_latency=0.01, max_latency=0.4
+    )
+    retry_policy = RetryPolicy(ack_timeout=1.0, max_retries=8, backoff=1.5)
+    network_seed = 6
+
+
 class _MonolithicDriver:
     """Figure 9 baseline: naive seller runtime fed EDI over the VAN."""
 
     name = "monolithic"
 
-    def __init__(self, runtime_factory: Callable | None) -> None:
+    def __init__(self) -> None:
         from repro.backend import OracleSimulator, SapSimulator
         from repro.baselines.monolithic import (
             NaiveClient,
@@ -149,7 +170,7 @@ class _MonolithicDriver:
         )
         from repro.documents import edi
         from repro.documents.normalized import make_purchase_order
-        from repro.messaging.network import NetworkConditions, SimulatedNetwork
+        from repro.messaging.network import SimulatedNetwork
         from repro.sim import EventScheduler
         from repro.transform.catalog import build_standard_registry
 
@@ -157,10 +178,7 @@ class _MonolithicDriver:
         self._make_po = make_purchase_order
         self._registry = build_standard_registry()
         self.scheduler = EventScheduler()
-        runtime = runtime_factory(self.scheduler.clock) if runtime_factory else None
-        network = SimulatedNetwork(
-            self.scheduler, NetworkConditions.perfect(), seed=3, runtime=runtime
-        )
+        network = SimulatedNetwork(self.scheduler, NetworkConditions.perfect(), seed=3)
         self.runtime = network.runtime
         self.trace = self.runtime.enable_trace(TRACE_CAPACITY)
         self.seller = NaiveSellerRuntime(
@@ -200,17 +218,14 @@ class _CooperativeDriver:
 
     name = "cooperative"
 
-    def __init__(self, runtime_factory: Callable | None) -> None:
+    def __init__(self) -> None:
         from repro.backend import OracleSimulator, SapSimulator
         from repro.baselines.cooperative import CooperativeCommunity
-        from repro.messaging.network import NetworkConditions, SimulatedNetwork
+        from repro.messaging.network import SimulatedNetwork
         from repro.sim import EventScheduler
 
         self.scheduler = EventScheduler()
-        runtime = runtime_factory(self.scheduler.clock) if runtime_factory else None
-        network = SimulatedNetwork(
-            self.scheduler, NetworkConditions.perfect(), seed=11, runtime=runtime
-        )
+        network = SimulatedNetwork(self.scheduler, NetworkConditions.perfect(), seed=11)
         self.runtime = network.runtime
         self.trace = self.runtime.enable_trace(TRACE_CAPACITY)
         self.community = CooperativeCommunity(
@@ -251,10 +266,8 @@ class _DistributedDriver:
 
     name = "distributed"
 
-    def __init__(self, runtime_factory: Callable | None) -> None:
-        from repro.sim import Clock
-
-        self.runtime = runtime_factory(Clock()) if runtime_factory else Kernel()
+    def __init__(self) -> None:
+        self.runtime = Kernel()
         self.trace = self.runtime.enable_trace(TRACE_CAPACITY)
         self._order_books: list[dict[str, Any]] = []
 
@@ -306,23 +319,17 @@ class _DistributedDriver:
 
 _DRIVERS = {
     "advanced": _AdvancedDriver,
+    "advanced-lossy": _AdvancedLossyDriver,
     "monolithic": _MonolithicDriver,
     "cooperative": _CooperativeDriver,
     "distributed": _DistributedDriver,
 }
 
 
-def _make_driver(architecture: str, kernel_kind: str):
+def _make_driver(architecture: str):
     if architecture not in _DRIVERS:
         raise ValueError(f"unknown architecture {architecture!r}")
-    if kernel_kind == "kernel":
-        factory = None
-    elif kernel_kind.startswith("sharded-"):
-        shards = int(kernel_kind.removeprefix("sharded-"))
-        factory = lambda clock: ShardedKernel(shards=shards, clock=clock)  # noqa: E731
-    else:
-        raise ValueError(f"unknown kernel kind {kernel_kind!r}")
-    return _DRIVERS[architecture](factory)
+    return _DRIVERS[architecture]()
 
 
 # ---------------------------------------------------------------------------
@@ -343,12 +350,11 @@ def _script(orders: int) -> list[dict[str, Any]]:
 
 def _run_reference(
     architecture: str,
-    kernel_kind: str,
     journal_dir: Path,
     script: list[dict[str, Any]],
     snapshot_after: int,
 ):
-    driver = _make_driver(architecture, kernel_kind)
+    driver = _make_driver(architecture)
     journal = attach_journal(driver.runtime, journal_dir, flush_interval=1)
     for index, command in enumerate(script):
         journal.log_command(command["id"], command["op"], command["args"])
@@ -359,64 +365,45 @@ def _run_reference(
     return driver
 
 
-def _journal_dirs(directory: Path) -> list[Path]:
-    shard_dirs = sorted(
-        path
-        for path in directory.iterdir()
-        if path.is_dir() and path.name.startswith(SHARD_DIR_PREFIX)
-    )
-    return shard_dirs or [directory]
+def _all_records(directory: Path) -> list[JournalRecord]:
+    records, truncations = read_segment_dir(directory)
+    if truncations:
+        raise CrashHarnessError(f"reference journal corrupt: {truncations}")
+    return records
 
 
-def _all_records(directory: Path) -> list[tuple[Path, JournalRecord]]:
-    located: list[tuple[Path, JournalRecord]] = []
-    for sub in _journal_dirs(directory):
-        records, truncations = read_segment_dir(sub)
-        if truncations:
-            raise CrashHarnessError(f"reference journal corrupt: {truncations}")
-        located.extend((sub, record) for record in records)
-    located.sort(key=lambda pair: pair[1].seq)
-    return located
-
-
-def _journal_bytes(directory: Path) -> dict[str, bytes]:
-    return {
-        sub.name if sub != directory else ".": b"".join(
-            path.read_bytes() for path in segment_files(sub)
-        )
-        for sub in _journal_dirs(directory)
-    }
+def _journal_bytes(directory: Path) -> bytes:
+    return b"".join(path.read_bytes() for path in segment_files(directory))
 
 
 def _truncate_dir_at(directory: Path, cut_seq: int, tear: bool) -> None:
-    """Damage one journal tree as a kill at global sequence ``cut_seq`` would.
+    """Damage one journal as a kill at sequence ``cut_seq`` would.
 
-    Every shard keeps exactly its records with ``seq < cut_seq``; with
-    ``tear``, the shard that owns ``cut_seq`` additionally keeps half of
-    that record's frame (a torn in-progress append).
+    The journal keeps exactly its records with ``seq < cut_seq``; with
+    ``tear``, it additionally keeps half of record ``cut_seq``'s frame (a
+    torn in-progress append).
     """
-    for sub in _journal_dirs(directory):
-        drop_rest = False
-        for segment in segment_files(sub):
-            if drop_rest:
+    drop_rest = False
+    for segment in segment_files(directory):
+        if drop_rest:
+            segment.unlink()
+            continue
+        records, _ = read_segment_dir_single(segment)
+        cut_at: int | None = None
+        for record in records:
+            if record.seq >= cut_seq:
+                cut_at = record.offset
+                if tear and record.seq == cut_seq:
+                    cut_at = record.offset + max(
+                        1, (record.end_offset - record.offset) // 2
+                    )
+                break
+        if cut_at is not None:
+            with segment.open("rb+") as handle:
+                handle.truncate(cut_at)
+            if cut_at == 0:
                 segment.unlink()
-                continue
-            records, _ = read_segment_dir_single(segment)
-            cut_at: int | None = None
-            for record in records:
-                if record.seq >= cut_seq:
-                    cut_at = record.offset
-                    if tear and record.seq == cut_seq:
-                        cut_at = record.offset + max(
-                            1, (record.end_offset - record.offset) // 2
-                        )
-                    break
-            if cut_at is not None:
-                with segment.open("rb+") as handle:
-                    handle.truncate(cut_at)
-                if cut_at == 0:
-                    segment.unlink()
-                drop_rest = True
+            drop_rest = True
     # A snapshot taken at or past the cut cannot exist at crash time.
     for snapshot in directory.glob("snapshot-*.json"):
         if int(snapshot.name[len("snapshot-") : -len(".json")]) >= cut_seq:
@@ -446,14 +433,13 @@ def simulate_crash(
 ) -> int:
     """Copy the reference journal and damage it per ``crash_point``.
 
-    Returns the global cut sequence (records with ``seq >= cut`` are
-    gone, modulo the torn half-frame of ``mid-append``).
+    Returns the cut sequence (records with ``seq >= cut`` are gone,
+    modulo the torn half-frame of ``mid-append``).
     """
     shutil.copytree(reference_dir, crashed_dir)
-    located = _all_records(crashed_dir)
-    if not located:
+    records = _all_records(crashed_dir)
+    if not records:
         raise CrashHarnessError("reference journal is empty")
-    records = [record for _, record in located]
     snapshots = sorted(crashed_dir.glob("snapshot-*.json"))
 
     if crash_point == "pre-journal":
@@ -491,10 +477,9 @@ def simulate_crash(
 
 @dataclass
 class CrashReport:
-    """Outcome of one (architecture, kernel, crash point) crash case."""
+    """Outcome of one (architecture, crash point) crash case."""
 
     architecture: str
-    kernel: str
     crash_point: str
     seed: int
     orders: int
@@ -519,7 +504,7 @@ class CrashReport:
     def describe(self) -> str:
         status = "ok" if self.ok else "FAIL"
         return (
-            f"{status:4} {self.architecture:<12} {self.kernel:<9} "
+            f"{status:4} {self.architecture:<14} "
             f"{self.crash_point:<13} cut@{self.cut_seq:<5} "
             f"recovered {self.recovered_records}/{self.reference_records:<5} "
             f"replayed {self.commands_replayed} retried {self.commands_retried} "
@@ -529,15 +514,14 @@ class CrashReport:
 
 def run_crash_case(
     architecture: str,
-    kernel_kind: str,
     crash_point: str,
     orders: int = 6,
     seed: int = 0,
     workdir: str | Path | None = None,
 ) -> CrashReport:
     """Run one full reference/crash/recover/resume cycle and verify it."""
-    report = CrashReport(architecture, kernel_kind, crash_point, seed, orders)
-    cell = f"{architecture}/{kernel_kind}/{crash_point}".encode()
+    report = CrashReport(architecture, crash_point, seed, orders)
+    cell = f"{architecture}/{crash_point}".encode()
     rng = random.Random(zlib.crc32(cell) ^ seed)
     base = Path(workdir) if workdir is not None else Path(tempfile.mkdtemp(prefix="repro-crash-"))
     base.mkdir(parents=True, exist_ok=True)
@@ -547,7 +531,7 @@ def run_crash_case(
     script = _script(orders)
 
     reference_driver = _run_reference(
-        architecture, kernel_kind, reference_dir, script, snapshot_after=orders // 2
+        architecture, reference_dir, script, snapshot_after=orders // 2
     )
     report.reference_records = len(_all_records(reference_dir))
     report.cut_seq = simulate_crash(reference_dir, crashed_dir, crash_point, rng)
@@ -559,7 +543,7 @@ def run_crash_case(
     ]
     report.snapshot_seq = recovered.snapshot_seq
 
-    resumed_driver = _make_driver(architecture, kernel_kind)
+    resumed_driver = _make_driver(architecture)
     journal = attach_journal(resumed_driver.runtime, resumed_dir, flush_interval=1)
     executed: set[str] = set()
     # Phase A: deterministic replay of the recovered command WAL — args come
@@ -612,22 +596,16 @@ def run_crash_case(
 
 def run_crash_matrix(
     architectures: tuple[str, ...] = ARCHITECTURES,
-    kernels: tuple[str, ...] = KERNELS,
     crash_points: tuple[str, ...] = CRASH_POINTS,
     orders: int = 6,
     seed: int = 0,
 ) -> list[CrashReport]:
     """Run the full crash matrix; returns one report per cell."""
-    reports = []
-    for architecture in architectures:
-        for kernel_kind in kernels:
-            for crash_point in crash_points:
-                reports.append(
-                    run_crash_case(
-                        architecture, kernel_kind, crash_point, orders, seed
-                    )
-                )
-    return reports
+    return [
+        run_crash_case(architecture, crash_point, orders, seed)
+        for architecture in architectures
+        for crash_point in crash_points
+    ]
 
 
 def render_reports(reports: list[CrashReport]) -> str:

@@ -3,17 +3,18 @@
 Two numbers gate the durability layer in CI:
 
 * ``journal_write_overhead`` — fractional wall-time cost of write-ahead
-  journaling on the 4-shard deterministic hub workload.  The workload
-  models the paper's §4.6 hub (:class:`_HubWorkload`): P trading partners
-  fire messages at one hub, each message is routed to its partner's
-  shard, updates that partner's counters and emits one lifecycle event,
-  and every 50th message notifies another partner through the
-  inter-shard channel.  Every 500th message stands for a durable commit
-  whose wait is sized to ``wait_factor x`` the per-message Python cost.
-  The workload executes bare and with a
-  :class:`~repro.runtime.journal.ShardedJournal` attached; see
-  :func:`measure_write_overhead` for how the commit-wait budget enters
-  the ratio.  Ceiling: 15%.  The fused per-class event framer, the
+  journaling on the deterministic hub workload.  The workload models the
+  paper's §4.6 hub (:class:`_HubWorkload`): P trading partners fire
+  messages at one :class:`~repro.runtime.kernel.Kernel`, each message
+  updates its partner's counters and emits one lifecycle event, and
+  every 50th message queues a task that notifies another partner.  Every
+  500th message stands for a durable commit whose wait is sized to
+  ``wait_factor x`` the per-message Python cost.  The workload executes
+  bare and with a :class:`~repro.runtime.journal.KernelJournal`
+  attached; see :func:`measure_write_overhead` for how the commit-wait
+  budget enters the ratio.  Ceiling: 15%
+  (``CEILINGS["journal_write_overhead"]`` in
+  :mod:`repro.analysis.bench`).  The fused per-class event framer, the
   cached JSON encoder, and group-commit buffered appends are what keep
   it there.
 
@@ -28,11 +29,15 @@ Two numbers gate the durability layer in CI:
 * ``recovery_events_per_sec`` / ``recovery_time_per_1k_events_ms`` —
   full :func:`repro.runtime.recovery.recover` throughput (segment scan,
   checksum verification, decode, projection fold) over a synthetic
-  journal.  Floor: 50k events/sec replayed; the derived per-1k-events
-  milliseconds is the operator-facing "how long is my restart" number.
+  journal.  Floor: 50k events/sec replayed
+  (``SPEEDUP_FLOORS["recovery_events_per_sec"]``); the derived
+  per-1k-events milliseconds is the operator-facing "how long is my
+  restart" number.
 
-Measurements interleave bare/journaled runs and take the best (minimum)
-elapsed of the repeats, so scheduler hiccups do not fail the gate.
+Measurements interleave bare/journaled runs and take the smallest of the
+repeats, so scheduler hiccups do not fail the gate; for the overhead,
+the smallest paired delta is biased low (see
+:func:`measure_write_overhead`).
 """
 
 from __future__ import annotations
@@ -45,21 +50,15 @@ from typing import Any
 
 from repro.runtime.events import DocumentReceived
 from repro.runtime.journal import attach_journal
+from repro.runtime.kernel import Kernel
 from repro.runtime.recovery import recover
-from repro.runtime.sharding import ShardedKernel
 
 __all__ = [
     "run_journal_benchmark",
     "build_recovery_journal",
     "measure_write_overhead",
     "measure_recovery",
-    "OVERHEAD_CEILING",
-    "RECOVERY_FLOOR",
 ]
-
-# Mirrored by CEILINGS / SPEEDUP_FLOORS in repro.analysis.bench.
-OVERHEAD_CEILING = 0.15
-RECOVERY_FLOOR = 50_000.0
 
 # Every _CROSS_EVERY-th message notifies another partner; the hub drains
 # every _CHUNK messages.
@@ -72,7 +71,7 @@ class _HubWorkload:
 
     def __init__(
         self,
-        kernel: ShardedKernel,
+        kernel: Kernel,
         partner_ids: list[str],
         emit_events: bool = True,
     ) -> None:
@@ -102,15 +101,13 @@ class _HubWorkload:
                 partner_id=partner,
             )
         if sequence % _CROSS_EVERY == 0:
-            # Notify the next partner (usually on another shard) through
-            # the explicit inter-shard channel.
+            # Notify the next partner through a task of its own.
             sibling = self.partner_ids[
                 (self.partner_ids.index(partner) + 1) % len(self.partner_ids)
             ]
             self.kernel.submit(
                 lambda: self.notify(sibling, sequence),
                 label=f"notify:{sibling}",
-                partner_key=sibling,
             )
 
     def notify(self, partner: str, sequence: int) -> None:
@@ -126,7 +123,7 @@ class _HubWorkload:
             )
 
 
-def _feed(kernel: ShardedKernel, workload: _HubWorkload, messages: int) -> None:
+def _feed(kernel: Kernel, workload: _HubWorkload, messages: int) -> None:
     """Submit ``messages`` round-robin over the partners, draining every
     ``_CHUNK`` messages."""
     partner_ids = workload.partner_ids
@@ -140,8 +137,7 @@ def _feed(kernel: ShardedKernel, workload: _HubWorkload, messages: int) -> None:
             kernel.submit(
                 lambda partner=partner, sequence=sequence: workload.handle(
                     partner, sequence
-                ),
-                partner_key=partner,
+                )
             )
         kernel.drain()
         fed += batch
@@ -159,11 +155,11 @@ def _calibrate_commit_wait(
 ) -> float:
     """Pick the commit wait so total wait ~= wait_factor x Python cost.
 
-    Measures the per-message Python cost on an event-free 1-shard run,
-    then sizes the wait so the ratio is governed by the
-    (machine-independent) wait factor instead of absolute CPU speed.
+    Measures the per-message Python cost on an event-free run, then
+    sizes the wait so the ratio is governed by the (machine-independent)
+    wait factor instead of absolute CPU speed.
     """
-    kernel = ShardedKernel(shards=1)
+    kernel = Kernel()
     workload = _HubWorkload(kernel, _partner_ids(partners), emit_events=False)
     start = time.perf_counter()
     _feed(kernel, workload, sample)
@@ -171,14 +167,9 @@ def _calibrate_commit_wait(
     return wait_factor * per_message_cost * commit_interval
 
 
-def _hub_elapsed(
-    messages: int,
-    shards: int,
-    partners: int,
-    journal_dir: Path | None,
-) -> float:
+def _hub_elapsed(messages: int, partners: int, journal_dir: Path | None) -> float:
     """Wall time of one hub run, optionally journaled."""
-    kernel = ShardedKernel(shards=shards)
+    kernel = Kernel()
     # Every message journals one lifecycle event.
     workload = _HubWorkload(kernel, _partner_ids(partners))
     journal = None
@@ -198,22 +189,23 @@ def _best(samples: list[float]) -> float:
     thing and all timing spread is scheduler/frequency noise — the
     minimum is the sample closest to the true cost (the standard
     ``timeit`` argument), which matters on shared CI runners whose
-    wall-clock noise would otherwise dwarf a 15% gate."""
+    wall-clock noise would otherwise dwarf a 15% gate.  Applied to paired
+    differences the argument fails and the minimum is biased low (see
+    :func:`measure_write_overhead`)."""
     return min(samples)
 
 
 def measure_write_overhead(
     messages: int = 20_000,
-    shards: int = 4,
     partners: int = 64,
     repeats: int = 5,
     commit_interval: int = 500,
     wait_factor: float = 8.0,
 ) -> dict[str, Any]:
-    """Journal write overhead on the 4-shard deterministic hub workload.
+    """Journal write overhead on the deterministic hub workload.
 
-    Gated number: overhead on the calibrated hub path (4 shards, one
-    lifecycle event per message, a durable-commit wait every
+    Gated number: overhead on the calibrated hub path (one lifecycle
+    event per message, a durable-commit wait every
     ``commit_interval`` messages sized to ``wait_factor x`` the
     per-message Python cost).  The commit wait is modelled, not slept:
     the gate adds its exact budget arithmetically, and journaling adds
@@ -225,13 +217,15 @@ def measure_write_overhead(
     Sleeping for real would measure the same quantity plus per-sleep
     scheduler overshoot (~1ms x 40 waits), which is pure noise against
     a 15% ceiling.  Each repeat runs bare and journaled back to back
-    and yields one cost delta; pairing adjacent-in-time runs cancels
-    machine-speed drift, and since noise only ever adds time, the
-    smallest pair delta is the least-noise estimate of journaling's
-    true added cost (the ``timeit`` argument, applied to the
-    difference).  The calibration probe is likewise run three times and
-    the smallest wait kept.  Also reported, not gated: the CPU-only
-    overhead ``delta_cpu / bare_cpu``.
+    and yields one cost delta, and pairing adjacent-in-time runs cancels
+    machine-speed drift.  The gate keeps the smallest delta.  That is
+    *not* a least-noise estimate: noise adds time to either run of a
+    pair, and noise in the bare run makes the delta smaller, so the
+    minimum is biased low and can read 0 when one bare run is slowed
+    more than its journaled partner (the ``timeit`` argument holds for
+    a single run's time, not for a difference).  The calibration probe
+    is run three times and the smallest wait kept.  Also reported, not
+    gated: the CPU-only overhead ``delta_cpu / bare_cpu``.
     """
     commit_wait = min(
         _calibrate_commit_wait(partners, commit_interval, wait_factor)
@@ -244,13 +238,13 @@ def measure_write_overhead(
     workdir = Path(tempfile.mkdtemp(prefix="repro-journal-bench-"))
     try:
         # Warm both paths once (imports, code caches) before measuring.
-        _hub_elapsed(2_000, shards, partners, None)
-        _hub_elapsed(2_000, shards, partners, workdir / "warm")
+        _hub_elapsed(2_000, partners, None)
+        _hub_elapsed(2_000, partners, workdir / "warm")
         deltas: list[float] = []
         for index in range(repeats):
-            bare_run = _hub_elapsed(messages, shards, partners, None)
+            bare_run = _hub_elapsed(messages, partners, None)
             journal_dir = workdir / f"run-{index}"
-            journaled_run = _hub_elapsed(messages, shards, partners, journal_dir)
+            journaled_run = _hub_elapsed(messages, partners, journal_dir)
             bare.append(bare_run)
             journaled.append(journaled_run)
             deltas.append(journaled_run - bare_run)
@@ -259,7 +253,7 @@ def measure_write_overhead(
                 records = len(recovered.records)
                 bytes_written = sum(
                     path.stat().st_size
-                    for path in journal_dir.rglob("segment-*.jrnl")
+                    for path in journal_dir.glob("segment-*.jrnl")
                 )
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
@@ -273,7 +267,6 @@ def measure_write_overhead(
     per_event_us = 1e6 * delta / records if records else 0.0
     return {
         "messages": messages,
-        "shards": shards,
         "commit_interval": commit_interval,
         "commit_wait_sec": round(commit_wait, 6),
         "wait_budget_sec": round(wait_budget, 4),
@@ -289,9 +282,9 @@ def measure_write_overhead(
     }
 
 
-def build_recovery_journal(directory: Path, events: int, shards: int = 4) -> int:
+def build_recovery_journal(directory: Path, events: int) -> int:
     """Write a journal with ~``events`` lifecycle events; returns the count."""
-    kernel = ShardedKernel(shards=shards)
+    kernel = Kernel()
     workload = _HubWorkload(kernel, _partner_ids(32))
     journal = attach_journal(kernel, directory)
     # ~1 event per message plus notify fan-outs; feed until the target.
@@ -301,14 +294,12 @@ def build_recovery_journal(directory: Path, events: int, shards: int = 4) -> int
     return count
 
 
-def measure_recovery(
-    events: int = 50_000, shards: int = 4, repeats: int = 3
-) -> dict[str, Any]:
+def measure_recovery(events: int = 50_000, repeats: int = 3) -> dict[str, Any]:
     """Recovery (scan + checksum + decode + fold) throughput."""
     workdir = Path(tempfile.mkdtemp(prefix="repro-recovery-bench-"))
     try:
         journal_dir = workdir / "journal"
-        journaled = build_recovery_journal(journal_dir, events, shards)
+        journaled = build_recovery_journal(journal_dir, events)
         recover(journal_dir)  # warm-up
         elapsed: list[float] = []
         replayed = 0
@@ -331,13 +322,11 @@ def measure_recovery(
 
 
 def run_journal_benchmark(
-    messages: int = 20_000,
-    recovery_events: int = 50_000,
-    shards: int = 4,
+    messages: int = 20_000, recovery_events: int = 50_000
 ) -> dict[str, Any]:
     """Both journal gates in one payload (feeds the BENCH envelope)."""
-    overhead = measure_write_overhead(messages=messages, shards=shards)
-    recovery = measure_recovery(events=recovery_events, shards=shards)
+    overhead = measure_write_overhead(messages=messages)
+    recovery = measure_recovery(events=recovery_events)
     return {
         "write": overhead,
         "recovery": recovery,

@@ -77,7 +77,6 @@ def build_two_enterprise_pair(
     retry_policy: RetryPolicy | None = None,
     auto_approve: bool = True,
     verify: bool = False,
-    runtime=None,
 ) -> TwoEnterprisePair:
     """Assemble the paper's running example (Figure 1 / Figure 14).
 
@@ -89,18 +88,10 @@ def build_two_enterprise_pair(
     With ``verify=True``, both assembled models are statically verified
     (:mod:`repro.verify`) and :class:`~repro.errors.VerificationError` is
     raised on any error-severity diagnostic.
-
-    ``runtime`` swaps in an alternative kernel (e.g. a
-    :class:`~repro.runtime.sharding.ShardedKernel`): pass a ``Runtime``
-    instance, or a factory called with the scheduler clock.
     """
     scheduler = EventScheduler()
-    # ``runtime`` may be a Runtime instance or a factory taking the
-    # scheduler clock — kernels must share the simulation clock.
-    if runtime is not None and not hasattr(runtime, "submit"):
-        runtime = runtime(scheduler.clock)
     network = SimulatedNetwork(
-        scheduler, conditions or NetworkConditions.perfect(), seed=seed, runtime=runtime
+        scheduler, conditions or NetworkConditions.perfect(), seed=seed
     )
     van = ValueAddedNetwork()
 

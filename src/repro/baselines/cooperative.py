@@ -376,12 +376,9 @@ class CooperativeCommunity:
             self.buyer.engine.complete_waiting_step(wait_key, {"wire_text": message.body})
 
     def _seller_receives(self, message: Message) -> None:
-        # Partner-keyed ingress: on a sharded runtime the seller handles
-        # each buyer's orders on that buyer's shard.
         self.seller.engine.runtime.submit(
             lambda: self._seller_handles(message),
             label=f"{self.seller.name}:ingress:{message.message_id}",
-            partner_key=message.sender,
         )
         self.seller.engine.runtime.drain()
 

@@ -34,7 +34,7 @@ from repro.backend.base import ERPSimulator
 from repro.baselines.activities import register_naive_activities
 from repro.core.metrics import comparison_terms
 from repro.core.private_process import register_private_activities
-from repro.runtime import Runtime
+from repro.runtime import Kernel
 from repro.sim import Clock
 from repro.workflow.activities import built_in_registry
 from repro.workflow.definitions import (
@@ -291,7 +291,7 @@ def make_participant_engine(
     name: str,
     backend: ERPSimulator,
     clock: Clock | None = None,
-    runtime: Runtime | None = None,
+    runtime: Kernel | None = None,
 ) -> WorkflowEngine:
     """A WFMS for one participant: naive activities + its own back end.
 

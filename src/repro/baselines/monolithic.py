@@ -355,13 +355,9 @@ class NaiveSellerRuntime:
             backend.on_document_ready(self._backend_ready)
 
     def _on_message(self, message) -> None:
-        # Ingress is keyed by the sending partner so a sharded runtime
-        # keeps each partner's instances on that partner's shard; the
-        # single-queue kernel runs it identically.
         self.engine.runtime.submit(
             lambda: self._handle_message(message),
             label=f"{self.name}:ingress:{message.message_id}",
-            partner_key=message.sender,
         )
         self.engine.runtime.drain()
 

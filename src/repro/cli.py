@@ -434,10 +434,8 @@ def _cmd_crash(args: argparse.Namespace) -> int:
     crash_points = (
         tuple(args.crash_point) if args.crash_point else crash.CRASH_POINTS
     )
-    kernels = tuple(args.kernel) if args.kernel else crash.KERNELS
     reports = crash.run_crash_matrix(
         architectures=architectures,
-        kernels=kernels,
         crash_points=crash_points,
         orders=args.orders,
         seed=args.seed,
@@ -570,6 +568,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.set_defaults(handler=_cmd_lint)
 
+    from repro.analysis.crash import ARCHITECTURES, CRASH_POINTS
+
     crash = subparsers.add_parser(
         "crash",
         help="kill/recover the hub at journal offsets and prove exactly-once",
@@ -577,22 +577,14 @@ def build_parser() -> argparse.ArgumentParser:
     crash.add_argument(
         "--arch",
         action="append",
-        choices=["advanced", "monolithic", "cooperative", "distributed"],
-        help="architecture(s) to test (default: all four)",
+        choices=ARCHITECTURES,
+        help="architecture(s) to test (default: all)",
     )
     crash.add_argument(
         "--crash-point",
         action="append",
-        choices=[
-            "pre-journal", "mid-append", "post-append", "mid-snapshot", "random",
-        ],
+        choices=CRASH_POINTS,
         help="crash point(s) to simulate (default: all)",
-    )
-    crash.add_argument(
-        "--kernel",
-        action="append",
-        choices=["kernel", "sharded-4"],
-        help="kernel variant(s) (default: both)",
     )
     crash.add_argument(
         "--orders", type=int, default=6,

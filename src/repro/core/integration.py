@@ -664,18 +664,11 @@ class B2BEngine:
     # -- inbound ------------------------------------------------------------------------
 
     def receive(self, message: Message) -> None:
-        """Shard-aware inbound entry: queue :meth:`handle_message` keyed by
-        the sending partner's address and run to quiescence.
-
-        On the single-queue kernel this is equivalent to calling
-        :meth:`handle_message` directly; on a
-        :class:`~repro.runtime.sharding.ShardedKernel` it routes each
-        partner's inbound traffic to that partner's shard.
-        """
+        """Inbound entry: queue :meth:`handle_message` as a kernel task and
+        run to quiescence."""
         self.runtime.submit(
             lambda: self.handle_message(message),
             label=f"{self.model.name}:receive:{message.message_id}",
-            partner_key=message.sender,
         )
         self.runtime.drain()
 

@@ -21,7 +21,7 @@ from typing import Callable
 
 from repro.errors import EndpointError, MessagingError
 from repro.messaging.envelope import Message
-from repro.runtime import Kernel, MessageDelivered, MessageDropped, MessageSent, Runtime
+from repro.runtime import Kernel, MessageDelivered, MessageDropped, MessageSent
 from repro.sim import EventScheduler
 
 __all__ = ["NetworkConditions", "NetworkStats", "SimulatedNetwork"]
@@ -96,7 +96,7 @@ class SimulatedNetwork:
         scheduler: EventScheduler,
         conditions: NetworkConditions | None = None,
         seed: int = 7,
-        runtime: Runtime | None = None,
+        runtime: Kernel | None = None,
     ):
         self.scheduler = scheduler
         self.conditions = conditions or NetworkConditions.perfect()

@@ -17,8 +17,7 @@ Events fall into four families:
 * **conversation** — B2B-protocol-level document and conversation
   lifecycle emitted by :class:`~repro.core.integration.B2BEngine`
 * **kernel** — scheduler-level signals emitted by the kernel itself:
-  abandoned batches on drain failure and shard backpressure
-  (:class:`~repro.runtime.sharding.ShardedKernel` watermarks)
+  abandoned batches on drain failure
 
 Each event carries ``at`` (simulated clock time) and ``source`` (the name
 of the emitting component: an engine name, an endpoint address, or
@@ -57,8 +56,6 @@ __all__ = [
     "DocumentReceived",
     # kernel / scheduler
     "BatchAbandoned",
-    "ShardSaturated",
-    "ShardDrained",
     "WORKFLOW_EVENTS",
     "MESSAGING_EVENTS",
     "CONVERSATION_EVENTS",
@@ -353,27 +350,6 @@ class BatchAbandoned(RuntimeEvent):
     type = "batch_abandoned"
 
 
-@dataclass(frozen=True)
-class ShardSaturated(RuntimeEvent):
-    """A shard's combined queue+inbox load crossed its saturation watermark."""
-
-    shard: int
-    pending: int
-    watermark: int
-
-    type = "shard_saturated"
-
-
-@dataclass(frozen=True)
-class ShardDrained(RuntimeEvent):
-    """A previously saturated shard's load fell back below the watermark."""
-
-    shard: int
-    pending: int
-
-    type = "shard_drained"
-
-
 WORKFLOW_EVENTS: tuple[type[RuntimeEvent], ...] = (
     InstanceCreated,
     InstanceStarted,
@@ -403,11 +379,7 @@ CONVERSATION_EVENTS: tuple[type[RuntimeEvent], ...] = (
     DocumentReceived,
 )
 
-KERNEL_EVENTS: tuple[type[RuntimeEvent], ...] = (
-    BatchAbandoned,
-    ShardSaturated,
-    ShardDrained,
-)
+KERNEL_EVENTS: tuple[type[RuntimeEvent], ...] = (BatchAbandoned,)
 
 ALL_EVENT_TYPES: frozenset[str] = frozenset(
     cls.type

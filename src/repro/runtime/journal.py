@@ -11,13 +11,9 @@ event-sourcing substrate:
   fsync-optional log of :class:`JournalRecord` frames;
 * :class:`SnapshotStore` — checksummed projection snapshots keyed by the
   journal sequence they were taken at, so recovery replays only the tail;
-* :class:`KernelJournal` / :class:`ShardedJournal` — write-ahead wiring:
-  the kernel bus's ``write_ahead`` hook appends each lifecycle event to
-  the journal *before* any observer applies it.  The sharded variant
-  keeps one journal per shard (each shard's segment bus writes only its
-  own log) while stamping every record with the global submission
-  sequence, so recovery can rebuild the deterministic global-order
-  stream by a k-way merge.
+* :class:`KernelJournal` — write-ahead wiring: the kernel bus's
+  ``write_ahead`` hook appends each lifecycle event to the journal
+  *before* any observer applies it.
 
 Record framing (one ASCII line per record)::
 
@@ -69,7 +65,6 @@ __all__ = [
     "JournalWriter",
     "SnapshotStore",
     "KernelJournal",
-    "ShardedJournal",
     "attach_journal",
     "encode_event",
     "decode_event",
@@ -82,7 +77,6 @@ SNAPSHOT_SCHEMA = "repro-journal-snapshot/1"
 
 SEGMENT_PREFIX = "segment-"
 SEGMENT_SUFFIX = ".jrnl"
-SHARD_DIR_PREFIX = "shard-"
 
 KIND_EVENT = "event"
 KIND_COMMAND = "command"
@@ -597,14 +591,31 @@ class SnapshotStore:
 
 
 # ---------------------------------------------------------------------------
-# Kernel wiring: write-ahead journaling sessions
+# Kernel wiring: the write-ahead journaling session
 # ---------------------------------------------------------------------------
 
 
-class _JournalSessionBase:
-    """Shared machinery of the single-kernel and sharded sessions."""
+class KernelJournal:
+    """Write-ahead journaling for a :class:`~repro.runtime.kernel.Kernel`.
 
-    def __init__(self, directory: str | Path) -> None:
+    Hooks the kernel bus's ``write_ahead`` seam: every published event is
+    framed, checksummed and appended before any observer sees it.  The
+    hook does nothing but encode + append — projection happens lazily at
+    :meth:`snapshot`/recovery time, keeping durability cost per event to
+    the codec and the buffered write.
+    """
+
+    def __init__(
+        self,
+        directory: str | Path,
+        kernel: Any,
+        segment_max_bytes: int = 4_000_000,
+        fsync: bool = False,
+        flush_interval: int = 64,
+    ) -> None:
+        # Refuse before opening anything, so a failed attach leaves no file.
+        if kernel.bus.write_ahead is not None:
+            raise JournalError("kernel bus already has a write-ahead journal")
         self.directory = Path(directory)
         self.snapshots = SnapshotStore(self.directory)
         self.events_journaled = 0
@@ -612,15 +623,32 @@ class _JournalSessionBase:
         self.markers_journaled = 0
         self._next_seq = 0
         self._closed = False
+        self.kernel = kernel
+        self.writer = JournalWriter(
+            self.directory,
+            segment_max_bytes=segment_max_bytes,
+            fsync=fsync,
+            flush_interval=flush_interval,
+        )
+        # Bind once: ``self._write_event`` builds a fresh bound method per
+        # access, so close() must compare against the exact object installed.
+        self._hook = self._write_event
+        kernel.bus.write_ahead = self._hook
 
-    # subclasses route a frame to the right segment writer
-    def _append(self, writer_hint: Any, kind: str, payload: Any) -> int:
-        raise NotImplementedError
-
-    def _take_seq(self) -> int:
+    def _append(self, kind: str, payload: Any) -> int:
         seq = self._next_seq
-        self._next_seq += 1
+        self._next_seq = seq + 1
+        self.writer.append(seq, kind, payload)
         return seq
+
+    def _write_event(self, event: RuntimeEvent) -> None:
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        self.events_journaled += 1
+        frame = _event_frame(seq, event)
+        if frame is None:
+            frame = _frame(seq, KIND_EVENT, encode_event(event))
+        self.writer.append_frame(frame)
 
     @property
     def last_seq(self) -> int:
@@ -635,14 +663,14 @@ class _JournalSessionBase:
         re-submitted by the client and deduplicated against the journal.
         """
         payload = {"id": command_id, "op": op, "args": args}
-        seq = self._append(None, KIND_COMMAND, payload)
+        seq = self._append(KIND_COMMAND, payload)
         self.commands_journaled += 1
         return seq
 
     def mark(self, name: str, data: dict[str, Any]) -> int:
         """Journal an out-of-band durability marker (e.g. registry version)."""
         payload = {"name": name, "data": data}
-        seq = self._append(None, KIND_MARKER, payload)
+        seq = self._append(KIND_MARKER, payload)
         self.markers_journaled += 1
         return seq
 
@@ -687,61 +715,6 @@ class _JournalSessionBase:
         return self.snapshots.save(recovered.projector.state(), self.last_seq)
 
     def flush(self) -> None:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        raise NotImplementedError
-
-
-class KernelJournal(_JournalSessionBase):
-    """Write-ahead journaling for a single-queue :class:`Kernel`.
-
-    Hooks the kernel bus's ``write_ahead`` seam: every published event is
-    framed, checksummed and appended before any observer sees it.  The
-    hook does nothing but encode + append — projection happens lazily at
-    :meth:`snapshot`/recovery time, keeping durability cost per event to
-    the codec and the buffered write.
-    """
-
-    def __init__(
-        self,
-        directory: str | Path,
-        kernel: Any,
-        segment_max_bytes: int = 4_000_000,
-        fsync: bool = False,
-        flush_interval: int = 64,
-    ) -> None:
-        # Refuse before opening anything, so a failed attach leaves no file.
-        if kernel.bus.write_ahead is not None:
-            raise JournalError("kernel bus already has a write-ahead journal")
-        super().__init__(directory)
-        self.kernel = kernel
-        self.writer = JournalWriter(
-            self.directory,
-            segment_max_bytes=segment_max_bytes,
-            fsync=fsync,
-            flush_interval=flush_interval,
-        )
-        # Bind once: ``self._write_event`` builds a fresh bound method per
-        # access, so close() must compare against the exact object installed.
-        self._hook = self._write_event
-        kernel.bus.write_ahead = self._hook
-
-    def _append(self, writer_hint: Any, kind: str, payload: Any) -> int:
-        seq = self._take_seq()
-        self.writer.append(seq, kind, payload)
-        return seq
-
-    def _write_event(self, event: RuntimeEvent) -> None:
-        seq = self._next_seq
-        self._next_seq = seq + 1
-        self.events_journaled += 1
-        frame = _event_frame(seq, event)
-        if frame is None:
-            frame = _frame(seq, KIND_EVENT, encode_event(event))
-        self.writer.append_frame(frame)
-
-    def flush(self) -> None:
         self.writer.flush()
 
     def close(self) -> None:
@@ -753,87 +726,8 @@ class KernelJournal(_JournalSessionBase):
         self.writer.close()
 
 
-class ShardedJournal(_JournalSessionBase):
-    """One journal per shard, stitched by the global submission sequence.
-
-    Each shard's segment bus appends only to that shard's own segment
-    directory (``shard-00/``, ``shard-01/``, ...), preserving the
-    no-shared-mutable-state property that makes shards independent — but
-    every record carries the *global* record sequence, so recovery can
-    k-way-merge the per-shard logs back into the exact deterministic
-    global order the drain executed.  Commands and markers (hub-level,
-    not shard-level) land in shard 0's log.
-    """
-
-    def __init__(
-        self,
-        directory: str | Path,
-        kernel: Any,
-        segment_max_bytes: int = 4_000_000,
-        fsync: bool = False,
-        flush_interval: int = 64,
-    ) -> None:
-        # Check every shard before opening any writer, so a failed attach
-        # leaves no file and no hook behind.
-        for shard in kernel.shards:
-            if shard.bus.write_ahead is not None:
-                raise JournalError(
-                    f"shard {shard.index} bus already has a write-ahead journal"
-                )
-        super().__init__(directory)
-        self.kernel = kernel
-        self.writers: list[JournalWriter] = []
-        self._hooks: list[Callable[[RuntimeEvent], None]] = []
-        for shard in kernel.shards:
-            writer = JournalWriter(
-                self.directory / f"{SHARD_DIR_PREFIX}{shard.index:02d}",
-                segment_max_bytes=segment_max_bytes,
-                fsync=fsync,
-                flush_interval=flush_interval,
-            )
-            self.writers.append(writer)
-            hook = self._make_hook(writer)
-            self._hooks.append(hook)
-            shard.bus.write_ahead = hook
-
-    def _make_hook(self, writer: JournalWriter) -> Callable[[RuntimeEvent], None]:
-        append_frame = writer.append_frame
-
-        def write_event(event: RuntimeEvent) -> None:
-            seq = self._next_seq
-            self._next_seq = seq + 1
-            self.events_journaled += 1
-            frame = _event_frame(seq, event)
-            if frame is None:
-                frame = _frame(seq, KIND_EVENT, encode_event(event))
-            append_frame(frame)
-
-        return write_event
-
-    def _append(self, writer_hint: Any, kind: str, payload: Any) -> int:
-        seq = self._take_seq()
-        self.writers[0].append(seq, kind, payload)
-        return seq
-
-    def flush(self) -> None:
-        for writer in self.writers:
-            writer.flush()
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        for shard, hook in zip(self.kernel.shards, self._hooks):
-            if shard.bus.write_ahead is hook:
-                shard.bus.write_ahead = None
-        for writer in self.writers:
-            writer.close()
-
-
 def attach_journal(
     runtime: Any, directory: str | Path, **options: Any
-) -> KernelJournal | ShardedJournal:
-    """Attach write-ahead journaling to a kernel (sharded or not)."""
-    if hasattr(runtime, "shards"):
-        return ShardedJournal(directory, runtime, **options)
+) -> KernelJournal:
+    """Attach write-ahead journaling to a kernel."""
     return KernelJournal(directory, runtime, **options)

@@ -21,14 +21,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Protocol, runtime_checkable
+from typing import Any, Callable, Iterable
 
 from repro.runtime.bus import EventBus, Subscription
 from repro.runtime.events import BatchAbandoned, RuntimeEvent
 from repro.runtime.observers import MetricsObserver, TraceRecorder
 from repro.sim import Clock
 
-__all__ = ["Kernel", "RunQueue", "Runtime", "Task"]
+__all__ = ["Kernel", "RunQueue", "Task"]
 
 
 @dataclass
@@ -110,56 +110,6 @@ class RunQueue:
         return executed
 
 
-@runtime_checkable
-class Runtime(Protocol):
-    """What engines require of their runtime substrate.
-
-    Two implementations ship: :class:`Kernel`, the single-queue runtime
-    every architecture runs on, and
-    :class:`~repro.runtime.sharding.ShardedKernel`, which partitions the
-    queue by partner and drains in the same global order.  Tests swap in
-    instrumented doubles through the same protocol.
-    """
-
-    clock: Clock
-    bus: EventBus
-    metrics: MetricsObserver
-
-    def submit(
-        self,
-        action: Callable[[], None],
-        label: str = "",
-        partner_key: str | None = None,
-    ) -> None:
-        """Queue an advance task for the next drain.
-
-        ``partner_key`` is a routing hint for sharded runtimes: tasks with
-        the same key land on the same shard.  Single-queue runtimes ignore
-        it.
-        """
-        ...
-
-    def drain(self) -> int:
-        """Run queued tasks to quiescence; returns the number executed."""
-        ...
-
-    def subscribe(
-        self,
-        observer: Callable[[RuntimeEvent], None],
-        events: Iterable[type[RuntimeEvent] | str] | None = None,
-    ) -> Subscription:
-        """Attach an observer to the event bus."""
-        ...
-
-    def publish(self, event: RuntimeEvent) -> None:
-        """Put an already-built event on the bus."""
-        ...
-
-    def emit(self, event_cls: type[RuntimeEvent], source: str, **fields: Any) -> None:
-        """Build an event stamped with the current clock time and publish it."""
-        ...
-
-
 @dataclass
 class Kernel:
     """The shared runtime: clock + run queue + event bus + shipped observers.
@@ -186,14 +136,8 @@ class Kernel:
 
     # -- scheduling --------------------------------------------------------
 
-    def submit(
-        self,
-        action: Callable[[], None],
-        label: str = "",
-        partner_key: str | None = None,
-    ) -> None:
-        # partner_key is a sharding hint; the single-queue kernel has one
-        # shard, so every key routes to the same place.
+    def submit(self, action: Callable[[], None], label: str = "") -> None:
+        """Queue an advance task for the next drain."""
         self.run_queue.submit(action, label)
 
     def drain(self) -> int:

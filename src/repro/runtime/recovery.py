@@ -1,18 +1,15 @@
 """Crash recovery: rebuild hub state from snapshot + journal tail.
 
 The counterpart of :mod:`repro.runtime.journal`.  A journal directory
-(single-kernel, or per-shard subdirectories under a sharded root) plus
-the snapshot store it contains are everything needed to rebuild the
-hub's durable state after a crash:
+plus the snapshot store it contains are everything needed to rebuild
+the hub's durable state after a crash:
 
 1. read every whole record from the segment files, stopping at the
    first torn/corrupt frame (the checksummed framing makes a mid-append
    crash detectable rather than silently poisonous);
-2. for a sharded journal, k-way-merge the per-shard logs by the global
-   record sequence and keep only the **longest contiguous prefix** — a
-   crash tears each shard's tail independently, and any record beyond
-   the first missing sequence may causally depend on a lost one, so the
-   deterministic global-order invariant is preserved by cutting there;
+2. keep only the **longest contiguous sequence prefix** — a missing
+   segment leaves a gap in the sequence, and any record beyond the gap
+   may causally depend on a lost one, so the journal is cut there;
 3. load the newest valid snapshot *at or before* the cut and replay
    only the records after it through a :class:`Projector`.
 
@@ -40,7 +37,6 @@ from repro.runtime.journal import (
     KIND_COMMAND,
     KIND_EVENT,
     KIND_MARKER,
-    SHARD_DIR_PREFIX,
     JournalRecord,
     SnapshotStore,
     Truncation,
@@ -222,7 +218,6 @@ class RecoveredState:
     """Everything :func:`recover` learned from a journal directory."""
 
     directory: Path
-    sharded: bool
     projector: Projector
     records: list[JournalRecord] = field(default_factory=list)
     truncations: list[Truncation] = field(default_factory=list)
@@ -267,40 +262,15 @@ class RecoveredState:
         return ", ".join(parts)
 
 
-def _shard_dirs(directory: Path) -> list[Path]:
-    if not directory.is_dir():
-        return []
-    return sorted(
-        path
-        for path in directory.iterdir()
-        if path.is_dir() and path.name.startswith(SHARD_DIR_PREFIX)
-    )
-
-
 def recover(directory: str | Path) -> RecoveredState:
     """Rebuild durable state from a journal directory.
 
-    Auto-detects layout: ``shard-NN/`` subdirectories mean a
-    :class:`~repro.runtime.journal.ShardedJournal` wrote it, and the
-    per-shard logs are merged by global sequence; otherwise the directory
-    itself holds a single kernel's segments.  Only the longest
-    contiguous sequence prefix is kept (see module docstring), and the
-    newest valid snapshot at or before the cut seeds the projector so
-    only the tail is replayed.
+    Only the longest contiguous sequence prefix is kept (see module
+    docstring), and the newest valid snapshot at or before the cut seeds
+    the projector so only the tail is replayed.
     """
     directory = Path(directory)
-    shard_dirs = _shard_dirs(directory)
-    truncations: list[Truncation] = []
-    if shard_dirs:
-        merged: list[JournalRecord] = []
-        for shard_dir in shard_dirs:
-            shard_records, shard_truncations = read_segment_dir(shard_dir)
-            merged.extend(shard_records)
-            truncations.extend(shard_truncations)
-        merged.sort(key=lambda record: record.seq)
-        records = merged
-    else:
-        records, truncations = read_segment_dir(directory)
+    records, truncations = read_segment_dir(directory)
 
     kept: list[JournalRecord] = []
     for record in records:
@@ -332,7 +302,6 @@ def recover(directory: str | Path) -> RecoveredState:
 
     return RecoveredState(
         directory=directory,
-        sharded=bool(shard_dirs),
         projector=projector,
         records=kept,
         truncations=truncations,

@@ -34,7 +34,6 @@ from repro.runtime import (
     InstanceFailed,
     InstanceStarted,
     Kernel,
-    Runtime,
     RuntimeEvent,
     StepCompleted,
     StepFailed,
@@ -113,7 +112,7 @@ class WorkflowEngine:
         services: dict[str, Any] | None = None,
         raise_on_failure: bool = True,
         persistence: str = PERSIST_PER_STEP,
-        runtime: Runtime | None = None,
+        runtime: Kernel | None = None,
     ):
         if persistence not in (self.PERSIST_PER_STEP, self.PERSIST_PER_QUIESCENCE):
             raise WorkflowError(f"unknown persistence policy {persistence!r}")
@@ -131,9 +130,6 @@ class WorkflowEngine:
         self.raise_on_failure = raise_on_failure
         self._ids = IdGenerator(f"WF-{name}")
         self._wait_index: dict[str, tuple[str, str]] = {}
-        # Shard affinity: instance id -> partner key, captured at creation
-        # so every advance of one partner's instance lands on one shard.
-        self._affinity: dict[str, str] = {}
         # Children started on this engine for masters elsewhere:
         # child instance id -> (master engine, parent instance, parent step).
         self._remote_parents: dict[str, tuple["WorkflowEngine", str, str]] = {}
@@ -189,9 +185,6 @@ class WorkflowEngine:
         )
         instance.record(self.clock.now(), "created")
         self.database.store_instance(instance)
-        partner = merged.get("partner_id") or merged.get("source")
-        if isinstance(partner, str) and partner:
-            self._affinity[instance.instance_id] = partner
         self._emit(
             InstanceCreated,
             instance_id=instance.instance_id,
@@ -370,16 +363,10 @@ class WorkflowEngine:
         batch.  When called from inside a running task (a parent starting
         a child synchronously) the nested drain consumes the shared queue,
         preserving the synchronous-subtree semantics of Section 3.1.
-
-        The instance's partner affinity (captured at creation from the
-        ``partner_id``/``source`` variables) rides along as the sharding
-        key, so on a sharded runtime one partner's instances always
-        advance on one shard; the single-queue kernel ignores it.
         """
         self.runtime.submit(
             lambda: self._advance_instance(instance_id),
             label=f"{self.name}:advance:{instance_id}",
-            partner_key=self._affinity.get(instance_id),
         )
         self.runtime.drain()
         return self.database.load_instance(instance_id)
@@ -518,12 +505,6 @@ class WorkflowEngine:
             parent_instance_id=instance.instance_id,
             parent_step_id=step.step_id,
         )
-        # Children advance on the parent's shard unless they carry their
-        # own partner variables.
-        if instance.instance_id in self._affinity:
-            self._affinity.setdefault(
-                child_id, self._affinity[instance.instance_id]
-            )
         state = instance.step_state(step.step_id)
         state.status = STEP_WAITING
         state.child_instance_id = child_id
@@ -558,10 +539,6 @@ class WorkflowEngine:
         state.status = STEP_WAITING
         self.database.store_instance(instance)
         child_id = remote.create_instance(step.subworkflow, step.version, child_variables)
-        if instance.instance_id in self._affinity:
-            remote._affinity.setdefault(
-                child_id, self._affinity[instance.instance_id]
-            )
         state.child_instance_id = child_id
         instance.record(
             self.clock.now(), "remote_subworkflow_started", step.step_id,

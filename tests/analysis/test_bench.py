@@ -6,10 +6,12 @@ performance numbers themselves; the enforced speedup floors live in the
 benchmark suite and CI gate.
 """
 
+import copy
 import json
 
 import pytest
 
+from repro.analysis import bench
 from repro.analysis.bench import (
     BENCHMARKS,
     TRACKED,
@@ -104,14 +106,45 @@ class TestCli:
     def test_bench_bad_filter_exits_nonzero(self, capsys):
         assert main(["bench", "--filter", "warp_drive"]) == 2
 
-    def test_bench_check_passes_against_own_output(self, tmp_path, capsys):
+    @pytest.fixture
+    def fixed_payload(self, monkeypatch):
+        """Stub the measurement: every run returns the same payload, so a
+        gate verdict cannot hinge on two separate timings."""
+        payload = {
+            "schema": "repro-bench/1",
+            "label": "PR3",
+            "python": "3",
+            "calibration_ops_per_sec": 1000.0,
+            "benchmarks": {
+                "expression_eval_compiled": {
+                    "ops_per_sec": 500.0, "normalized": 0.5, "runs": 10,
+                },
+            },
+            "derived": {},
+        }
+        monkeypatch.setattr(
+            bench, "run_benchmarks", lambda *args, **kwargs: copy.deepcopy(payload)
+        )
+        return payload
+
+    def test_bench_check_passes_against_own_output(self, tmp_path, capsys, fixed_payload):
         out = tmp_path / "base.json"
         assert main([
-            "bench", "--filter", "expression_eval_compiled",
-            "--min-time", "0.05", "--json", str(out),
+            "bench", "--filter", "expression_eval_compiled", "--json", str(out),
         ]) == 0
         assert main([
-            "bench", "--filter", "expression_eval_compiled",
-            "--min-time", "0.05", "--check", str(out),
+            "bench", "--filter", "expression_eval_compiled", "--check", str(out),
         ]) == 0
         assert "regression gate OK" in capsys.readouterr().out
+
+    def test_bench_check_fails_against_a_faster_baseline(
+        self, tmp_path, capsys, fixed_payload
+    ):
+        baseline = copy.deepcopy(fixed_payload)
+        baseline["benchmarks"]["expression_eval_compiled"]["normalized"] *= 2
+        path = tmp_path / "base.json"
+        path.write_text(json.dumps(baseline))
+        assert main([
+            "bench", "--filter", "expression_eval_compiled", "--check", str(path),
+        ]) == 1
+        assert "REGRESSION GATE FAILED" in capsys.readouterr().err

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.documents import oagis, rosettanet
 from repro.documents.model import Document
 from repro.documents.xmlio import XmlElement, XmlWriter, parse
-from repro.errors import XmlSyntaxError
+from repro.errors import WireFormatError, XmlSyntaxError
 from tests.documents.reference_xmlio import reference_parse, reference_to_wire, serialize
 from tests.documents.strategies import mutated, wire_texts
 
@@ -370,7 +370,8 @@ class TestDifferential:
 # ``reference_to_wire`` builds the XmlElement tree the codecs built before
 # XmlWriter and serializes it.  Every RosettaNet and OAGIS doc type must
 # write the same bytes on any document, and read back to the same document
-# when no field is None, with each absent optional field read back as "".
+# whenever it has lines, with each None or absent optional field read back
+# as "" (a None code field is rejected instead).
 
 _TEXT = st.text(alphabet="aZ09 .-&<>\"'é中\u00a0", max_size=12)
 _NUMBER = st.one_of(
@@ -556,25 +557,26 @@ def _data(layout):
     return layout
 
 
-def _absent_as_empty(data, layout):
-    """``data`` with every absent optional field set to ``""``: the codec
-    writes an absent field as an empty element, which reads back as ``""``."""
+def _read_back(data, layout):
+    """``data`` as the reader returns it: the codec writes an absent
+    optional field and a None field as an empty element, which reads back
+    as ``""``."""
     if isinstance(layout, list):
-        return [_absent_as_empty(item, layout[0]) for item in data]
+        return [_read_back(item, layout[0]) for item in data]
     if isinstance(layout, dict):
         return {
-            key: _absent_as_empty(data[key], sub) if key in data else ""
+            key: _read_back(data[key], sub) if key in data else ""
             for key, sub in layout.items()
         }
-    return data
+    return "" if data is None else data
 
 
-def _has_none(node):
-    if isinstance(node, dict):
-        return any(_has_none(value) for value in node.values())
-    if isinstance(node, list):
-        return any(_has_none(item) for item in node)
-    return node is None
+# The two code fields: the reader rejects an empty code, so a None there
+# does not read back.
+_CODE_FIELDS = {
+    (rosettanet, "po_ack"): ("acknowledgment", "global_response_code"),
+    (oagis, "po_ack"): ("ack_header", "acknowledge_code"),
+}
 
 
 def _has_empty_list(node):
@@ -594,7 +596,14 @@ def test_writer_matches_reference_renderer(module, doc_type, data):
     document = Document(format_name, doc_type, data.draw(_data(layout)))
     text = module.to_wire(document)
     assert text == reference_to_wire(document)
-    # a wire document always has lines; None reads back as ""
-    if not _has_none(document.data) and not _has_empty_list(document.data):
-        expected = Document(format_name, doc_type, _absent_as_empty(document.data, layout))
-        assert module.from_wire(text) == expected
+    if _has_empty_list(document.data):
+        return  # a wire document always has lines
+    code_field = _CODE_FIELDS.get((module, doc_type))
+    if code_field is not None:
+        section, key = code_field
+        if document.data[section][key] is None:
+            with pytest.raises(WireFormatError):
+                module.from_wire(text)
+            return
+    expected = Document(format_name, doc_type, _read_back(document.data, layout))
+    assert module.from_wire(text) == expected

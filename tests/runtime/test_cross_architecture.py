@@ -3,7 +3,7 @@
 The same business scenario — one purchase-order round trip — executes on
 the monolithic, cooperative, and distributed-interorg baselines and on the
 advanced B2B engine.  Each run must (a) schedule through the shared
-``Runtime``/``RunQueue`` kernel and (b) emit the same core lifecycle event
+``Kernel``/``RunQueue`` and (b) emit the same core lifecycle event
 types, so the paper's per-architecture comparisons measure the models, not
 runtime differences.
 """
@@ -26,8 +26,8 @@ from repro.core.enterprise import run_community
 from repro.documents import edi
 from repro.documents.normalized import make_purchase_order
 from repro.messaging.network import NetworkConditions, SimulatedNetwork
-from repro.runtime import ALL_EVENT_TYPES, Kernel, Runtime, ShardedKernel
-from repro.sim import Clock, EventScheduler
+from repro.runtime import ALL_EVENT_TYPES, Kernel
+from repro.sim import EventScheduler
 from repro.transform.catalog import build_standard_registry
 
 LINES = [{"sku": "X", "quantity": 2, "unit_price": 100.0}]
@@ -45,12 +45,9 @@ CORE_WORKFLOW_EVENTS = {
 CORE_NETWORK_EVENTS = {"message_sent", "message_delivered"}
 
 
-def _run_monolithic(runtime_factory=None):
+def _run_monolithic():
     scheduler = EventScheduler()
-    runtime = runtime_factory(scheduler.clock) if runtime_factory else None
-    network = SimulatedNetwork(
-        scheduler, NetworkConditions.perfect(), seed=3, runtime=runtime
-    )
+    network = SimulatedNetwork(scheduler, NetworkConditions.perfect(), seed=3)
     kernel = network.runtime
     trace = kernel.enable_trace()
     runtime = NaiveSellerRuntime(
@@ -69,12 +66,9 @@ def _run_monolithic(runtime_factory=None):
     return kernel, trace
 
 
-def _run_cooperative(runtime_factory=None):
+def _run_cooperative():
     scheduler = EventScheduler()
-    runtime = runtime_factory(scheduler.clock) if runtime_factory else None
-    network = SimulatedNetwork(
-        scheduler, NetworkConditions.perfect(), seed=11, runtime=runtime
-    )
+    network = SimulatedNetwork(scheduler, NetworkConditions.perfect(), seed=11)
     kernel = network.runtime
     trace = kernel.enable_trace()
     community = CooperativeCommunity(
@@ -93,8 +87,8 @@ def _run_cooperative(runtime_factory=None):
     return kernel, trace
 
 
-def _run_distributed(runtime_factory=None):
-    kernel = runtime_factory(Clock()) if runtime_factory else Kernel()
+def _run_distributed():
+    kernel = Kernel()
     trace = kernel.enable_trace()
     left_erp = SapSimulator("SAP")
     right_erp = OracleSimulator("Oracle")
@@ -114,10 +108,8 @@ def _run_distributed(runtime_factory=None):
     return kernel, trace
 
 
-def _run_advanced(runtime_factory=None):
-    pair = build_two_enterprise_pair(
-        "rosettanet", seller_delay=0.0, runtime=runtime_factory
-    )
+def _run_advanced():
+    pair = build_two_enterprise_pair("rosettanet", seller_delay=0.0)
     kernel = pair.runtime
     trace = kernel.enable_trace()
     instance_id = pair.buyer.submit_order("SAP", "ACME", "PO-X1", LINES)
@@ -186,39 +178,3 @@ class TestSharedKernelAcrossArchitectures:
                         "step_started"
                     ), (name, instance_id)
 
-
-class TestShardedKernelParity:
-    """A single-shard ShardedKernel is a drop-in Kernel replacement.
-
-    Every architecture runs unmodified on ``ShardedKernel(shards=1)``
-    and must produce **byte-identical** metrics and
-    an identical rendered event trace versus the plain ``Kernel`` run —
-    the acceptance bar for the sharded hub refactor.
-    """
-
-    @staticmethod
-    def _sharded_factory(clock):
-        return ShardedKernel(shards=1, clock=clock)
-
-    def test_sharded_kernel_satisfies_runtime_protocol(self):
-        assert isinstance(ShardedKernel(), Runtime)
-
-    def test_single_shard_metrics_and_trace_match_kernel(self):
-        import json
-
-        for name, (runner, _networked) in ARCHITECTURES.items():
-            baseline_kernel, baseline_trace = runner()
-            sharded_kernel, sharded_trace = runner(self._sharded_factory)
-            assert isinstance(sharded_kernel, ShardedKernel), name
-            baseline_metrics = json.dumps(
-                baseline_kernel.metrics.as_dict(), sort_keys=True
-            )
-            sharded_metrics = json.dumps(
-                sharded_kernel.metrics.as_dict(), sort_keys=True
-            )
-            assert baseline_metrics == sharded_metrics, name
-            assert baseline_trace.render() == sharded_trace.render(), name
-            assert (
-                baseline_kernel.run_queue.tasks_executed
-                == sharded_kernel.run_queue.tasks_executed
-            ), name

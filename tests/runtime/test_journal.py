@@ -24,7 +24,6 @@ from repro.runtime.journal import (
     read_segment_dir,
     segment_files,
 )
-from repro.runtime.sharding import ShardedKernel
 
 SAMPLE_VALUES = {"str": "value-01", "float": 12.5, "int": 7}
 
@@ -260,25 +259,6 @@ class TestKernelJournalSession:
             attach_journal(kernel, refused)
         journal.close()
         assert not refused.exists() or not any(refused.rglob("*"))
-
-    def test_refused_sharded_attach_leaves_no_hook_and_no_file(self, tmp_path):
-        kernel = ShardedKernel(shards=4)
-        def other_hook(event):
-            return None
-
-        kernel.shards[2].bus.write_ahead = other_hook
-        directory = tmp_path / "journal"
-        with pytest.raises(JournalError, match="shard 2 bus already has"):
-            attach_journal(kernel, directory)
-        assert [shard.bus.write_ahead for shard in kernel.shards] == [
-            None, None, other_hook, None,
-        ]
-        assert not directory.exists() or not any(directory.rglob("*"))
-        kernel.shards[2].bus.write_ahead = None
-        journal = attach_journal(kernel, directory)
-        assert all(shard.bus.write_ahead is not None for shard in kernel.shards)
-        journal.close()
-        assert all(shard.bus.write_ahead is None for shard in kernel.shards)
 
     def test_events_commands_and_markers_share_one_sequence(self, tmp_path):
         kernel = Kernel()

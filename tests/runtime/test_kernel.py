@@ -10,7 +10,6 @@ from repro.runtime import (
     Kernel,
     MetricsObserver,
     RunQueue,
-    Runtime,
     StepStarted,
     TraceRecorder,
 )
@@ -277,9 +276,6 @@ class TestHistogram:
 
 
 class TestKernel:
-    def test_satisfies_runtime_protocol(self):
-        assert isinstance(Kernel(), Runtime)
-
     def test_emit_stamps_clock_time(self):
         clock = Clock(start=3.5)
         kernel = Kernel(clock=clock)
@@ -331,6 +327,4 @@ class TestKernel:
         assert "message_delivered" in ALL_EVENT_TYPES
         assert "conversation_completed" in ALL_EVENT_TYPES
         assert "batch_abandoned" in ALL_EVENT_TYPES
-        assert "shard_saturated" in ALL_EVENT_TYPES
-        assert "shard_drained" in ALL_EVENT_TYPES
-        assert len(ALL_EVENT_TYPES) == 23
+        assert len(ALL_EVENT_TYPES) == 21

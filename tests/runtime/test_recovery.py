@@ -1,4 +1,4 @@
-"""Recovery tests: prefix replay, snapshot stitching, sharded merge."""
+"""Recovery tests: prefix replay, snapshot stitching, sequence-gap cut."""
 
 import shutil
 
@@ -15,7 +15,6 @@ from repro.runtime import (
     recover,
 )
 from repro.runtime.journal import segment_files
-from repro.runtime.sharding import ShardedKernel
 
 # -- workload --------------------------------------------------------------
 
@@ -177,69 +176,32 @@ def test_projection_queries_surface_crash_fragile_state(tmp_path):
     assert projector.command_ids() == {"cmd-C-1"}
 
 
-# -- sharded merge ---------------------------------------------------------
+# -- sequence gap ----------------------------------------------------------
 
 
-def write_sharded_journal(directory, count, shards=4):
-    """Drain ``count`` keyed tasks so events land on their owning shards
-    (a direct ``emit`` from outside a drain always lands on shard 0)."""
-    kernel = ShardedKernel(shards=shards)
-    journal = attach_journal(kernel, directory, flush_interval=1)
-
-    def receive(index, partner):
+def test_missing_segment_cuts_at_longest_contiguous_prefix(tmp_path):
+    kernel = Kernel()
+    journal = attach_journal(
+        kernel, tmp_path, segment_max_bytes=400, flush_interval=1
+    )
+    for index in range(30):
         kernel.emit(
             DocumentReceived, "hub",
             conversation_id=f"C-{index}", doc_type="purchase_order",
-            partner_id=partner,
+            partner_id="acme",
         )
-
-    for index in range(count):
-        partner = f"partner-{index % 8}"
-        kernel.submit(
-            lambda index=index, partner=partner: receive(index, partner),
-            partner_key=partner,
-        )
-    kernel.drain()
     journal.close()
-
-
-def test_sharded_journal_merges_to_global_order(tmp_path):
-    write_sharded_journal(tmp_path, 60)
-    populated = [
-        path for path in sorted(tmp_path.glob("shard-*"))
-        if sum(seg.stat().st_size for seg in segment_files(path))
-    ]
-    assert len(populated) > 1  # the workload really is spread out
-    recovered = recover(tmp_path)
-    assert recovered.sharded
-    assert [record.seq for record in recovered.records] == list(range(60))
-
-
-def test_sharded_gap_cuts_at_longest_contiguous_prefix(tmp_path):
-    write_sharded_journal(tmp_path, 60)
+    segments = segment_files(tmp_path)
+    assert len(segments) >= 3
+    per_segment = [len(segment.read_bytes().splitlines()) for segment in segments]
     full = recover(tmp_path)
+    assert len(full.records) == sum(per_segment) == 30
 
-    # Tear the tail off ONE shard's log: every global sequence past that
-    # shard's first lost record may depend on it, so recovery must cut
-    # there even though the other shards' records survive intact.
-    # Pick the busiest shard so the tear actually loses records (three
-    # conversations hash unevenly over four shards).
-    victim = max(
-        sorted(tmp_path.glob("shard-*")),
-        key=lambda path: sum(
-            len(seg.read_bytes().splitlines()) for seg in segment_files(path)
-        ),
-    )
-    (segment,) = segment_files(victim)
-    lines = segment.read_bytes().splitlines(keepends=True)
-    assert len(lines) >= 2
-    kept_lines = lines[: len(lines) // 2]
-    segment.write_bytes(b"".join(kept_lines))
-    victim_kept = {int(line.split(b" ", 1)[0]) for line in kept_lines}
-    victim_all = {int(line.split(b" ", 1)[0]) for line in lines}
-    first_lost = min(victim_all - victim_kept)
-
+    # A lost middle segment leaves a gap in the sequence: every record
+    # past it may depend on a lost one, so recovery cuts at the gap even
+    # though the later segments are whole.
+    segments[1].unlink()
     recovered = recover(tmp_path)
-    assert recovered.last_seq == first_lost - 1
-    assert recovered.dropped_records > 0
-    assert record_keys(recovered) == record_keys(full)[:first_lost]
+    assert record_keys(recovered) == record_keys(full)[: per_segment[0]]
+    assert recovered.dropped_records == sum(per_segment[2:])
+    assert recovered.truncations == []
