@@ -1,6 +1,8 @@
 """Journal cost/recovery benchmarks: durability must stay off the hot path.
 
-Two numbers gate the durability layer in CI:
+Two numbers gate the durability layer in CI, through the ``journal``
+gate of the benchmark registry (:mod:`repro.analysis.bench`, run by
+``repro bench``), which also declares their bounds in ``BOUNDS``:
 
 * ``journal_write_overhead`` — fractional wall-time cost of write-ahead
   journaling on the deterministic hub workload.  The workload models the
@@ -12,11 +14,9 @@ Two numbers gate the durability layer in CI:
   ``wait_factor x`` the per-message Python cost.  The workload executes
   bare and with a :class:`~repro.runtime.journal.KernelJournal`
   attached; see :func:`measure_write_overhead` for how the commit-wait
-  budget enters the ratio.  Ceiling: 15%
-  (``CEILINGS["journal_write_overhead"]`` in
-  :mod:`repro.analysis.bench`).  The fused per-class event framer, the
-  cached JSON encoder, and group-commit buffered appends are what keep
-  it there.
+  budget enters the ratio.  Ceiling: 15%.  The fused per-class event
+  framer, the cached JSON encoder, and group-commit buffered appends are
+  what keep it there.
 
   ``journal_write_overhead_cpu`` is reported alongside (not gated): the
   same comparison with commit waits disabled, i.e. journaling cost
@@ -29,8 +29,7 @@ Two numbers gate the durability layer in CI:
 * ``recovery_events_per_sec`` / ``recovery_time_per_1k_events_ms`` —
   full :func:`repro.runtime.recovery.recover` throughput (segment scan,
   checksum verification, decode, projection fold) over a synthetic
-  journal.  Floor: 50k events/sec replayed
-  (``SPEEDUP_FLOORS["recovery_events_per_sec"]``); the derived
+  journal.  Floor: 50k events/sec replayed; the derived
   per-1k-events milliseconds is the operator-facing "how long is my
   restart" number.
 

@@ -8,7 +8,7 @@
     python -m repro changes         # the Section 4.5 change-impact table
     python -m repro patterns        # Section 1's four exchange patterns
     python -m repro lint            # statically verify all example models
-    python -m repro bench           # time the per-message hot paths
+    python -m repro bench           # the benchmark registry and its bounds
 
 Installed as the ``repro-b2b`` console script.
 """
@@ -600,11 +600,25 @@ def build_parser() -> argparse.ArgumentParser:
     crash.set_defaults(handler=_cmd_crash)
 
     bench = subparsers.add_parser(
-        "bench", help="benchmark the per-message hot paths"
+        "bench", help="run the benchmark registry and check its bounds"
     )
-    from repro.analysis.bench import add_arguments as _bench_arguments
-
-    _bench_arguments(bench)
+    bench.add_argument(
+        "--filter",
+        help="run only benchmarks and gates whose name contains this substring",
+    )
+    bench.add_argument(
+        "--min-time", type=float, default=0.2,
+        help="minimum seconds per timed benchmark or throughput (default: 0.2)",
+    )
+    bench.add_argument(
+        "--json", metavar="PATH",
+        help="write the machine-readable results to PATH ('-' for stdout)",
+    )
+    bench.add_argument(
+        "--check", metavar="BASELINE",
+        help="check every bound against a committed baseline JSON; exit 1 "
+        "when one fails (without --filter, also when one was not measured)",
+    )
     bench.set_defaults(handler=_cmd_bench)
     return parser
 

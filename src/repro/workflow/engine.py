@@ -23,7 +23,7 @@ resident in the engine between advances.  Control-flow semantics:
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from repro.errors import ActivityError, DefinitionError, InstanceError, WorkflowError
 from repro.messaging.envelope import IdGenerator
@@ -133,7 +133,7 @@ class WorkflowEngine:
         # Children started on this engine for masters elsewhere:
         # child instance id -> (master engine, parent instance, parent step).
         self._remote_parents: dict[str, tuple["WorkflowEngine", str, str]] = {}
-        self._expression_cache: dict[str, Expression] = {}
+        self._programs: dict[str, Callable[[Mapping[str, Any]], Any]] = {}
 
     @property
     def steps_executed(self) -> int:
@@ -455,10 +455,7 @@ class WorkflowEngine:
         workflow_type: WorkflowType,
         step: ActivityStep,
     ) -> None:
-        inputs = {
-            name: self._expression(text).evaluate(instance.variables)
-            for name, text in step.inputs.items()
-        }
+        inputs = self._inputs(step.inputs, instance.variables)
         context = ActivityContext(
             instance_id=instance.instance_id,
             step_id=step.step_id,
@@ -494,10 +491,7 @@ class WorkflowEngine:
     def _execute_subworkflow(
         self, instance: WorkflowInstance, step: SubworkflowStep
     ) -> None:
-        child_variables = {
-            name: self._expression(text).evaluate(instance.variables)
-            for name, text in step.inputs.items()
-        }
+        child_variables = self._inputs(step.inputs, instance.variables)
         child_id = self.create_instance(
             step.subworkflow,
             step.version,
@@ -531,10 +525,7 @@ class WorkflowEngine:
                 "for remote subworkflow execution"
             )
         remote = directory.get(step.engine)
-        child_variables = {
-            name: self._expression(text).evaluate(instance.variables)
-            for name, text in step.inputs.items()
-        }
+        child_variables = self._inputs(step.inputs, instance.variables)
         state = instance.step_state(step.step_id)
         state.status = STEP_WAITING
         self.database.store_instance(instance)
@@ -566,10 +557,7 @@ class WorkflowEngine:
                 f"loop {step.step_id!r} exceeded max_iterations="
                 f"{step.max_iterations}"
             )
-        child_variables = {
-            name: self._expression(text).evaluate(instance.variables)
-            for name, text in step.inputs.items()
-        }
+        child_variables = self._inputs(step.inputs, instance.variables)
         child_id = self.create_instance(
             step.body,
             variables=child_variables,
@@ -592,7 +580,7 @@ class WorkflowEngine:
         instance.status = refreshed.status
 
     def _loop_condition(self, instance: WorkflowInstance, step: LoopStep) -> bool:
-        return bool(self._condition(step.condition)(instance.variables))
+        return bool(self._program(step.condition)(instance.variables))
 
     # -- child completion -----------------------------------------------------------
 
@@ -728,7 +716,7 @@ class WorkflowEngine:
             if arc.condition is None and not arc.otherwise:
                 values.append((arc, True))
             elif arc.condition is not None:
-                truth = bool(self._condition(arc.condition)(instance.variables))
+                truth = bool(self._program(arc.condition)(instance.variables))
                 any_condition_true = any_condition_true or truth
                 values.append((arc, truth))
         for arc in arcs:
@@ -761,20 +749,21 @@ class WorkflowEngine:
 
     # -- helpers ---------------------------------------------------------------------
 
-    def _expression(self, text: str) -> Expression:
-        expression = self._expression_cache.get(text)
-        if expression is None:
-            # Expression.shared: definitions already validated (and parsed)
-            # the same text at deployment, so reuse that instance.
-            expression = Expression.shared(text)
-            self._expression_cache[text] = expression
-        return expression
+    def _program(self, text: str) -> Callable[[Mapping[str, Any]], Any]:
+        """The compiled ``variables -> value`` callable for ``text``.
 
-    def _condition(self, text: str):
-        """The compiled ``variables -> value`` callable for a condition.
-
-        Conditions are evaluated once per transition per advanced step —
-        the engine's hottest expression site — so they run through
-        :meth:`Expression.compile`'s closure tree, cached per text.
+        Every expression the engine evaluates (transition and loop
+        conditions, step inputs) runs through :meth:`Expression.compile`'s
+        closure tree, cached per text.  ``Expression.shared`` reuses the
+        instance definitions already validated (and parsed) at deployment.
         """
-        return self._expression(text).compile()
+        program = self._programs.get(text)
+        if program is None:
+            program = self._programs[text] = Expression.shared(text).compile()
+        return program
+
+    def _inputs(
+        self, inputs: Mapping[str, str], variables: Mapping[str, Any]
+    ) -> dict[str, Any]:
+        """A step's input expressions evaluated against ``variables``."""
+        return {name: self._program(text)(variables) for name, text in inputs.items()}

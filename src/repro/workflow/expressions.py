@@ -587,7 +587,7 @@ class Expression:
         if self.variables_used():
             return None
         try:
-            return (self.evaluate({}),)
+            return (self.compile()({}),)
         except ExpressionError:
             return None
 

@@ -1,9 +1,9 @@
-"""Tests for the hot-path benchmark driver and the ``repro bench`` CLI.
+"""Tests for the benchmark registry and the ``repro bench`` CLI.
 
-Timings here use tiny ``min_time`` values — the tests verify the driver's
-mechanics (selection, JSON shape, the regression gate's verdicts), not the
-performance numbers themselves; the enforced speedup floors live in the
-benchmark suite and CI gate.
+Timings here use tiny ``min_time`` values and shrunken gate workloads —
+the tests verify the registry's mechanics (selection, JSON shape, the
+bounds' verdicts), not the performance numbers themselves; the bounds are
+enforced by ``repro bench --check`` in CI.
 """
 
 import copy
@@ -14,6 +14,7 @@ import pytest
 from repro.analysis import bench
 from repro.analysis.bench import (
     BENCHMARKS,
+    BOUNDS,
     TRACKED,
     check_against_baseline,
     run_benchmarks,
@@ -47,12 +48,17 @@ class TestDriver:
             assert entry["runs"] > 0
         assert "expression_compile_speedup" in payload["derived"]
 
-    def test_every_benchmark_builds_and_runs(self):
-        # fig14_roundtrip excluded: ~26ms/op is too slow for a unit test
-        names = [name for name in BENCHMARKS if name != "fig14_roundtrip"]
-        payload = run_benchmarks(names, min_time=0.01)
-        assert set(payload["benchmarks"]) == set(names)
+    def test_every_benchmark_builds_and_runs(self, monkeypatch):
+        # Every benchmark and every gate once, the gates at reduced size.
+        monkeypatch.setattr(bench, "JOURNAL_MESSAGES", 2_000)
+        monkeypatch.setattr(bench, "RECOVERY_EVENTS", 2_000)
+        monkeypatch.setattr(bench, "REGISTRY_AGREEMENTS", 20)
+        monkeypatch.setattr(bench, "STATESPACE_BURST", 4)
+        payload = run_benchmarks(min_time=0.01)
+        assert set(payload["benchmarks"]) == set(BENCHMARKS)
         assert payload["derived"]["statespace_states_per_sec"] > 0
+        # Every bound's metric is measured by a benchmark pair or a gate.
+        assert set(BOUNDS) <= set(payload["derived"])
 
 
 class TestRegressionGate:
@@ -87,6 +93,21 @@ class TestRegressionGate:
         # a baseline predating a new benchmark must not crash the gate
         payload = _payload()
         assert check_against_baseline(payload, {"benchmarks": {}}) == []
+
+    def test_bounds_print_in_their_own_units(self):
+        payload = _payload()
+        payload["derived"].update(
+            recovery_events_per_sec=45_000.0, journal_write_overhead=0.2
+        )
+        problems = check_against_baseline(payload, payload)
+        assert (
+            "recovery_events_per_sec: 45,000 events/s is below the "
+            "50,000 events/s floor"
+        ) in problems
+        assert (
+            "journal_write_overhead: 0.2 of hub time is above the "
+            "0.15 of hub time ceiling"
+        ) in problems
 
 
 class TestCli:
@@ -136,6 +157,21 @@ class TestCli:
             "bench", "--filter", "expression_eval_compiled", "--check", str(out),
         ]) == 0
         assert "regression gate OK" in capsys.readouterr().out
+
+    def test_bench_check_without_filter_fails_on_unmeasured_bounds(
+        self, tmp_path, capsys, fixed_payload
+    ):
+        path = tmp_path / "base.json"
+        path.write_text(json.dumps(fixed_payload))
+        # A renamed or skipped metric must not pass an unfiltered run.
+        assert main(["bench", "--check", str(path)]) == 1
+        out, err = capsys.readouterr()
+        unmeasured = [*BOUNDS, *(set(TRACKED) - {"expression_eval_compiled"})]
+        for metric in unmeasured:
+            assert f"{metric}: not measured in this run" in err
+        assert err.count("not measured") == len(unmeasured)
+        # every bound is listed, the held one included
+        assert "ok   expression_eval_compiled: normalized 0.5000" in out
 
     def test_bench_check_fails_against_a_faster_baseline(
         self, tmp_path, capsys, fixed_payload

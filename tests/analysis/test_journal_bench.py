@@ -1,7 +1,7 @@
 """The durability benchmark (:mod:`repro.analysis.journal_bench`) at small
 scale: both measurements run end to end on the deterministic hub
 workload and return their keys.  No bound is asserted here — a run this
-small is too noisy to gate on; ``benchmarks/bench_journal.py --gate``
+small is too noisy to gate on; the ``journal`` gate of ``repro bench``
 does that at full scale."""
 
 from repro.analysis.journal_bench import measure_recovery, measure_write_overhead

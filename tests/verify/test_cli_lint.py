@@ -1,7 +1,14 @@
 """The ``repro lint`` subcommand."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import repro
 from repro.cli import main
 
 
@@ -166,3 +173,37 @@ def test_lint_no_reduce_keeps_deep_verdicts(capsys):
     payload = json.loads(capsys.readouterr().out)
     codes = {d["code"] for d in payload["models"]["deadlock-demo"]["diagnostics"]}
     assert "B2B501" in codes
+
+
+@pytest.mark.parametrize(
+    "options",
+    [["--deep"], ["--dataflow"], ["--dataflow", "--registry", "1000"]],
+    ids=["deep", "dataflow", "dataflow-registry"],
+)
+def test_persisted_cache_is_warm_across_processes(tmp_path, options):
+    # Two processes with different hash seeds share one cache file; a
+    # digest that depended on per-process state would miss.
+    src = str(Path(repro.__file__).resolve().parents[1])
+    argv = [
+        sys.executable, "-m", "repro", "lint", *options, "--incremental",
+        "--cache", str(tmp_path / "cache.json"), "--format", "json",
+    ]
+    reports = []
+    for seed in ("1", "2"):
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+        done = subprocess.run(
+            argv, env=env, capture_output=True, text=True, timeout=120, check=False
+        )
+        assert done.returncode == 0, done.stderr
+        reports.append(json.loads(done.stdout))
+    cold, warm = reports
+    if "--registry" in options:
+        registry = warm["registry"]
+        assert registry["cache_hits"] == registry["agreements"] == 1000
+        assert registry["dataflow"]["routes"] > 0
+        assert registry["dataflow"]["route_cache_hit_rate"] == 1.0
+    else:
+        assert cold["totals"]["cache_hits"] == 0
+        assert warm["totals"]["cache_hits"] == warm["totals"]["models"] > 0
+        assert warm["totals"]["cache_misses"] == 0
