@@ -23,22 +23,22 @@ entry point; it runs the registry's three parts and checks them:
   * ``statespace_explore`` — the deployment-time conversation model
     check (``repro lint --deep``) of the receipt-acknowledged RosettaNet
     pair, the largest shipped conversation;
-  * ``registry_sweep`` — one cold deep sweep over a synthetic
+  * ``registry_sweep`` — one deep sweep over a synthetic
     250-agreement partner registry.
 
 * ``GATES`` — four workloads that return their own metrics: the journal
   (write overhead and recovery throughput, see
   :mod:`repro.analysis.journal_bench`), full-search explorer throughput
-  on a bursty pair, a cold deep sweep of a 1,000-agreement registry, and
+  on a bursty pair, a deep sweep of a 1,000-agreement registry, and
   schema-dataflow routes verified per second over the example fleet.
 
 * ``BOUNDS`` — the floor or ceiling of every gated metric, plus
   ``TOLERANCE``: each ``TRACKED`` benchmark may fall at most that far
   below its normalized baseline.
 
-Deterministic properties (cache hit rates, one-edit re-verify counts,
-the partial-order-reduction ratio) are not timings; tier-1 tests assert
-them exactly.
+Deterministic properties (one exploration per protocol in a registry
+sweep, the partial-order-reduction ratio) are not timings; tier-1 tests
+assert them exactly.
 
 Results are machine-readable (``--json``).  Because absolute
 ops/sec are machine-bound, every timing is interleaved with a fixed
@@ -102,7 +102,7 @@ BOUNDS = {
     "mapping_compile_speedup": Bound(1.5, "x"),
     # Full-search explorer throughput on the burst-8 pair, calibrated.
     "statespace_normalized_states_per_sec": Bound(8.0, " normalized states/s"),
-    # A cold deep sweep of 1,000 agreements within 5 seconds.
+    # A deep sweep of 1,000 agreements within 5 seconds.
     "registry_lint_cold_sweep_sec": Bound(5.0, " s", floor=False),
     # ~4x headroom under the measured ~900 routes/s.
     "dataflow_routes_per_sec": Bound(200.0, " routes/s"),
@@ -374,15 +374,11 @@ def _gate_statespace(min_time: float) -> dict[str, float]:
 
 
 def _gate_registry_lint(min_time: float) -> dict[str, float]:
-    """One cold deep sweep of the generated registry into a fresh digest
-    cache, timed once."""
+    """One deep sweep of the generated registry, timed once."""
     from repro.analysis.scenarios import build_registry_model
-    from repro.verify.incremental import VerificationCache
     from repro.verify.registry import sweep_registry
 
-    report = sweep_registry(
-        build_registry_model(REGISTRY_AGREEMENTS), deep=True, cache=VerificationCache()
-    )
+    report = sweep_registry(build_registry_model(REGISTRY_AGREEMENTS), deep=True)
     if report.diagnostics:
         raise RuntimeError("registry sweep reported diagnostics")
     return {"registry_lint_cold_sweep_sec": round(report.duration, 4)}
@@ -451,7 +447,7 @@ def _time_ops_per_sec(
     adjacent calibration slice too, so the *ratio* stays stable even when
     absolute rates swing.
     """
-    operation()  # warm-up: caches, lazy imports, plan building
+    operation()  # warm-up: lazy imports, compiled mappings and executors
     slice_time = min_time / repeats
     rates: list[float] = []
     ratios: list[float] = []

@@ -510,7 +510,7 @@ def build_registry_model(agreements: int, seed: int = 7) -> IntegrationModel:
     holds one agreement whose protocol, role and doc types are assigned
     deterministically from ``seed`` — the substrate for registry-sweep
     verification and its benchmarks.  Same ``(agreements, seed)`` always
-    builds a digest-identical model.
+    builds a model with the same ``element_index()``.
     """
     import random
 

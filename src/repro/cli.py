@@ -192,17 +192,19 @@ def _cmd_patterns(args: argparse.Namespace) -> int:
     return 0
 
 
-LINT_SCHEMA_VERSION = 4
+LINT_SCHEMA_VERSION = 5
 """Version of the ``repro lint --format json`` payload shape.
 
 Version 2 wrapped the per-label results under a ``"models"`` key.
-Version 3 added per-model ``cached``/``duration_ms``/``states`` (explored
-and pruned counts, so a statespace regression is attributable to the
-model that caused it), a ``totals`` summary with the cache hit/miss
-split, and the ``registry`` section emitted by ``--registry`` sweeps.
-Version 4 added per-model ``dataflow_routes`` counts and the
-``registry.dataflow`` section (routes, verified/cache-hit split) for the
-B2B7xx schema dataflow pass.
+Version 3 added per-model ``duration_ms``/``states`` (explored and pruned
+counts, so a statespace regression is attributable to the model that
+caused it), a ``totals`` summary, and the ``registry`` section emitted by
+``--registry`` sweeps.  Version 4 added per-model ``dataflow_routes``
+counts and the ``registry.dataflow`` section for the B2B7xx schema
+dataflow pass.  Version 5 dropped the verdict-cache fields: per-model
+``cached``, ``totals.cache_hits``/``cache_misses`` and the registry
+section's ``verified``, ``cache_hits``, ``cache_hit_rate``,
+``fabric_cached`` and dataflow route-cache counts.
 """
 
 
@@ -210,11 +212,12 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     import json
 
     from repro.verify import at_or_above, count_by_severity, render_text
-    from repro.verify.incremental import IncrementalVerifier, VerificationCache
     from repro.verify.targets import (
         build_broken_model,
+        build_dataflow_broken_model,
         build_deadlock_model,
         lint_all,
+        verify_unit,
     )
 
     verify_options = {
@@ -225,15 +228,12 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         "time_budget": args.time_budget,
         "reduce": not args.no_reduce,
     }
-    cache = VerificationCache(args.cache) if args.incremental else None
 
-    if args.registry:
-        return _lint_registry(args, verify_options, cache)
+    if args.registry is not None:
+        return _lint_registry(args, verify_options)
 
     reports: dict = {}
     if args.demo_broken:
-        from repro.verify.incremental import verify_unit
-
         reports["broken-demo"] = verify_unit(
             "broken-demo", build_broken_model(), verify_options
         )
@@ -244,40 +244,23 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             )
         if args.dataflow:
             # the schema-dataflow defects only exist in the mis-typed demo
-            from repro.verify.targets import build_dataflow_broken_model
-
             reports["dataflow-broken-demo"] = verify_unit(
                 "dataflow-broken-demo",
                 build_dataflow_broken_model(),
                 verify_options,
             )
         results = {label: r.diagnostics for label, r in reports.items()}
-        incremental = None
     else:
-        incremental = (
-            IncrementalVerifier(cache, **verify_options) if cache is not None else None
-        )
         try:
-            results = lint_all(
-                only=args.model,
-                incremental=incremental,
-                reports=reports,
-                **(verify_options if incremental is None else {}),
-            )
+            results = lint_all(only=args.model, reports=reports, **verify_options)
         except KeyError as exc:
             print(exc.args[0], file=sys.stderr)
             return 2
-        if incremental is not None:
-            incremental.flush()
 
     failing = 0
     for diagnostics in results.values():
         failing += len(at_or_above(diagnostics, args.fail_on))
 
-    hits = incremental.hits if incremental is not None else 0
-    misses = (
-        incremental.misses if incremental is not None else len(results)
-    )
     if args.format == "json":
         payload = {
             "schema_version": LINT_SCHEMA_VERSION,
@@ -285,7 +268,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
                 label: {
                     "counts": count_by_severity(report.diagnostics),
                     "diagnostics": [d.to_dict() for d in report.diagnostics],
-                    "cached": report.cached,
                     "duration_ms": round(report.duration * 1000, 3),
                     "states": {
                         "explored": report.states_explored,
@@ -297,8 +279,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             },
             "totals": {
                 "models": len(results),
-                "cache_hits": hits,
-                "cache_misses": misses,
                 "duration_ms": round(
                     sum(r.duration for r in reports.values()) * 1000, 3
                 ),
@@ -311,12 +291,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         if args.stats:
             print()
             print(_stats_table(reports))
-        if incremental is not None:
-            print()
-            print(
-                f"cache: {hits} hit(s), {misses} miss(es) "
-                f"({incremental.hit_rate:.0%} hit rate) at {args.cache}"
-            )
         print()
         verdict = "FAIL" if failing else "OK"
         print(
@@ -331,7 +305,6 @@ def _stats_table(reports: dict) -> str:
     rows = [
         {
             "model": label,
-            "cached": "yes" if report.cached else "no",
             "ms": f"{report.duration * 1000:.1f}",
             "explored": report.states_explored,
             "pruned": report.states_pruned,
@@ -340,12 +313,12 @@ def _stats_table(reports: dict) -> str:
         for label, report in sorted(reports.items())
     ]
     return _table(
-        rows, ["model", "cached", "ms", "explored", "pruned", "routes"],
+        rows, ["model", "ms", "explored", "pruned", "routes"],
         "Per-model verification stats",
     )
 
 
-def _lint_registry(args: argparse.Namespace, verify_options: dict, cache) -> int:
+def _lint_registry(args: argparse.Namespace, verify_options: dict) -> int:
     """``repro lint --registry N``: sweep a generated agreement registry."""
     import json
 
@@ -354,9 +327,7 @@ def _lint_registry(args: argparse.Namespace, verify_options: dict, cache) -> int
     from repro.verify.registry import sweep_registry
 
     model = build_registry_model(args.registry)
-    report = sweep_registry(model, cache=cache, **verify_options)
-    if cache is not None:
-        cache.save()
+    report = sweep_registry(model, **verify_options)
     failing = len(at_or_above(report.diagnostics, args.fail_on))
     if args.format == "json":
         payload = {
@@ -365,24 +336,13 @@ def _lint_registry(args: argparse.Namespace, verify_options: dict, cache) -> int
             "registry": {
                 "model": model.name,
                 "agreements": report.agreements,
-                "verified": report.verified,
-                "cache_hits": report.cache_hits,
-                "cache_hit_rate": round(report.cache_hit_rate, 4),
                 "explorations": report.explorations,
                 "states": {
                     "explored": report.states_explored,
                     "pruned": report.states_pruned,
                 },
                 "duration_ms": round(report.duration * 1000, 3),
-                "fabric_cached": report.fabric_cached,
-                "dataflow": {
-                    "routes": report.dataflow_routes,
-                    "routes_verified": report.routes_verified,
-                    "route_cache_hits": report.route_cache_hits,
-                    "route_cache_hit_rate": round(
-                        report.route_cache_hit_rate, 4
-                    ),
-                },
+                "dataflow": {"routes": report.dataflow_routes},
                 "counts": count_by_severity(report.diagnostics),
                 "fabric_diagnostics": [
                     d.to_dict() for d in report.fabric_diagnostics
@@ -401,18 +361,12 @@ def _lint_registry(args: argparse.Namespace, verify_options: dict, cache) -> int
             print(render_text(diagnostics, title=label))
         print(
             f"registry sweep: {report.agreements} agreement(s), "
-            f"{report.verified} verified, {report.cache_hits} cache hit(s) "
-            f"({report.cache_hit_rate:.0%}), {report.explorations} "
-            f"exploration(s), {report.states_explored} state(s) explored "
+            f"{report.explorations} exploration(s), "
+            f"{report.states_explored} state(s) explored "
             f"({report.states_pruned} pruned) in {report.duration * 1000:.1f} ms"
         )
         if report.dataflow_routes:
-            print(
-                f"dataflow: {report.dataflow_routes} route(s), "
-                f"{report.routes_verified} verified, "
-                f"{report.route_cache_hits} cache hit(s) "
-                f"({report.route_cache_hit_rate:.0%})"
-            )
+            print(f"dataflow: {report.dataflow_routes} route(s)")
         print()
         verdict = "FAIL" if failing else "OK"
         print(
@@ -445,6 +399,28 @@ def _cmd_crash(args: argparse.Namespace) -> int:
     else:
         print(crash.render_reports(reports))
     return 0 if all(report.ok for report in reports) else 1
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = 0.0
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be a number > 0, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -523,32 +499,21 @@ def build_parser() -> argparse.ArgumentParser:
         "check the inferred output against each downstream consumer",
     )
     lint.add_argument(
-        "--queue-bound", type=int, default=None, metavar="N",
+        "--queue-bound", type=_positive_int, default=None, metavar="N",
         help="bound on each direction's in-flight message queue during "
         "--deep exploration (default: 2); sends beyond the bound block, "
         "and a globally blocked full queue reports B2B503",
     )
     lint.add_argument(
-        "--max-states", type=int, default=None, metavar="N",
+        "--max-states", type=_positive_int, default=None, metavar="N",
         help="state budget for --deep exploration (default: 4096); when "
         "exhausted the exploration stops and reports B2B505 (truncated, "
         "results incomplete)",
     )
     lint.add_argument(
-        "--time-budget", type=float, default=None, metavar="SECONDS",
+        "--time-budget", type=_positive_float, default=None, metavar="SECONDS",
         help="wall-clock budget for --deep exploration per conversation "
         "pair (default: none); exceeding it reports B2B505",
-    )
-    lint.add_argument(
-        "--incremental", action="store_true",
-        help="reuse cached verdicts for models whose verification digest "
-        "(content fingerprints + verify options) is unchanged; verdicts "
-        "are persisted in the --cache file",
-    )
-    lint.add_argument(
-        "--cache", default=".repro-lint-cache.json", metavar="PATH",
-        help="verification cache file for --incremental "
-        "(default: .repro-lint-cache.json)",
     )
     lint.add_argument(
         "--stats", action="store_true",
@@ -556,10 +521,10 @@ def build_parser() -> argparse.ArgumentParser:
         "(text format; the json format always includes them)",
     )
     lint.add_argument(
-        "--registry", type=int, default=None, metavar="N",
+        "--registry", type=_positive_int, default=None, metavar="N",
         help="instead of the example models, sweep a generated registry "
         "of N trading-partner agreements (explorations are shared per "
-        "protocol; combine with --incremental for warm re-sweeps)",
+        "protocol)",
     )
     lint.add_argument(
         "--no-reduce", action="store_true",

@@ -18,15 +18,10 @@ The same class binds private processes to back-end applications
 (``application`` set instead of ``public_process``): Figure 14's right-hand
 bindings with "Transform to SAP PO" / "Transform to normalized POA".
 
-Bindings sit on the per-message hot path, so chain execution is **planned**:
-the first message through a chain resolves the transformation route (format
-lookups, mapping sequence) once, compiles the mappings, and caches the plan
-keyed on :meth:`Binding.fingerprint` and the registry version.  Later
-messages replay the plan; editing the chain or registering a new mapping
-invalidates it.  The unplanned interpreter, which walks the chain through
-``registry.transform`` step by step, lives in
-``tests/core/reference_binding.py`` as the behavioural reference the
-plans are cross-checked against.
+Each transform step asks the registry for ``registry.transform(document,
+target, context)``; the registry memoizes one compiled executor per
+route, so a chain edit or a newly registered mapping takes effect on the
+next message.
 """
 
 from __future__ import annotations
@@ -36,7 +31,7 @@ from typing import Any, Callable, Mapping
 
 from repro.documents.model import Document
 from repro.errors import BindingError
-from repro.transform.transformer import RouteExecutor, TransformationRegistry
+from repro.transform.transformer import TransformationRegistry
 
 __all__ = [
     "BindingStep",
@@ -52,10 +47,6 @@ KIND_PRODUCE = "produce"
 _KINDS = (KIND_TRANSFORM, KIND_CONSUME, KIND_PRODUCE)
 
 Producer = Callable[[Mapping[str, Any]], Document]
-
-#: distinguishes "route not memoized yet" from a memoized identity route
-#: (``None``) in a chain plan's route table.
-_UNSET: Any = object()
 
 
 @dataclass(frozen=True)
@@ -91,39 +82,6 @@ class BindingStep:
         """Stable description for change detection."""
         producer_name = getattr(self.producer, "__name__", "") if self.producer else ""
         return f"{self.step_id}|{self.kind}|{self.target_format}|{producer_name}"
-
-
-class _ChainPlan:
-    """A cached execution plan for one binding chain.
-
-    ``routes`` memoizes, per (step index, incoming format, doc type), the
-    registry :class:`RouteExecutor` that transform step applies (``None``
-    for the identity route).  Route entries are filled lazily because a
-    ``produce`` step makes the mid-chain document format a runtime
-    property.
-    """
-
-    __slots__ = ("steps", "snapshot", "registry_id", "registry_version", "routes")
-
-    def __init__(
-        self,
-        steps: tuple["BindingStep", ...],
-        registry: TransformationRegistry,
-    ):
-        self.steps = steps
-        self.snapshot = steps
-        self.registry_id = id(registry)
-        self.registry_version = registry.version
-        self.routes: dict[tuple[int, str, str], RouteExecutor | None] = {}
-
-    def valid_for(
-        self, chain: tuple["BindingStep", ...], registry: TransformationRegistry
-    ) -> bool:
-        return (
-            self.registry_id == id(registry)
-            and self.registry_version == registry.version
-            and self.snapshot == chain
-        )
 
 
 class Binding:
@@ -162,11 +120,6 @@ class Binding:
         self.outbound = list(outbound or [])
         self.inbound_runs = 0
         self.outbound_runs = 0
-        # direction -> active plan; (direction, fingerprint, registry id,
-        # registry version) -> built plan, so a structure flipped back to a
-        # previously-seen shape reuses its resolved routes.
-        self._active_plans: dict[str, _ChainPlan] = {}
-        self._plan_cache: dict[tuple[str, str, int, int], _ChainPlan] = {}
 
     # -- execution -----------------------------------------------------------
 
@@ -178,7 +131,7 @@ class Binding:
     ) -> Document | None:
         """Run the inbound chain; ``None`` means the document was consumed."""
         self.inbound_runs += 1
-        return self._run_planned("in", self.inbound, document, registry, context or {})
+        return self._run(self.inbound, document, registry, context or {})
 
     def apply_outbound(
         self,
@@ -188,44 +141,16 @@ class Binding:
     ) -> Document | None:
         """Run the outbound chain; ``None`` means the document was consumed."""
         self.outbound_runs += 1
-        return self._run_planned("out", self.outbound, document, registry, context or {})
+        return self._run(self.outbound, document, registry, context or {})
 
-    # -- planned execution (hot path) ------------------------------------------
-
-    def invalidate_plans(self) -> None:
-        """Drop every cached execution plan (model-change hook)."""
-        self._active_plans.clear()
-        self._plan_cache.clear()
-
-    def _plan(
+    def _run(
         self,
-        direction: str,
-        chain: list[BindingStep],
-        registry: TransformationRegistry,
-    ) -> _ChainPlan:
-        snapshot = tuple(chain)
-        plan = self._active_plans.get(direction)
-        if plan is not None and plan.valid_for(snapshot, registry):
-            return plan
-        key = (direction, self.fingerprint(), id(registry), registry.version)
-        plan = self._plan_cache.get(key)
-        if plan is None or not plan.valid_for(snapshot, registry):
-            plan = _ChainPlan(snapshot, registry)
-            self._plan_cache[key] = plan
-        self._active_plans[direction] = plan
-        return plan
-
-    def _run_planned(
-        self,
-        direction: str,
         chain: list[BindingStep],
         document: Document | None,
         registry: TransformationRegistry,
         context: Mapping[str, Any],
     ) -> Document | None:
-        plan = self._plan(direction, chain, registry)
-        routes = plan.routes
-        for index, step in enumerate(plan.steps):
+        for step in chain:
             if step.kind == KIND_CONSUME:
                 return None
             if step.kind == KIND_PRODUCE:
@@ -237,15 +162,7 @@ class Binding:
                     f"binding {self.name!r}: step {step.step_id!r} has no "
                     "document to transform (consumed earlier in the chain?)"
                 )
-            route_key = (index, document.format_name, document.doc_type)
-            executor = routes.get(route_key, _UNSET)
-            if executor is _UNSET:
-                executor = registry.executor(
-                    document.format_name, step.target_format, document.doc_type
-                )
-                routes[route_key] = executor
-            if executor is not None:
-                document = executor.apply(document, context)
+            document = registry.transform(document, step.target_format, context)
         return document
 
     # -- metrics & change detection ----------------------------------------------
@@ -272,20 +189,6 @@ class Binding:
             "inbound": [step.fingerprint() for step in self.inbound],
             "outbound": [step.fingerprint() for step in self.outbound],
         }
-
-    def fingerprint(self) -> str:
-        """A short stable digest of the binding's structure.
-
-        Derived from :meth:`to_dict` only — runtime counters do not
-        affect it — so two structurally identical bindings share a
-        fingerprint and any structural edit (renamed step, reordered
-        chain, different endpoint) changes it.
-        """
-        import hashlib
-        import json
-
-        payload = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
     def __repr__(self) -> str:
         side = self.public_process or self.application

@@ -259,16 +259,6 @@ class IntegrationModel:
             index[f"application:{name}"] = native_format
         return index
 
-    def verification_digest(self, **verify_options) -> str:
-        """Content digest of everything verification of this model depends
-        on — element fingerprints plus the verify options (see
-        :mod:`repro.verify.incremental`).  Equal digests mean a previously
-        cached verification verdict may be reused verbatim.
-        """
-        from repro.verify.incremental import verification_digest
-
-        return verification_digest(self, verify_options)[0]
-
     def verify(
         self,
         strict: bool = False,

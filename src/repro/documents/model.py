@@ -21,8 +21,6 @@ path.
 from __future__ import annotations
 
 import copy as _copy
-import hashlib
-import json
 import re
 from typing import Any, Iterator
 
@@ -279,31 +277,13 @@ class Document:
     def iter_leaves(self) -> Iterator[tuple[str, Any]]:
         """Yield ``(path_text, scalar_value)`` for every leaf, sorted by path.
 
-        Dicts are walked in key order so the iteration (and anything built on
-        it, such as content digests) is deterministic.
+        Dicts are walked in key order so the iteration is deterministic.
         """
         yield from _walk_leaves("", self.data)
 
     def leaf_count(self) -> int:
         """Return the number of scalar leaves (a size measure for metrics)."""
         return sum(1 for _ in self.iter_leaves())
-
-    def content_digest(self) -> str:
-        """Stable content hash over ``(format, doc_type, data)``.
-
-        Two documents share a digest exactly when they compare equal:
-        the payload is canonical JSON (sorted keys, tight separators),
-        so dict insertion order never leaks into the hash.  Non-JSON
-        scalars fall back to their ``repr``.  This is the document half
-        of the transformation-cache key.
-        """
-        payload = json.dumps(
-            (self.format_name, self.doc_type, self.data),
-            sort_keys=True,
-            separators=(",", ":"),
-            default=repr,
-        )
-        return hashlib.blake2b(payload.encode("utf-8"), digest_size=16).hexdigest()
 
     # -- lifecycle ----------------------------------------------------------
 

@@ -245,8 +245,7 @@ class DocumentSchema:
 
     # The compiled accept check over ``fields`` and a copy of the list it
     # was built from.  Unannotated class attributes, so not dataclass
-    # fields: content digests walk ``dataclasses.fields`` and must not see
-    # them.
+    # fields: equality and ``repr`` must not see them.
     _check = None
     _checked_fields = None
 

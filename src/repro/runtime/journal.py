@@ -27,10 +27,13 @@ whole record — the corrupt-tail cases of the crash harness.  Kinds:
   :func:`encode_event`);
 * ``command`` — a write-ahead record of an external stimulus (an order
   submission, a VAN poll) logged *before* it executes; the exactly-once
-  unit of the recovery contract;
-* ``marker``  — out-of-band durability markers, e.g. the registry
-  versions backing the incremental-lint cache, so warm verdicts can be
-  trusted across restarts.
+  unit of the recovery contract.
+
+Any other kind reads as a corrupt record, so recovery truncates there.
+Each session journals to a directory of its own: sequence numbers start
+at 0 per session, so :class:`JournalWriter` refuses a directory that
+already holds segments rather than append a second run that recovery
+would cut off at the sequence gap.
 
 Recovery semantics live in :mod:`repro.runtime.recovery`.
 """
@@ -57,7 +60,6 @@ from repro.runtime.events import (
 )
 
 __all__ = [
-    "JOURNAL_SCHEMA",
     "SNAPSHOT_SCHEMA",
     "JournalRecord",
     "JournalError",
@@ -72,7 +74,6 @@ __all__ = [
     "segment_files",
 ]
 
-JOURNAL_SCHEMA = "repro-journal/1"
 SNAPSHOT_SCHEMA = "repro-journal-snapshot/1"
 
 SEGMENT_PREFIX = "segment-"
@@ -80,7 +81,6 @@ SEGMENT_SUFFIX = ".jrnl"
 
 KIND_EVENT = "event"
 KIND_COMMAND = "command"
-KIND_MARKER = "marker"
 
 
 class JournalError(Exception):
@@ -180,7 +180,6 @@ _encode_json = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
 _KIND_BYTES = {
     KIND_EVENT: b"event",
     KIND_COMMAND: b"command",
-    KIND_MARKER: b"marker",
 }
 
 # Printable ASCII minus '"' and '\\': strings in this set serialize as
@@ -425,7 +424,8 @@ def read_segment_dir(
 class JournalWriter:
     """Append-only checksummed segment writer.
 
-    :param directory: segment directory (created if missing).
+    :param directory: segment directory (created if missing); one that
+        already holds segments is refused with a :class:`JournalError`.
     :param segment_max_bytes: rotate to a fresh segment once the current
         one reaches this size.
     :param fsync: when True, ``flush()`` also forces the bytes to disk
@@ -448,6 +448,11 @@ class JournalWriter:
         if flush_interval < 1:
             raise JournalError("flush_interval must be >= 1")
         self.directory = Path(directory)
+        if segment_files(self.directory):
+            raise JournalError(
+                f"{self.directory} already holds journal segments; "
+                "journal each session to a fresh directory"
+            )
         self.directory.mkdir(parents=True, exist_ok=True)
         self.segment_max_bytes = segment_max_bytes
         self.fsync = fsync
@@ -457,17 +462,8 @@ class JournalWriter:
         self.segments_rotated = 0
         self._pending: list[bytes] = []
         self._closed = False
-        existing = segment_files(self.directory)
-        if existing:
-            self._segment_index = int(
-                existing[-1].name[len(SEGMENT_PREFIX) : -len(SEGMENT_SUFFIX)]
-            )
-            self._segment_path = existing[-1]
-            self._segment_bytes = self._segment_path.stat().st_size
-            self._handle = self._segment_path.open("ab")
-        else:
-            self._segment_index = 0
-            self._open_segment()
+        self._segment_index = 0
+        self._open_segment()
 
     def _open_segment(self) -> None:
         self._segment_index += 1
@@ -613,23 +609,23 @@ class KernelJournal:
         fsync: bool = False,
         flush_interval: int = 64,
     ) -> None:
-        # Refuse before opening anything, so a failed attach leaves no file.
+        # Refuse before opening anything, so a failed attach leaves no file
+        # (the writer itself refuses a directory that holds segments).
         if kernel.bus.write_ahead is not None:
             raise JournalError("kernel bus already has a write-ahead journal")
         self.directory = Path(directory)
-        self.snapshots = SnapshotStore(self.directory)
-        self.events_journaled = 0
-        self.commands_journaled = 0
-        self.markers_journaled = 0
-        self._next_seq = 0
-        self._closed = False
-        self.kernel = kernel
         self.writer = JournalWriter(
             self.directory,
             segment_max_bytes=segment_max_bytes,
             fsync=fsync,
             flush_interval=flush_interval,
         )
+        self.snapshots = SnapshotStore(self.directory)
+        self.events_journaled = 0
+        self.commands_journaled = 0
+        self._next_seq = 0
+        self._closed = False
+        self.kernel = kernel
         # Bind once: ``self._write_event`` builds a fresh bound method per
         # access, so close() must compare against the exact object installed.
         self._hook = self._write_event
@@ -666,33 +662,6 @@ class KernelJournal:
         seq = self._append(KIND_COMMAND, payload)
         self.commands_journaled += 1
         return seq
-
-    def mark(self, name: str, data: dict[str, Any]) -> int:
-        """Journal an out-of-band durability marker (e.g. registry version)."""
-        payload = {"name": name, "data": data}
-        seq = self._append(KIND_MARKER, payload)
-        self.markers_journaled += 1
-        return seq
-
-    def mark_registry_version(self, model: Any, **verify_options: Any) -> int:
-        """Journal the verification digest of an integration model.
-
-        The incremental-lint cache keys warm verdicts on this digest; by
-        journaling it, a recovered hub can prove its persisted
-        ``.repro-lint-cache.json`` verdicts still apply (digest equal)
-        without re-linting — warm verdicts survive restarts.
-        """
-        from repro.verify.incremental import verification_digest
-
-        digest, _ = verification_digest(model, verify_options)
-        return self.mark(
-            "registry_version",
-            {
-                "model": model.name,
-                "digest": digest,
-                "transforms_version": model.transforms.version,
-            },
-        )
 
     def snapshot(self) -> Path:
         """Persist a projection of the journal at its current position.

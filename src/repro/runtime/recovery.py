@@ -16,13 +16,12 @@ the hub's durable state after a crash:
 The projector is a pure fold over the journal: a JSON-serializable view
 of workflow-instance status, conversation state (which conversations
 are mid-exchange and what documents each side has seen), the
-reliable-messaging dedup window, the write-ahead command log, and any
-registry-version markers.  Exactly-once across a crash falls out of the
-command log: a command journaled before the crash is re-executed by
-deterministic replay; one that never reached the journal is re-submitted
-by the client; the two sets are disjoint by construction, so no order is
-lost and none is duplicated (asserted end-to-end by
-:mod:`repro.analysis.crash`).
+reliable-messaging dedup window and the write-ahead command log.
+Exactly-once across a crash falls out of the command log: a command
+journaled before the crash is re-executed by deterministic replay; one
+that never reached the journal is re-submitted by the client; the two
+sets are disjoint by construction, so no order is lost and none is
+duplicated (asserted end-to-end by :mod:`repro.analysis.crash`).
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from repro.runtime.events import RuntimeEvent
 from repro.runtime.journal import (
     KIND_COMMAND,
     KIND_EVENT,
-    KIND_MARKER,
     JournalRecord,
     SnapshotStore,
     Truncation,
@@ -52,10 +50,9 @@ class Projector:
 
     Applying the same record sequence always yields the same state, and
     ``state()`` round-trips through JSON — the two properties snapshots
-    depend on.  The projection tracks exactly the state the ISSUE calls
-    out as crash-fragile: the workflow database, conversation state, and
-    reliable-messaging dedup windows, plus the command WAL and registry
-    markers.
+    depend on.  The projection tracks exactly the crash-fragile state:
+    the workflow database, conversation state, and reliable-messaging
+    dedup windows, plus the command WAL.
     """
 
     def __init__(self) -> None:
@@ -64,8 +61,6 @@ class Projector:
         self.dedup: dict[str, list[str]] = {}
         self.commands: dict[str, dict[str, Any]] = {}
         self.command_order: list[str] = []
-        self.registry_versions: dict[str, dict[str, Any]] = {}
-        self.markers: dict[str, dict[str, Any]] = {}
         self.counters: dict[str, int] = {}
         self.events_applied = 0
 
@@ -147,17 +142,6 @@ class Projector:
             self.command_order.append(command_id)
         self.commands[command_id] = {"op": payload["op"], "args": payload["args"]}
 
-    def apply_marker(self, payload: dict[str, Any]) -> None:
-        """Fold one marker record (latest marker of a name wins)."""
-        name = payload["name"]
-        data = payload["data"]
-        if name == "registry_version":
-            self.registry_versions[data["model"]] = {
-                "digest": data["digest"],
-                "transforms_version": data["transforms_version"],
-            }
-        self.markers[name] = data
-
     # -- snapshot round-trip ----------------------------------------------
 
     def state(self) -> dict[str, Any]:
@@ -168,8 +152,6 @@ class Projector:
             "dedup": self.dedup,
             "commands": self.commands,
             "command_order": self.command_order,
-            "registry_versions": self.registry_versions,
-            "markers": self.markers,
             "counters": self.counters,
             "events_applied": self.events_applied,
         }
@@ -182,8 +164,6 @@ class Projector:
         self.dedup = state.get("dedup", {})
         self.commands = state.get("commands", {})
         self.command_order = state.get("command_order", [])
-        self.registry_versions = state.get("registry_versions", {})
-        self.markers = state.get("markers", {})
         self.counters = state.get("counters", {})
         self.events_applied = state.get("events_applied", 0)
 
@@ -242,11 +222,6 @@ class RecoveredState:
             record.payload for record in self.records if record.kind == KIND_COMMAND
         ]
 
-    def markers(self) -> list[dict[str, Any]]:
-        return [
-            record.payload for record in self.records if record.kind == KIND_MARKER
-        ]
-
     def describe(self) -> str:
         """One human-readable recovery summary line."""
         parts = [
@@ -296,8 +271,6 @@ def recover(directory: str | Path) -> RecoveredState:
             projector.apply_event(decode_event(record.payload))
         elif record.kind == KIND_COMMAND:
             projector.apply_command(record.payload)
-        elif record.kind == KIND_MARKER:
-            projector.apply_marker(record.payload)
         replayed += 1
 
     return RecoveredState(

@@ -510,30 +510,6 @@ class Mapping:
             self.target_schema.validate(target)
         return target
 
-    def fingerprint(self) -> str:
-        """Stable content hash over formats, rules and schemas.
-
-        The counterpart of :meth:`Binding.fingerprint` for mappings.
-        ``IntegrationModel.element_index`` summarizes a mapping by its
-        rule *count*, which cannot see an in-place rule edit; incremental
-        verification keys on this digest instead, so replacing one rule
-        invalidates exactly the cached verdicts that depend on it.
-        """
-        from repro.verify.incremental import content_digest
-
-        return content_digest(
-            {
-                "name": self.name,
-                "source_format": self.source_format,
-                "target_format": self.target_format,
-                "doc_type": self.doc_type,
-                "rules": list(self.rules),
-                "source_schema": self.source_schema,
-                "target_schema": self.target_schema,
-                "post": self.post,
-            }
-        )
-
     def rule_count(self) -> int:
         """Total number of rules including those nested in Each (a
         complexity measure used by the model metrics)."""

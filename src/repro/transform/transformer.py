@@ -9,9 +9,10 @@ in an enterprise and answers transformation requests:
   argument for a normalized format: with *n* formats you maintain ``2n``
   expert mappings instead of ``n*(n-1)`` pairwise ones (Section 4.2).
 
-Resolved routes compile into memoized :class:`RouteExecutor` objects,
-each running its chain of lowered mappings; every application is counted
-per mapping in ``stats``.
+Resolved routes compile into :class:`RouteExecutor` objects, each running
+its chain of lowered mappings; the registry memoizes one executor per
+route until the next registration, and counts every application per
+mapping in ``stats``.
 """
 
 from __future__ import annotations
@@ -73,10 +74,6 @@ class TransformationRegistry:
         self.hub_format = hub_format
         self._mappings: dict[tuple[str, str, str], Mapping] = {}
         self.stats: Counter[str] = Counter()
-        #: bumped on every registration; binding plan caches key on it so
-        #: a reconfigured registry invalidates every cached execution plan.
-        self.version = 0
-        self._route_cache: dict[tuple[str, str, str], tuple[Mapping, ...]] = {}
         self._executors: dict[tuple[str, str, str], RouteExecutor] = {}
 
     # -- registration --------------------------------------------------------
@@ -90,8 +87,6 @@ class TransformationRegistry:
                 f"({self._mappings[key].name!r})"
             )
         self._mappings[key] = mapping
-        self.version += 1
-        self._route_cache.clear()
         self._executors.clear()
         return mapping
 
@@ -109,33 +104,20 @@ class TransformationRegistry:
     def route(
         self, source_format: str, target_format: str, doc_type: str
     ) -> tuple[Mapping, ...]:
-        """Return the mapping chain from source to target (1 or 2 hops).
+        """Return the mapping chain from source to target (0, 1 or 2 hops).
 
         Raises :class:`NoRouteError` when neither a direct mapping nor a
-        hub route exists.  Successful resolutions are cached until the next
-        registration; the cached tuple itself is returned (no per-call
-        allocation), so callers must not assume a private list.
+        hub route exists.
         """
-        key = (source_format, target_format, doc_type)
-        cached = self._route_cache.get(key)
-        if cached is not None:
-            return cached
-        chain = tuple(self._resolve_route(source_format, target_format, doc_type))
-        self._route_cache[key] = chain
-        return chain
-
-    def _resolve_route(
-        self, source_format: str, target_format: str, doc_type: str
-    ) -> list[Mapping]:
         if source_format == target_format:
-            return []
+            return ()
         direct = self.find(source_format, target_format, doc_type)
         if direct is not None:
-            return [direct]
+            return (direct,)
         inbound = self.find(source_format, self.hub_format, doc_type)
         outbound = self.find(self.hub_format, target_format, doc_type)
         if inbound is not None and outbound is not None:
-            return [inbound, outbound]
+            return (inbound, outbound)
         raise NoRouteError(
             f"no transformation route {source_format!r} -> {target_format!r} "
             f"for doc_type {doc_type!r}"
@@ -147,9 +129,8 @@ class TransformationRegistry:
         """The compiled executor for a route; ``None`` for the identity
         route (document already in the target format).
 
-        Executors are memoized alongside the route cache and dropped on
-        registration, so a stale executor can never serve a reconfigured
-        registry.
+        Executors are memoized per route and dropped on registration, so a
+        stale executor can never serve a reconfigured registry.
         """
         if source_format == target_format:
             return None

@@ -34,11 +34,9 @@ Entry points: ``repro lint`` on the CLI (``--deep`` enables the B2B5xx
 conversation exploration and B2B6xx race analysis; ``--dataflow`` the
 B2B7xx schema dataflow pass), ``IntegrationModel.verify()``
 programmatically, and the scenario builders' ``verify=True`` opt-in.
-
-Verification is *incremental*: every unit's verdict is keyed by a content
-digest of exactly the elements it depends on (see
-:mod:`repro.verify.incremental`), so ``repro lint --incremental`` and the
-registry sweep (:mod:`repro.verify.registry`) re-verify only what changed.
+At registry scale, :func:`sweep_registry` (``repro lint --registry N``)
+explores each protocol's conversations once and shares the verdict
+across every agreement over that protocol.
 """
 
 from repro.verify.binding_checks import (
@@ -65,15 +63,6 @@ from repro.verify.diagnostics import (
     render_text,
     worst_severity,
 )
-from repro.verify.incremental import (
-    IncrementalVerifier,
-    ModelReport,
-    VerificationCache,
-    component_digests,
-    content_digest,
-    verification_digest,
-    verify_unit,
-)
 from repro.verify.effects import (
     FunctionEffects,
     analyze_function,
@@ -89,6 +78,7 @@ from repro.verify.statespace import (
     render_msc,
     verify_conversations,
 )
+from repro.verify.targets import ModelReport, verify_unit
 from repro.verify.workflow_checks import verify_workflow
 
 __all__ = [
@@ -113,12 +103,7 @@ __all__ = [
     "verify_conversations",
     "concurrent_step_pairs",
     "verify_workflow_races",
-    "IncrementalVerifier",
     "ModelReport",
-    "VerificationCache",
-    "component_digests",
-    "content_digest",
-    "verification_digest",
     "verify_unit",
     "SweepReport",
     "sweep_registry",

@@ -26,8 +26,7 @@ state a conforming document is *declared* to have, and mapping rule
 lists transfer an input state to the exact set of paths the rules write
 — a closed world, since the rule language has no dynamic targets.  A
 ``post`` hook (arbitrary Python) collapses the output to the opaque top
-element, exactly as it forfeits cacheability in the transformation
-cache.
+element.
 
 Soundness: every check only fires on *provable* facts — a type conflict
 where the possible-value sets are disjoint, a read of a path no rule
@@ -99,7 +98,6 @@ __all__ = [
     "transfer",
     "counterexample_document",
     "iter_binding_routes",
-    "route_digest_payload",
     "check_mapping_dataflow",
     "check_route_dataflow",
     "check_rule_reads",
@@ -702,20 +700,6 @@ def iter_binding_routes(model: "IntegrationModel") -> Iterator[RouteSpec]:
                 yield RouteSpec(
                     binding.name, direction, doc_type, tuple(mappings)
                 )
-
-
-def route_digest_payload(route: RouteSpec) -> dict:
-    """The content identity of a route verdict: the exact mapping chain.
-
-    Registry sweeps key cached route verdicts on this payload, so
-    agreements sharing a protocol (and therefore a binding) reuse one
-    verdict, and editing any mapping in the chain re-verifies exactly
-    the routes that compose it.
-    """
-    return {
-        "route": route.label,
-        "chain": [mapping.fingerprint() for mapping in route.chain],
-    }
 
 
 def check_route_dataflow(route: RouteSpec) -> list[Diagnostic]:

@@ -72,22 +72,6 @@ class Diagnostic:
             payload["trace"] = list(self.trace)
         return payload
 
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "Diagnostic":
-        """Rebuild a diagnostic from its :meth:`to_dict` form.
-
-        Round-trips exactly — the persisted verification cache of
-        :mod:`repro.verify.incremental` stores verdicts in this shape.
-        """
-        return cls(
-            code=payload["code"],
-            severity=payload["severity"],
-            location=payload["location"],
-            message=payload["message"],
-            hint=payload.get("hint", ""),
-            trace=tuple(payload.get("trace", ())),
-        )
-
     def render(self) -> str:
         """One-line human rendering."""
         line = f"{self.severity:<7} {self.code} {self.location}: {self.message}"

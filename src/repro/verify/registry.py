@@ -2,22 +2,11 @@
 
 The paper's deployment story (§4.5–4.6) requires every pairwise agreement
 to be statically checked before it goes live — not just the shipped
-example models.  A naive loop calling ``verify(deep=True)`` once per
-agreement would re-explore the same protocol product automata thousands
-of times; this sweep is built around two observations:
-
-* **Explorations are shared.**  All agreements over one protocol verify
-  against the same buyer/seller public-process pair, so each protocol is
-  explored at most once per sweep regardless of how many thousands of
-  agreements reference it.
-
-* **Verdicts are cacheable.**  Each agreement's verdict depends only on
-  its protocol descriptor, the protocol's public processes, the partner
-  profile, the agreement terms and the verify options — digested exactly
-  like :mod:`repro.verify.incremental` digests whole models.  With a
-  warm :class:`~repro.verify.incremental.VerificationCache`, a re-sweep
-  after a single-agreement edit re-verifies only that agreement (plus
-  the whole-model fabric pass, whose own digest covers every component).
+example models.  A new partner adds an agreement over an already
+deployed public process, so all agreements over one protocol verify
+against the same buyer/seller public-process pair: a sweep explores each
+protocol at most once, however many thousands of agreements reference
+it, instead of once per agreement.
 
 The fabric pass runs the ordinary static checks once for the shared
 infrastructure (workflows, mappings, bindings, routes, agreement
@@ -43,7 +32,6 @@ from repro.verify.statespace import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.integration import IntegrationModel
-    from repro.verify.incremental import VerificationCache
 
 __all__ = ["SweepReport", "sweep_registry"]
 
@@ -52,39 +40,20 @@ __all__ = ["SweepReport", "sweep_registry"]
 class SweepReport:
     """Outcome of one registry sweep.
 
-    ``verified``/``cache_hits`` count agreements; ``explorations`` counts
-    the conversation explorations actually run (shared per protocol, so
-    it is bounded by the protocol count, not the agreement count).
+    ``explorations`` counts the conversation explorations run (shared per
+    protocol, so it is bounded by the protocol count, not the agreement
+    count).
     """
 
     agreements: int = 0
-    verified: int = 0
-    cache_hits: int = 0
     explorations: int = 0
     states_explored: int = 0
     states_pruned: int = 0
     dataflow_routes: int = 0
-    routes_verified: int = 0
-    route_cache_hits: int = 0
     duration: float = 0.0
-    fabric_cached: bool = False
     fabric_diagnostics: list[Diagnostic] = field(default_factory=list)
     dataflow_diagnostics: list[Diagnostic] = field(default_factory=list)
     agreement_diagnostics: dict[str, list[Diagnostic]] = field(default_factory=dict)
-
-    @property
-    def cache_hit_rate(self) -> float:
-        """Fraction of agreements served from cache (0.0 for an empty sweep)."""
-        return self.cache_hits / self.agreements if self.agreements else 0.0
-
-    @property
-    def route_cache_hit_rate(self) -> float:
-        """Fraction of dataflow routes served from cache (0.0 when none)."""
-        return (
-            self.route_cache_hits / self.dataflow_routes
-            if self.dataflow_routes
-            else 0.0
-        )
 
     @property
     def diagnostics(self) -> list[Diagnostic]:
@@ -113,186 +82,51 @@ def sweep_registry(
     max_states: int | None = None,
     time_budget: float | None = None,
     reduce: bool = True,
-    cache: "VerificationCache | None" = None,
 ) -> SweepReport:
     """Verify every agreement in ``model``'s partner directory.
 
-    With ``dataflow=True`` the B2B7xx schema dataflow pass also runs:
-    mapping-level checks once for the catalog, and route-level checks
-    digest-keyed per binding chain (the chain's mapping fingerprints), so
-    every agreement sharing a protocol — and every re-sweep over an
-    unchanged chain — reuses the route verdict instead of re-analyzing.
-
-    :param cache: optional digest-keyed verdict cache (in-memory or
-        persisted); pass the same cache across sweeps to make unchanged
-        agreements hits.  ``None`` verifies everything cold.
+    With ``dataflow=True`` the B2B7xx schema dataflow pass also runs once
+    for the model: every mapping, every binding-chain route and every
+    rule read, as ``verify_dataflow`` checks them.
     """
-    from repro.verify.incremental import (
-        VerificationCache,
-        component_digests,
-        content_digest,
-        options_digest,
-    )
+    from repro.verify.dataflow import verify_dataflow
 
     started = time.monotonic()
-    if cache is None:
-        cache = VerificationCache()
     options = {
-        "deep": deep,
-        "dataflow": dataflow,
         "queue_bound": queue_bound,
         "max_states": max_states,
         "time_budget": time_budget,
         "reduce": reduce,
     }
-    opts_digest = options_digest(options)
     report = SweepReport()
-
-    # --- fabric pass: every non-conversation check, once for the model
-    fabric_components = component_digests(model)
-    fabric_digest = content_digest(
-        {"options": opts_digest, "components": fabric_components}
-    )
-    fabric_label = f"registry-fabric:{model.name}"
-    entry = cache.lookup(fabric_label, fabric_digest)
-    if entry is not None:
-        report.fabric_cached = True
-        report.fabric_diagnostics = [
-            Diagnostic.from_dict(d) for d in entry.get("diagnostics", [])
-        ]
-    else:
-        report.fabric_diagnostics = verify_model(model, deep=False)
-        cache.store(
-            fabric_label,
-            fabric_digest,
-            fabric_components,
-            report.fabric_diagnostics,
-            {},
-        )
+    report.fabric_diagnostics = verify_model(model, deep=False)
 
     if dataflow:
-        _sweep_dataflow(
-            model, opts_digest, fabric_digest, fabric_components, cache, report
-        )
+        stats: dict[str, Any] = {}
+        prefix = f"model:{model.name}"
+        report.dataflow_diagnostics = [
+            replace(d, location=f"{prefix}/{d.location}")
+            for d in verify_dataflow(model, stats)
+        ]
+        report.dataflow_routes = stats["dataflow_routes"]
 
-    # --- per-agreement pass: shared explorations, digest-gated verdicts
-    public_by_protocol: dict[str, list[str]] = {}
-    for name in sorted(model.public_processes):
-        definition = model.public_processes[name]
-        public_by_protocol.setdefault(definition.protocol, []).append(name)
     explored: dict[str, list[Diagnostic]] = {}
     for agreement in model.partners.agreements():
-        key = ":".join(agreement.key())
-        label = f"agreement:{key}"
+        label = f"agreement:{':'.join(agreement.key())}"
         report.agreements += 1
-        components = {
-            name: fabric_components[name]
-            for name in (
-                f"protocol:{agreement.protocol}",
-                f"partner:{agreement.partner_id}",
-                f"agreement:{key}",
-            )
-            if name in fabric_components
-        }
-        for public_name in public_by_protocol.get(agreement.protocol, ()):
-            components[f"public:{public_name}"] = fabric_components[
-                f"public:{public_name}"
-            ]
-        digest = content_digest({"options": opts_digest, "components": components})
-        entry = cache.lookup(label, digest)
-        if entry is not None:
-            report.cache_hits += 1
+        diagnostics: list[Diagnostic] = []
+        if deep:
+            if agreement.protocol not in explored:
+                explored[agreement.protocol] = _explore_protocol(
+                    model, agreement.protocol, options, report
+                )
             diagnostics = [
-                Diagnostic.from_dict(d) for d in entry.get("diagnostics", [])
+                replace(d, location=f"{label}/{d.location}")
+                for d in explored[agreement.protocol]
             ]
-        else:
-            report.verified += 1
-            diagnostics = []
-            if deep:
-                if agreement.protocol not in explored:
-                    explored[agreement.protocol] = _explore_protocol(
-                        model, agreement.protocol, options, report
-                    )
-                diagnostics = [
-                    replace(d, location=f"{label}/{d.location}")
-                    for d in explored[agreement.protocol]
-                ]
-            cache.store(label, digest, components, diagnostics, {})
         report.agreement_diagnostics[label] = diagnostics
     report.duration = time.monotonic() - started
     return report
-
-
-def _sweep_dataflow(
-    model: "IntegrationModel",
-    opts_digest: str,
-    fabric_digest: str,
-    fabric_components: dict[str, str],
-    cache: "VerificationCache",
-    report: SweepReport,
-) -> None:
-    """The B2B7xx pass of a sweep: cached per catalog and per route.
-
-    Mapping-level checks and rule-read checks depend on the whole model,
-    so they are cached as one unit under the fabric digest; route-level
-    checks depend only on the route's mapping chain, so each route is
-    digest-keyed by its chain fingerprints and reused across agreements
-    and re-sweeps.
-    """
-    from repro.verify.dataflow import (
-        check_mapping_dataflow,
-        check_route_dataflow,
-        check_rule_reads,
-        iter_binding_routes,
-        route_digest_payload,
-    )
-    from repro.verify.incremental import content_digest
-
-    prefix = f"model:{model.name}"
-    routes = list(iter_binding_routes(model))
-    report.dataflow_routes = len(routes)
-
-    catalog_label = f"dataflow-catalog:{model.name}"
-    entry = cache.lookup(catalog_label, fabric_digest)
-    if entry is not None:
-        report.dataflow_diagnostics.extend(
-            Diagnostic.from_dict(d) for d in entry.get("diagnostics", [])
-        )
-    else:
-        diagnostics: list[Diagnostic] = []
-        for mapping in model.transforms.mappings():
-            diagnostics.extend(check_mapping_dataflow(mapping))
-        diagnostics.extend(check_rule_reads(model, routes))
-        diagnostics = [
-            replace(d, location=f"{prefix}/{d.location}") for d in diagnostics
-        ]
-        cache.store(
-            catalog_label, fabric_digest, fabric_components, diagnostics, {}
-        )
-        report.dataflow_diagnostics.extend(diagnostics)
-
-    for route in routes:
-        label = f"dataflow-route:{route.label}"
-        payload = route_digest_payload(route)
-        digest = content_digest({"options": opts_digest, **payload})
-        entry = cache.lookup(label, digest)
-        if entry is not None:
-            report.route_cache_hits += 1
-            diagnostics = [
-                Diagnostic.from_dict(d) for d in entry.get("diagnostics", [])
-            ]
-        else:
-            report.routes_verified += 1
-            diagnostics = [
-                replace(d, location=f"{prefix}/{d.location}")
-                for d in check_route_dataflow(route)
-            ]
-            components = {
-                f"mapping:{mapping.name}": mapping.fingerprint()
-                for mapping in route.chain
-            }
-            cache.store(label, digest, components, diagnostics, {})
-        report.dataflow_diagnostics.extend(diagnostics)
 
 
 def _explore_protocol(

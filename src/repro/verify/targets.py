@@ -5,21 +5,22 @@ any scenario builder, the mapping catalog, or the standard protocol
 registry surfaces as a diagnostic instead of a runtime failure three
 layers deep.  Each builder returns ``{label: unit}`` where a unit is an
 ``IntegrationModel`` (or, for the naive baseline, a bare workflow type);
-:func:`lint_all` verifies every unit — directly, or through an
-:class:`~repro.verify.incremental.IncrementalVerifier` so unchanged
-units are digest-matched cache hits.
+:func:`lint_all` verifies every unit with :func:`verify_unit`, which
+records each unit's diagnostics, time and state counts in a
+:class:`ModelReport`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable
+import time
+from dataclasses import dataclass, field
+from typing import Any, Callable, Mapping
 
 from repro.verify.diagnostics import Diagnostic
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.verify.incremental import IncrementalVerifier, ModelReport
-
 __all__ = [
+    "ModelReport",
+    "verify_unit",
     "lint_targets",
     "lint_units",
     "lint_all",
@@ -27,6 +28,45 @@ __all__ = [
     "build_deadlock_model",
     "build_dataflow_broken_model",
 ]
+
+
+@dataclass
+class ModelReport:
+    """One unit's verification outcome and what it cost."""
+
+    label: str
+    diagnostics: list[Diagnostic] = field(default_factory=list)
+    duration: float = 0.0
+    states_explored: int = 0
+    states_pruned: int = 0
+    dataflow_routes: int = 0
+
+
+def verify_unit(
+    label: str, target: Any, verify_options: Mapping[str, Any] | None = None
+) -> ModelReport:
+    """Verify one unit (model or bare workflow) and time it."""
+    options = dict(verify_options or {})
+    started = time.monotonic()
+    stats: dict[str, Any] = {}
+    if hasattr(target, "transforms"):
+        diagnostics = target.verify(stats=stats, **options)
+    else:
+        from repro.verify.workflow_checks import verify_workflow
+
+        # A bare workflow has no conversations to explore or routes to
+        # dataflow-check; only the deep flag is meaningful (it enables
+        # the B2B6xx race analysis).
+        diagnostics = verify_workflow(target, deep=bool(options.get("deep")))
+    return ModelReport(
+        label=label,
+        diagnostics=diagnostics,
+        duration=time.monotonic() - started,
+        states_explored=int(stats.get("states_explored", 0)),
+        states_pruned=int(stats.get("states_pruned", 0)),
+        dataflow_routes=int(stats.get("dataflow_routes", 0)),
+    )
+
 
 Builder = Callable[[], dict[str, Any]]
 
@@ -128,32 +168,21 @@ def lint_units(only: str | None = None) -> dict[str, Any]:
 
 def lint_all(
     only: str | None = None,
-    incremental: "IncrementalVerifier | None" = None,
-    reports: "dict[str, ModelReport] | None" = None,
+    reports: dict[str, ModelReport] | None = None,
     **verify_options: Any,
 ) -> dict[str, list[Diagnostic]]:
     """Verify all (or one) named lint targets; returns ``{label: diagnostics}``.
 
     :param only: restrict to the target with this name.
-    :param incremental: when given, verification goes through the
-        digest-keyed cache — unchanged units are hits, and
-        ``verify_options`` must have been passed to the verifier instead.
     :param reports: optional dict filled with each unit's
-        :class:`~repro.verify.incremental.ModelReport` (timing, cache
-        status, explored/pruned state counts).
+        :class:`ModelReport` (timing, explored/pruned state counts).
     :param verify_options: forwarded to every model's ``verify()`` —
         ``deep=True`` plus the ``queue_bound``/``max_states``/
         ``time_budget``/``reduce`` exploration controls.
     """
-    from repro.verify.incremental import verify_unit
-
-    units = lint_units(only)
     results: dict[str, list[Diagnostic]] = {}
-    for label, unit in units.items():
-        if incremental is not None:
-            report = incremental.verify(label, unit)
-        else:
-            report = verify_unit(label, unit, verify_options)
+    for label, unit in lint_units(only).items():
+        report = verify_unit(label, unit, verify_options)
         results[label] = report.diagnostics
         if reports is not None:
             reports[label] = report

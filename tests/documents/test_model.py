@@ -187,19 +187,6 @@ class TestLifecycle:
         assert doc != other
 
 
-class TestContentDigest:
-    def test_equal_payloads_collide(self):
-        a = Document("f", "t", {"x": 1, "y": [1, 2]})
-        b = Document("f", "t", {"y": [1, 2], "x": 1})
-        assert a.content_digest() == b.content_digest()
-
-    def test_payload_format_and_type_all_distinguish(self):
-        base = Document("f", "t", {"x": 1})
-        assert base.content_digest() != Document("f", "t", {"x": 2}).content_digest()
-        assert base.content_digest() != Document("g", "t", {"x": 1}).content_digest()
-        assert base.content_digest() != Document("f", "u", {"x": 1}).content_digest()
-
-
 # -- property-based ----------------------------------------------------------
 
 _scalars = st.one_of(

@@ -6,7 +6,7 @@ import zlib
 
 import pytest
 
-from repro.runtime import DocumentReceived, Kernel, MessageSent, attach_journal
+from repro.runtime import DocumentReceived, Kernel, MessageSent, attach_journal, recover
 from repro.runtime.journal import (
     _EVENT_CLASSES,
     _encode_json,
@@ -152,16 +152,15 @@ class TestJournalWriter:
         assert segment.stat().st_size > 0
         writer.close()
 
-    def test_reopen_appends_to_existing_segment(self, tmp_path):
+    def test_directory_with_segments_is_refused(self, tmp_path):
         writer = JournalWriter(tmp_path, flush_interval=1)
         writer.append(0, KIND_EVENT, ["first"])
         writer.close()
-        writer = JournalWriter(tmp_path, flush_interval=1)
-        writer.append(1, KIND_EVENT, ["second"])
-        writer.close()
-        records, _ = read_segment_dir(tmp_path)
-        assert [record.payload[0] for record in records] == ["first", "second"]
-        assert len(segment_files(tmp_path)) == 1
+        before = segment_files(tmp_path)[0].read_bytes()
+        with pytest.raises(JournalError, match="already holds journal segments"):
+            JournalWriter(tmp_path, flush_interval=1)
+        assert segment_files(tmp_path) == [tmp_path / "segment-000001.jrnl"]
+        assert segment_files(tmp_path)[0].read_bytes() == before
 
     def test_closed_writer_rejects_appends(self, tmp_path):
         writer = JournalWriter(tmp_path)
@@ -260,7 +259,31 @@ class TestKernelJournalSession:
         journal.close()
         assert not refused.exists() or not any(refused.rglob("*"))
 
-    def test_events_commands_and_markers_share_one_sequence(self, tmp_path):
+    def test_reattaching_to_a_used_directory_is_refused(self, tmp_path):
+        # Sequence numbers restart at 0 per session, so a second session
+        # appended to the first one's segments would be cut off by
+        # recovery at the sequence gap: refuse it before it writes.
+        def session(kernel):
+            journal = attach_journal(kernel, tmp_path, flush_interval=1)
+            for index in range(5):
+                kernel.emit(
+                    DocumentReceived, "hub",
+                    conversation_id=f"C-{index}", doc_type="po", partner_id="p",
+                )
+            journal.close()
+
+        session(Kernel())
+        before = {path: path.read_bytes() for path in tmp_path.rglob("*")}
+        kernel = Kernel()
+        with pytest.raises(JournalError, match="already holds journal segments"):
+            session(kernel)
+        assert kernel.bus.write_ahead is None
+        assert {path: path.read_bytes() for path in tmp_path.rglob("*")} == before
+        recovered = recover(tmp_path)
+        assert len(recovered.records) == 5
+        assert recovered.dropped_records == 0
+
+    def test_events_and_commands_share_one_sequence(self, tmp_path):
         kernel = Kernel()
         journal = attach_journal(kernel, tmp_path, flush_interval=1)
         journal.log_command("PO-1", "submit", {"po_number": "PO-1"})
@@ -268,16 +291,28 @@ class TestKernelJournalSession:
             DocumentReceived, "hub",
             conversation_id="C-1", doc_type="po", partner_id="p-1",
         )
-        journal.mark("registry_version", {"model": "m", "digest": "d",
-                                          "transforms_version": 1})
+        journal.log_command("PO-2", "submit", {"po_number": "PO-2"})
         journal.close()
         records, _ = read_segment_dir(tmp_path)
         assert [(record.seq, record.kind) for record in records] == [
-            (0, "command"), (1, "event"), (2, "marker"),
+            (0, "command"), (1, "event"), (2, "command"),
         ]
         assert journal.events_journaled == 1
-        assert journal.commands_journaled == 1
-        assert journal.markers_journaled == 1
+        assert journal.commands_journaled == 2
+
+    def test_a_marker_record_reads_as_a_truncation(self, tmp_path):
+        # Journals written before marker records were retired may hold
+        # one; recovery keeps everything before it and cuts there.
+        writer = JournalWriter(tmp_path, flush_interval=1)
+        writer.append(0, KIND_EVENT, ["tick"])
+        writer.close()
+        body = b'{"data":{},"name":"registry_version"}'
+        frame = b"1 marker %d %08x %s\n" % (len(body), zlib.crc32(body), body)
+        with segment_files(tmp_path)[0].open("ab") as handle:
+            handle.write(frame)
+        records, truncations = read_segment_dir(tmp_path)
+        assert [record.seq for record in records] == [0]
+        assert truncations[0].reason == "unknown record kind 'marker'"
 
     def test_snapshot_validates_its_own_recovery(self, tmp_path):
         kernel = Kernel()

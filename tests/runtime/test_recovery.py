@@ -50,22 +50,17 @@ def apply_operation(kernel, journal, operation) -> None:
             message_id=f"msg-{conversation}-{doc_type}", sender="hub",
             receiver=partner, kind="business",
         )
-    elif tag == "command":
+    else:  # command
         journal.log_command(
             f"cmd-{conversation}", "submit_order",
             {"po_number": conversation, "partner": partner},
-        )
-    else:  # marker
-        journal.mark(
-            "registry_version",
-            {"model": partner, "digest": doc_type, "transforms_version": 1},
         )
 
 
 operations = st.lists(
     st.tuples(
         st.sampled_from(
-            ["start", "send", "receive", "deliver", "command", "marker"]
+            ["start", "send", "receive", "deliver", "command"]
         ),
         st.sampled_from(CONVERSATIONS),
         st.sampled_from(DOC_TYPES),
@@ -138,7 +133,7 @@ def test_snapshot_plus_tail_equals_full_replay(tmp_path):
     tail = [
         ("receive", "C-1", "po_ack", "acme"),
         ("deliver", "C-1", "po_ack", "acme"),
-        ("marker", "C-2", "digest-2", "initech"),
+        ("command", "C-2", "purchase_order", "initech"),
     ]
     kernel = Kernel()
     journal = attach_journal(kernel, tmp_path, flush_interval=1)

@@ -57,10 +57,16 @@ class TestRouting:
     def test_identity_route_is_empty(self, hub_registry):
         assert hub_registry.route("a", "a", "order") == ()
 
-    def test_route_returns_cached_tuple(self, hub_registry):
+    def test_route_returns_a_tuple(self, hub_registry):
         first = hub_registry.route("a", "b", "order")
-        assert first is hub_registry.route("a", "b", "order")
         assert isinstance(first, tuple)
+        assert first == hub_registry.route("a", "b", "order")
+
+    def test_executor_is_memoized_per_route_until_registration(self, hub_registry):
+        executor = hub_registry.executor("a", "b", "order")
+        assert hub_registry.executor("a", "b", "order") is executor
+        hub_registry.register(_mapping("b", "c"))
+        assert hub_registry.executor("a", "b", "order") is not executor
 
     def test_direct_route_preferred(self, hub_registry):
         chain = hub_registry.route("a", "c", "order")

@@ -1,14 +1,9 @@
 """The ``repro lint`` subcommand."""
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import repro
 from repro.cli import main
 
 
@@ -30,18 +25,22 @@ def test_lint_demo_broken_exits_nonzero_with_three_codes(capsys):
 def test_lint_json_format(capsys):
     assert main(["lint", "--demo-broken", "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload["schema_version"] == 4
+    assert payload["schema_version"] == 5
     assert "broken-demo" in payload["models"]
     entry = payload["models"]["broken-demo"]
     assert entry["counts"]["error"] >= 2
     codes = {d["code"] for d in entry["diagnostics"]}
     assert {"B2B201", "B2B301", "B2B103"} <= codes
-    # schema v3: per-model timing and state counts, plus run totals
-    assert entry["cached"] is False
+    # per-model timing and state counts, plus run totals
     assert entry["duration_ms"] >= 0
     assert entry["states"] == {"explored": 0, "pruned": 0}
-    # schema v4: per-model dataflow route counts (0 without --dataflow)
+    # per-model dataflow route counts (0 without --dataflow)
     assert entry["dataflow_routes"] == 0
+    # schema v5: no verdict-cache fields
+    assert set(entry) == {
+        "counts", "diagnostics", "duration_ms", "states", "dataflow_routes",
+    }
+    assert payload["totals"].keys() == {"models", "duration_ms"}
     assert payload["totals"]["models"] == 1
 
 
@@ -77,36 +76,6 @@ def test_lint_unknown_target_exits_two(capsys):
     assert "unknown lint target" in err
 
 
-def test_lint_incremental_warm_run_is_all_cache_hits(tmp_path, capsys):
-    cache = str(tmp_path / "cache.json")
-    argv = ["lint", "--model", "fig14", "--incremental", "--cache", cache,
-            "--format", "json"]
-    assert main(argv) == 0
-    cold = json.loads(capsys.readouterr().out)
-    assert cold["totals"]["cache_hits"] == 0
-    assert cold["totals"]["cache_misses"] == cold["totals"]["models"] == 1
-    assert main(argv) == 0
-    warm = json.loads(capsys.readouterr().out)
-    assert warm["totals"]["cache_hits"] == 1
-    assert warm["totals"]["cache_misses"] == 0
-    assert warm["models"]["fig14"]["cached"] is True
-    # a cached verdict reports the identical findings
-    assert (
-        warm["models"]["fig14"]["diagnostics"]
-        == cold["models"]["fig14"]["diagnostics"]
-    )
-
-
-def test_lint_incremental_text_reports_hit_rate(tmp_path, capsys):
-    cache = str(tmp_path / "cache.json")
-    argv = ["lint", "--model", "fig14", "--incremental", "--cache", cache]
-    assert main(argv) == 0
-    capsys.readouterr()
-    assert main(argv) == 0
-    out = capsys.readouterr().out
-    assert "cache: 1 hit(s), 0 miss(es) (100% hit rate)" in out
-
-
 def test_lint_stats_table_shows_state_counts(capsys):
     assert main(["lint", "--model", "fig14", "--deep", "--stats"]) == 0
     out = capsys.readouterr().out
@@ -114,19 +83,15 @@ def test_lint_stats_table_shows_state_counts(capsys):
     assert "explored" in out and "pruned" in out
 
 
-def test_lint_registry_sweep_warm_json(tmp_path, capsys):
-    cache = str(tmp_path / "cache.json")
-    argv = ["lint", "--registry", "40", "--deep", "--incremental",
-            "--cache", cache, "--format", "json"]
+def test_lint_registry_sweep_json(capsys):
+    argv = ["lint", "--registry", "40", "--deep", "--format", "json"]
     assert main(argv) == 0
-    cold = json.loads(capsys.readouterr().out)["registry"]
-    assert cold["agreements"] == cold["verified"] == 40
-    assert cold["explorations"] >= 1
-    assert main(argv) == 0
-    warm = json.loads(capsys.readouterr().out)["registry"]
-    assert warm["cache_hit_rate"] == 1.0
-    assert warm["fabric_cached"] is True
-    assert warm["dirty_agreements"] == {}
+    registry = json.loads(capsys.readouterr().out)["registry"]
+    assert registry["agreements"] == 40
+    assert registry["explorations"] >= 1
+    assert registry["dirty_agreements"] == {}
+    cache_fields = {"verified", "cache_hits", "cache_hit_rate", "fabric_cached"}
+    assert not cache_fields & set(registry)
 
 
 def test_lint_registry_text_summary(capsys):
@@ -153,18 +118,15 @@ def test_lint_dataflow_demo_broken_json(capsys):
     assert any("counterexample document" in line for line in broken["trace"])
 
 
-def test_lint_dataflow_registry_json_reports_route_cache(tmp_path, capsys):
-    cache = str(tmp_path / "cache.json")
-    argv = ["lint", "--registry", "40", "--dataflow", "--incremental",
-            "--cache", cache, "--format", "json"]
+def test_lint_dataflow_registry_json_reports_routes(capsys):
+    argv = ["lint", "--registry", "40", "--dataflow", "--format", "json"]
     assert main(argv) == 0
-    cold = json.loads(capsys.readouterr().out)["registry"]["dataflow"]
-    assert cold["routes"] > 0
-    assert cold["routes_verified"] == cold["routes"]
-    assert main(argv) == 0
-    warm = json.loads(capsys.readouterr().out)["registry"]["dataflow"]
-    assert warm["route_cache_hit_rate"] == 1.0
-    assert warm["routes_verified"] == 0
+    registry = json.loads(capsys.readouterr().out)["registry"]
+    assert registry["agreements"] == 40
+    assert registry["explorations"] == 0  # dataflow alone explores nothing
+    assert set(registry["dataflow"]) == {"routes"}
+    assert registry["dataflow"]["routes"] > 0
+    assert registry["dirty_agreements"] == {}
 
 
 def test_lint_no_reduce_keeps_deep_verdicts(capsys):
@@ -176,34 +138,22 @@ def test_lint_no_reduce_keeps_deep_verdicts(capsys):
 
 
 @pytest.mark.parametrize(
-    "options",
-    [["--deep"], ["--dataflow"], ["--dataflow", "--registry", "1000"]],
-    ids=["deep", "dataflow", "dataflow-registry"],
+    "option, value",
+    [
+        ("--registry", "0"),
+        ("--registry", "-3"),
+        ("--queue-bound", "0"),
+        ("--max-states", "0"),
+        ("--queue-bound", "-1"),
+        ("--max-states", "-5"),
+        ("--time-budget", "-1"),
+        ("--time-budget", "0"),
+    ],
 )
-def test_persisted_cache_is_warm_across_processes(tmp_path, options):
-    # Two processes with different hash seeds share one cache file; a
-    # digest that depended on per-process state would miss.
-    src = str(Path(repro.__file__).resolve().parents[1])
-    argv = [
-        sys.executable, "-m", "repro", "lint", *options, "--incremental",
-        "--cache", str(tmp_path / "cache.json"), "--format", "json",
-    ]
-    reports = []
-    for seed in ("1", "2"):
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
-        done = subprocess.run(
-            argv, env=env, capture_output=True, text=True, timeout=120, check=False
-        )
-        assert done.returncode == 0, done.stderr
-        reports.append(json.loads(done.stdout))
-    cold, warm = reports
-    if "--registry" in options:
-        registry = warm["registry"]
-        assert registry["cache_hits"] == registry["agreements"] == 1000
-        assert registry["dataflow"]["routes"] > 0
-        assert registry["dataflow"]["route_cache_hit_rate"] == 1.0
-    else:
-        assert cold["totals"]["cache_hits"] == 0
-        assert warm["totals"]["cache_hits"] == warm["totals"]["models"] > 0
-        assert warm["totals"]["cache_misses"] == 0
+def test_lint_rejects_out_of_range_numbers_at_parse_time(option, value, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["lint", "--deep", f"{option}={value}"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument {option}" in captured.err
+    assert captured.out == ""

@@ -1,7 +1,6 @@
 """The B2B7xx schema dataflow pass (:mod:`repro.verify.dataflow`)."""
 
 import functools
-import json
 
 import pytest
 from hypothesis import given, settings
@@ -508,66 +507,44 @@ class TestCleanRouteProperty:
 
 
 # ---------------------------------------------------------------------------
-# Cache and sweep integration
+# Registry sweeps
 # ---------------------------------------------------------------------------
 
 
-class TestCacheIntegration:
-    def test_engine_version_bumped_for_dataflow(self):
-        from repro.verify.incremental import ENGINE_VERSION
-
-        assert ENGINE_VERSION == "2"
-
-    def test_dataflow_option_changes_the_digest(self):
-        from repro.verify.incremental import options_digest
-
-        assert options_digest({"dataflow": True}) != options_digest({})
-        assert options_digest({"dataflow": False}) == options_digest({})
-
-    def test_pre_dataflow_cache_reads_cold_with_warning(self, tmp_path, capsys):
-        from repro.verify.incremental import CACHE_SCHEMA, VerificationCache
-
-        path = tmp_path / "cache.json"
-        path.write_text(json.dumps({
-            "schema": CACHE_SCHEMA,
-            "engine": "1",
-            "entries": {"fig14": {"digest": "stale"}},
-        }))
-        cache = VerificationCache(path)
-        assert cache.entries == {}
-        assert "engine '1'" in capsys.readouterr().err
-
-    def test_registry_sweep_reuses_route_verdicts_when_warm(self):
+class TestRegistrySweep:
+    def test_dataflow_sweep_checks_every_route_clean(self):
         from repro.analysis.scenarios import build_registry_model
-        from repro.verify.incremental import VerificationCache
         from repro.verify.registry import sweep_registry
 
         model = build_registry_model(REGISTRY_AGREEMENTS)
-        cache = VerificationCache()
-        cold = sweep_registry(model, deep=False, dataflow=True, cache=cache)
-        assert cold.dataflow_routes > 0
-        assert cold.routes_verified == cold.dataflow_routes
-        assert cold.route_cache_hits == 0
-        assert cold.diagnostics == []
-        warm = sweep_registry(model, deep=False, dataflow=True, cache=cache)
-        assert warm.route_cache_hits == warm.dataflow_routes
-        assert warm.routes_verified == 0
-        assert warm.route_cache_hit_rate == 1.0
+        report = sweep_registry(model, deep=False, dataflow=True)
+        assert report.dataflow_routes == len(list(iter_binding_routes(model)))
+        assert report.dataflow_routes > 0
+        assert report.diagnostics == []
 
-    def test_editing_one_mapping_reverifies_only_its_routes(self):
+    def test_editing_one_mapping_shows_in_the_next_sweep(self):
         from repro.analysis.scenarios import build_registry_model
-        from repro.verify.incremental import VerificationCache
         from repro.verify.registry import sweep_registry
 
         model = build_registry_model(REGISTRY_AGREEMENTS)
-        cache = VerificationCache()
-        cold = sweep_registry(model, deep=False, dataflow=True, cache=cache)
-        # replace one catalog mapping's rules (a content edit)
-        mapping = next(iter(model.transforms.mappings()))
-        mapping.rules.append(Const("trailer.note", "edited"))
-        warm = sweep_registry(model, deep=False, dataflow=True, cache=cache)
-        assert 0 < warm.routes_verified < cold.dataflow_routes
-        assert warm.route_cache_hits == warm.dataflow_routes - warm.routes_verified
+        assert sweep_registry(model, deep=False, dataflow=True).diagnostics == []
+        # a content edit: one catalog mapping now writes a number where
+        # its target schema declares a string
+        mapping = next(
+            m for m in model.transforms.mappings()
+            if m.target_schema is not None
+            and any(spec.type_name == "str" for spec in m.target_schema.fields)
+        )
+        path = next(
+            spec.path for spec in mapping.target_schema.fields
+            if spec.type_name == "str"
+        )
+        mapping.rules.append(Const(path, 840))
+        after = sweep_registry(model, deep=False, dataflow=True)
+        assert any(
+            d.code == "B2B701" and mapping.name in d.location
+            for d in after.dataflow_diagnostics
+        )
 
 
 class TestExampleModelsAreClean:

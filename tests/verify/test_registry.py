@@ -1,17 +1,14 @@
-"""Registry-scale sweeps: shared explorations, digest-cached verdicts."""
+"""Registry-scale sweeps: one shared exploration per protocol."""
 
 from repro.analysis.bench import REGISTRY_AGREEMENTS as AGREEMENTS
 from repro.analysis.scenarios import build_registry_model
-from repro.verify.incremental import VerificationCache
 from repro.verify.registry import sweep_registry
 
 
 def test_generated_registry_is_deterministic():
     first = build_registry_model(AGREEMENTS)
     second = build_registry_model(AGREEMENTS)
-    assert first.verification_digest(deep=True) == second.verification_digest(
-        deep=True
-    )
+    assert first.element_index() == second.element_index()
     assert len(first.partners.agreements()) == AGREEMENTS
 
 
@@ -19,48 +16,28 @@ def test_cold_sweep_is_clean_and_shares_explorations():
     model = build_registry_model(AGREEMENTS)
     report = sweep_registry(model, deep=True)
     assert not report.diagnostics
-    assert report.agreements == report.verified == AGREEMENTS
-    assert report.cache_hits == 0
+    assert report.agreements == len(report.agreement_diagnostics) == AGREEMENTS
     # One exploration per referenced protocol, not per agreement.
     protocols = {a.protocol for a in model.partners.agreements()}
     assert report.explorations == len(protocols)
     assert report.states_explored > 0
 
 
-def test_warm_sweep_serves_everything_from_cache():
+def test_repeated_sweep_reports_the_same_verdicts():
     model = build_registry_model(AGREEMENTS)
-    cache = VerificationCache()
-    sweep_registry(model, deep=True, cache=cache)
-    warm = sweep_registry(model, deep=True, cache=cache)
-    assert warm.cache_hit_rate == 1.0
-    assert warm.verified == 0
-    assert warm.explorations == 0
-    assert warm.fabric_cached
+    first = sweep_registry(model, deep=True)
+    again = sweep_registry(model, deep=True)
+    assert again.agreement_diagnostics == first.agreement_diagnostics
+    assert again.explorations == first.explorations
+    assert again.states_explored == first.states_explored
 
 
-def test_single_agreement_edit_reverifies_exactly_that_agreement():
+def test_shallow_sweep_explores_nothing():
     model = build_registry_model(AGREEMENTS)
-    cache = VerificationCache()
-    sweep_registry(model, deep=True, cache=cache)
-
-    edited = model.partners.agreements()[0]
-    edited.properties["discount"] = "2%"
-    after = sweep_registry(model, deep=True, cache=cache)
-    assert after.verified == 1
-    assert after.cache_hits == AGREEMENTS - 1
-    # The fabric digest covers every component, so a term edit re-runs
-    # the whole-model agreement-integrity pass too.
-    assert not after.fabric_cached
-
-
-def test_option_change_invalidates_the_whole_sweep():
-    model = build_registry_model(AGREEMENTS)
-    cache = VerificationCache()
-    sweep_registry(model, deep=True, cache=cache)
-    shallow = sweep_registry(model, deep=False, cache=cache)
-    assert shallow.cache_hits == 0
-    assert shallow.verified == AGREEMENTS
-    assert shallow.explorations == 0  # deep=False explores nothing
+    shallow = sweep_registry(model, deep=False)
+    assert shallow.agreements == AGREEMENTS
+    assert shallow.explorations == shallow.states_explored == 0
+    assert not shallow.diagnostics
 
 
 def test_defective_pair_surfaces_under_each_agreement_location():

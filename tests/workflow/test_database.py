@@ -425,7 +425,6 @@ DOCUMENT_OPERATIONS = {
     "set": lambda document: (document.set("lines[+]", {"sku": "Y"}), document.data)[1],
     "copy": lambda document: document.copy(),
     "to_dict": lambda document: document.to_dict(),
-    "content_digest": lambda document: document.content_digest(),
     "repr": repr,
 }
 
