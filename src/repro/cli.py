@@ -192,7 +192,7 @@ def _cmd_patterns(args: argparse.Namespace) -> int:
     return 0
 
 
-LINT_SCHEMA_VERSION = 5
+LINT_SCHEMA_VERSION = 6
 """Version of the ``repro lint --format json`` payload shape.
 
 Version 2 wrapped the per-label results under a ``"models"`` key.
@@ -204,7 +204,9 @@ counts and the ``registry.dataflow`` section for the B2B7xx schema
 dataflow pass.  Version 5 dropped the verdict-cache fields: per-model
 ``cached``, ``totals.cache_hits``/``cache_misses`` and the registry
 section's ``verified``, ``cache_hits``, ``cache_hit_rate``,
-``fabric_cached`` and dataflow route-cache counts.
+``fabric_cached`` and dataflow route-cache counts.  Version 6 added
+``registry.dataflow.diagnostics``, the B2B7xx findings of a
+``--registry --dataflow`` sweep.
 """
 
 
@@ -342,7 +344,10 @@ def _lint_registry(args: argparse.Namespace, verify_options: dict) -> int:
                     "pruned": report.states_pruned,
                 },
                 "duration_ms": round(report.duration * 1000, 3),
-                "dataflow": {"routes": report.dataflow_routes},
+                "dataflow": {
+                    "routes": report.dataflow_routes,
+                    "diagnostics": [d.to_dict() for d in report.dataflow_diagnostics],
+                },
                 "counts": count_by_severity(report.diagnostics),
                 "fabric_diagnostics": [
                     d.to_dict() for d in report.fabric_diagnostics
@@ -357,6 +362,8 @@ def _lint_registry(args: argparse.Namespace, verify_options: dict) -> int:
     else:
         if report.fabric_diagnostics:
             print(render_text(report.fabric_diagnostics, title=f"{model.name} (fabric)"))
+        if report.dataflow_diagnostics:
+            print(render_text(report.dataflow_diagnostics, title=f"{model.name} (dataflow)"))
         for label, diagnostics in sorted(report.dirty.items()):
             print(render_text(diagnostics, title=label))
         print(

@@ -28,7 +28,6 @@ from repro.core.rules import RuleEngine
 from repro.documents.model import Document
 from repro.errors import (
     ActivityError,
-    AgreementError,
     BindingError,
     DocumentError,
     IntegrationError,
@@ -697,13 +696,13 @@ class B2BEngine:
                 self._handle_reply(conversation, wire_document)
             else:
                 self._handle_request(message, partner.partner_id, wire_document)
-        except (AgreementError, ProtocolError, IntegrationError) as exc:
-            self._record_fault(message.conversation_id, message.message_id, exc)
-        except (ActivityError, DocumentError, TransformError) as exc:
-            # The binding or a private-process activity rejected the
-            # document (say, a PO that fails the normalized schema, or one
-            # the back end already booked): the conversation can never
-            # complete, so it fails here instead of staying open.
+        except (IntegrationError, ActivityError, DocumentError, TransformError) as exc:
+            # The public process refused the document (an unexpected type),
+            # or the binding or a private-process activity rejected it (say,
+            # a PO that fails the normalized schema, or one the back end
+            # already booked): the conversation can never complete, so it
+            # fails here instead of staying open.  A request refused before
+            # its conversation opened (no agreement) is only recorded.
             self._record_fault(message.conversation_id, message.message_id, exc)
             failed = self.conversations.get(message.conversation_id)
             if failed is not None and failed.is_open():

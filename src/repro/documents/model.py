@@ -15,12 +15,14 @@ Path syntax::
 
 Paths are compiled by :class:`DocumentPath` and may be reused across
 documents; ``Document.get``/``set`` accept either a string or a compiled
-path.
+path.  Each path text is compiled once per process: every
+:class:`DocumentPath` of that text shares its immutable steps.
 """
 
 from __future__ import annotations
 
 import copy as _copy
+import functools
 import re
 from typing import Any, Iterator
 
@@ -49,6 +51,32 @@ _SEGMENT_RE = re.compile(
 _INDEX_RE = re.compile(r"\[(-?\d+|\+)\]")
 
 
+@functools.lru_cache(maxsize=4096)
+def _compile_steps(text: str) -> tuple[Any, ...]:
+    """The steps of path ``text``, compiled once per text.
+
+    Every path with that text shares the returned tuple, which is
+    immutable.  An invalid text raises :class:`DocumentPathError` on every
+    call, because the cache keeps only results.
+    """
+    if not text.strip():
+        raise DocumentPathError(f"empty or non-string path: {text!r}")
+    steps: list[Any] = []
+    for raw_segment in text.split("."):
+        match = _SEGMENT_RE.match(raw_segment.strip())
+        if match is None:
+            raise DocumentPathError(
+                f"invalid path segment {raw_segment!r} in {text!r}"
+            )
+        steps.append(match.group("name"))
+        for index_text in _INDEX_RE.findall(match.group("indexes")):
+            if index_text == "+":
+                steps.append(APPEND)
+            else:
+                steps.append(int(index_text))
+    return tuple(steps)
+
+
 class DocumentPath:
     """A compiled document path.
 
@@ -59,27 +87,10 @@ class DocumentPath:
     __slots__ = ("text", "steps")
 
     def __init__(self, text: str):
-        if not isinstance(text, str) or not text.strip():
+        if not isinstance(text, str):
             raise DocumentPathError(f"empty or non-string path: {text!r}")
         self.text = text
-        self.steps: tuple[Any, ...] = self._compile(text)
-
-    @staticmethod
-    def _compile(text: str) -> tuple[Any, ...]:
-        steps: list[Any] = []
-        for raw_segment in text.split("."):
-            match = _SEGMENT_RE.match(raw_segment.strip())
-            if match is None:
-                raise DocumentPathError(
-                    f"invalid path segment {raw_segment!r} in {text!r}"
-                )
-            steps.append(match.group("name"))
-            for index_text in _INDEX_RE.findall(match.group("indexes")):
-                if index_text == "+":
-                    steps.append(APPEND)
-                else:
-                    steps.append(int(index_text))
-        return tuple(steps)
+        self.steps: tuple[Any, ...] = _compile_steps(text)
 
     def __repr__(self) -> str:
         return f"DocumentPath({self.text!r})"

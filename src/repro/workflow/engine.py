@@ -3,7 +3,8 @@
 Execution follows the paper's engine/database contract: for every state
 advance the engine **loads** the instance from the workflow database,
 advances it by one step, and **stores** it back — the instance is never
-resident in the engine between advances.  Control-flow semantics:
+resident in the engine between advances.  An advance task loads once per
+iteration: before each step, and before settling.  Control-flow semantics:
 
 * a step becomes *ready* when all its incoming transition signals are
   known and its join is satisfied (AND: all true; XOR: any true);
@@ -375,15 +376,15 @@ class WorkflowEngine:
         """Advance one instance until quiescent (runs as a kernel task).
 
         Under ``per_step`` persistence every iteration is a full
-        load-advance-store cycle against the database (Figure 4); under
-        ``per_quiescence`` the instance stays in the engine workspace and
-        is stored only when it parks, terminates or fails.
+        load-advance-store cycle against the database (Figure 4): the
+        task's first load serves its first iteration, and each store is
+        followed by the load of the next.  Under ``per_quiescence`` the
+        instance stays in the engine workspace and is stored only when it
+        parks, terminates or fails.
         """
         per_step = self.persistence == self.PERSIST_PER_STEP
         instance = self.database.load_instance(instance_id)
         while True:
-            if per_step:
-                instance = self.database.load_instance(instance_id)
             if instance.is_terminal():
                 return
             workflow_type = self._type_of(instance)
@@ -405,6 +406,7 @@ class WorkflowEngine:
                 return
             if per_step:
                 self.database.store_instance(instance)
+                instance = self.database.load_instance(instance_id)
 
     def _settle(self, instance: WorkflowInstance, workflow_type: WorkflowType) -> None:
         """Decide the lifecycle status when no step is ready."""
@@ -508,12 +510,7 @@ class WorkflowEngine:
         self.database.store_instance(instance)
         self.start(child_id)
         # Reflect any parent progress made by the completion hook.
-        refreshed = self.database.load_instance(instance.instance_id)
-        instance.steps = refreshed.steps
-        instance.signals = refreshed.signals
-        instance.variables = refreshed.variables
-        instance.history = refreshed.history
-        instance.status = refreshed.status
+        instance.take_progress(self.database.load_instance(instance.instance_id))
 
     def _execute_remote_subworkflow(
         self, instance: WorkflowInstance, step: RemoteSubworkflowStep
@@ -538,12 +535,7 @@ class WorkflowEngine:
         self.database.store_instance(instance)
         remote._remote_parents[child_id] = (self, instance.instance_id, step.step_id)
         remote.start(child_id)
-        refreshed = self.database.load_instance(instance.instance_id)
-        instance.steps = refreshed.steps
-        instance.signals = refreshed.signals
-        instance.variables = refreshed.variables
-        instance.history = refreshed.history
-        instance.status = refreshed.status
+        instance.take_progress(self.database.load_instance(instance.instance_id))
 
     def _execute_loop(
         self, instance: WorkflowInstance, step: LoopStep, first: bool
@@ -572,12 +564,7 @@ class WorkflowEngine:
         )
         self.database.store_instance(instance)
         self.start(child_id)
-        refreshed = self.database.load_instance(instance.instance_id)
-        instance.steps = refreshed.steps
-        instance.signals = refreshed.signals
-        instance.variables = refreshed.variables
-        instance.history = refreshed.history
-        instance.status = refreshed.status
+        instance.take_progress(self.database.load_instance(instance.instance_id))
 
     def _loop_condition(self, instance: WorkflowInstance, step: LoopStep) -> bool:
         return bool(self._program(step.condition)(instance.variables))

@@ -5,6 +5,12 @@ persisted in the database or in state transition in the workflow engine".
 A :class:`WorkflowInstance` is the persistable object: variables, per-step
 states, lifecycle status, hierarchy links (parent instance/step for
 subworkflows), and an append-only history of execution events.
+
+An instance loaded from the workflow database holds its history as the
+stored record's entries until something reads :attr:`WorkflowInstance.history`;
+``record()`` appends without decoding them, so a store of an instance
+whose history was never read encodes only the entries appended since
+the load.
 """
 
 from __future__ import annotations
@@ -97,6 +103,10 @@ class WorkflowInstance:
     Transition *signals* implement dead-path elimination: every control-flow
     arc eventually carries ``True`` (taken) or ``False`` (dead); a step's
     join fires or skips once all its incoming signals are present.
+
+    :attr:`history` reads as a plain list of entry dicts on every
+    instance; on a load, the first read decodes it (see the module
+    docstring).
     """
 
     def __init__(
@@ -125,7 +135,7 @@ class WorkflowInstance:
         self.parent_step_id = parent_step_id
         self.created_at = created_at
         self.completed_at: float | None = None
-        self.history: list[dict[str, Any]] = []
+        self.history = []
         self.error: str = ""
 
     # -- step state access ---------------------------------------------------
@@ -164,10 +174,31 @@ class WorkflowInstance:
         return self.signals.get((source, target))
 
     # -- history -------------------------------------------------------------------
+    #
+    # ``_stored_history`` is None, or, on a load whose history was not read
+    # yet, the stored record's entries (an object whose ``decode()`` builds
+    # fresh entry dicts); ``_history`` then holds only the entries
+    # record() appended since the load.
+
+    @property
+    def history(self) -> list[dict[str, Any]]:
+        """The audit history, one dict per event, oldest first."""
+        stored = self._stored_history
+        if stored is not None:
+            history = stored.decode()
+            history.extend(self._history)
+            self._history = history
+            self._stored_history = None
+        return self._history
+
+    @history.setter
+    def history(self, entries: list[dict[str, Any]]) -> None:
+        self._history = entries
+        self._stored_history = None
 
     def record(self, at: float, event: str, step_id: str = "", detail: str = "") -> None:
         """Append an execution event to the audit history."""
-        self.history.append(
+        self._history.append(
             {"at": at, "event": event, "step_id": step_id, "detail": detail}
         )
 
@@ -176,6 +207,19 @@ class WorkflowInstance:
         return [entry for entry in self.history if entry["event"] == event]
 
     # -- persistence -----------------------------------------------------------------
+
+    def take_progress(self, stored: "WorkflowInstance") -> None:
+        """Adopt the steps, signals, variables, history, status, completion
+        time and error of ``stored``, a later load of this instance,
+        leaving its history undecoded."""
+        self.steps = stored.steps
+        self.signals = stored.signals
+        self.variables = stored.variables
+        self._history = stored._history
+        self._stored_history = stored._stored_history
+        self.status = stored.status
+        self.completed_at = stored.completed_at
+        self.error = stored.error
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-compatible snapshot (documents in variables are enveloped)."""

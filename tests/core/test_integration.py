@@ -7,8 +7,11 @@ from repro.b2b.protocol import get_protocol
 from repro.core.enterprise import run_community
 from repro.core.integration import IntegrationModel
 from repro.core.private_process import seller_po_process
+from repro.documents import rosettanet
+from repro.documents.normalized import make_purchase_order
 from repro.errors import IntegrationError
 from repro.messaging.envelope import Message
+from repro.runtime import ConversationFailed
 
 LINES = [{"sku": "LAPTOP", "quantity": 2, "unit_price": 1000.0}]
 
@@ -169,6 +172,34 @@ class TestConversationLifecycle:
         assert buyer_conv.documents == ["sent:purchase_order", "received:po_ack"]
         seller_conv = next(iter(pair.seller.b2b.conversations.values()))
         assert seller_conv.documents == ["received:purchase_order", "sent:po_ack"]
+
+    def test_unexpected_document_type_fails_the_open_conversation(self):
+        pair = build_two_enterprise_pair("rosettanet", seller_delay=5.0)
+        buyer = pair.buyer.b2b
+        failed = []
+        pair.runtime.subscribe(failed.append, events=[ConversationFailed])
+        pair.buyer.submit_order("SAP", "ACME", "PO-U", LINES)
+        (conversation,) = buyer.open_conversations()
+        # ACME answers the open PO conversation with a purchase order where
+        # the buyer's public process expects the PO acknowledgement.
+        po = make_purchase_order("PO-U", "TP1", "ACME", LINES)
+        message = Message(
+            message_id="M-unexpected", sender="ACME", receiver="TP1",
+            protocol="rosettanet", doc_type="purchase_order",
+            body=rosettanet.to_wire(buyer.model.transforms.transform(po, "rosettanet-xml")),
+            conversation_id=conversation.conversation_id,
+        )
+        buyer.handle_message(message)  # must not raise
+        (fault,) = buyer.faults
+        assert fault["conversation"] == conversation.conversation_id
+        assert fault["message"] == "M-unexpected"
+        assert "expected receive[po_ack]" in fault["error"]
+        assert conversation.status == "failed"
+        assert conversation.fault == fault["error"]
+        assert buyer.open_conversations() == []
+        assert [(event.conversation_id, event.reason) for event in failed] == [
+            (conversation.conversation_id, fault["error"])
+        ]
 
     def test_open_conversations_query(self):
         pair = build_two_enterprise_pair("rosettanet", seller_delay=5.0)

@@ -66,6 +66,28 @@ class TestPathCompilation:
         assert p1 == p2
         assert hash(p1) == hash(p2)
 
+    def test_each_path_text_is_compiled_once(self, doc):
+        from repro.documents.model import _compile_steps
+
+        text = "header.amounts.compiled_once_total"
+        misses = _compile_steps.cache_info().misses
+        for _ in range(3):
+            doc.set(text, 7.0)
+            assert doc.get(text) == 7.0
+        assert _compile_steps.cache_info().misses == misses + 1
+        # only the immutable steps are shared, never a path object
+        first, second = DocumentPath(text), DocumentPath(text)
+        assert first is not second and first.steps is second.steps
+        assert isinstance(first.steps, tuple)
+
+    @pytest.mark.parametrize("bad", ["", " ", "a..b", "a[b]"])
+    def test_invalid_path_text_raises_on_every_call(self, doc, bad):
+        for _ in range(3):
+            with pytest.raises(DocumentPathError):
+                doc.get(bad)
+            with pytest.raises(DocumentPathError):
+                doc.set(bad, 1)
+
 
 class TestGet:
     def test_nested_field(self, doc):

@@ -25,7 +25,7 @@ def test_lint_demo_broken_exits_nonzero_with_three_codes(capsys):
 def test_lint_json_format(capsys):
     assert main(["lint", "--demo-broken", "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload["schema_version"] == 5
+    assert payload["schema_version"] == 6
     assert "broken-demo" in payload["models"]
     entry = payload["models"]["broken-demo"]
     assert entry["counts"]["error"] >= 2
@@ -36,7 +36,7 @@ def test_lint_json_format(capsys):
     assert entry["states"] == {"explored": 0, "pruned": 0}
     # per-model dataflow route counts (0 without --dataflow)
     assert entry["dataflow_routes"] == 0
-    # schema v5: no verdict-cache fields
+    # since schema v5: no verdict-cache fields
     assert set(entry) == {
         "counts", "diagnostics", "duration_ms", "states", "dataflow_routes",
     }
@@ -124,9 +124,60 @@ def test_lint_dataflow_registry_json_reports_routes(capsys):
     registry = json.loads(capsys.readouterr().out)["registry"]
     assert registry["agreements"] == 40
     assert registry["explorations"] == 0  # dataflow alone explores nothing
-    assert set(registry["dataflow"]) == {"routes"}
+    assert set(registry["dataflow"]) == {"routes", "diagnostics"}
     assert registry["dataflow"]["routes"] > 0
+    assert registry["dataflow"]["diagnostics"] == []
     assert registry["dirty_agreements"] == {}
+
+
+def _plant_registry_dataflow_defect(monkeypatch) -> list[str]:
+    """Make ``--registry`` models carry a B2B701: one catalog mapping writes
+    a number where its target schema declares a string.  Returns the
+    planted mapping's name once a model is built."""
+    from repro.analysis import scenarios
+    from repro.transform.mapping import Const
+
+    build = scenarios.build_registry_model
+    planted: list[str] = []
+
+    def build_with_defect(agreements):
+        model = build(agreements)
+        mapping, path = next(
+            (mapping, spec.path)
+            for mapping in model.transforms.mappings()
+            if mapping.target_schema is not None
+            for spec in mapping.target_schema.fields
+            if spec.type_name == "str"
+        )
+        mapping.rules.append(Const(path, 840))
+        planted.append(mapping.name)
+        return model
+
+    monkeypatch.setattr(scenarios, "build_registry_model", build_with_defect)
+    return planted
+
+
+def test_lint_registry_dataflow_text_shows_the_diagnostics_it_fails_on(monkeypatch, capsys):
+    planted = _plant_registry_dataflow_defect(monkeypatch)
+    assert main(["lint", "--registry", "40", "--dataflow"]) == 1
+    out = capsys.readouterr().out
+    assert "(dataflow)" in out
+    (line,) = [line for line in out.splitlines() if "B2B701" in line]
+    assert planted[0] in line
+    assert "FAIL: 1 diagnostic(s)" in out
+
+
+def test_lint_registry_dataflow_json_shows_the_diagnostics_it_fails_on(monkeypatch, capsys):
+    planted = _plant_registry_dataflow_defect(monkeypatch)
+    argv = ["lint", "--registry", "40", "--dataflow", "--format", "json"]
+    assert main(argv) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["schema_version"] == 6
+    registry = payload["registry"]
+    (diagnostic,) = registry["dataflow"]["diagnostics"]
+    assert diagnostic["code"] == "B2B701"
+    assert planted[0] in diagnostic["location"]
+    assert registry["counts"]["error"] == 1
 
 
 def test_lint_no_reduce_keeps_deep_verdicts(capsys):

@@ -16,6 +16,7 @@ from repro.documents.model import Document
 from repro.errors import PersistenceError
 from repro.workflow.database import ReplicatedDatabase, WorkflowDatabase
 from repro.workflow.definitions import Transition, WorkflowBuilder
+from repro.workflow.engine import WorkflowEngine
 from repro.workflow.instance import INSTANCE_COMPLETED, WorkflowInstance
 
 
@@ -451,6 +452,138 @@ def test_loaded_document_copies_to_a_plain_document(duplicate):
     assert loaded.get("n") == "PO-1"
 
 
+_SCALAR_TYPES = (str, int, float, bool, type(None))
+_HISTORY_KEYS = ("at", "event", "step_id", "detail")
+
+
+def _eager_history(history):
+    """The reference history encoder: every entry encoded on every store,
+    a flat 4-tuple for an entry exactly as record() writes it, and the
+    pickled entry otherwise."""
+    return tuple(
+        tuple(entry.values())
+        if type(entry) is dict and tuple(entry) == _HISTORY_KEYS
+        and all(type(value) in _SCALAR_TYPES for value in entry.values())
+        else pickle.dumps(entry, pickle.HIGHEST_PROTOCOL)
+        for entry in history
+    )
+
+
+def _stored_history(db):
+    """The history field of the database's one record."""
+    (record,) = db._instances.values()
+    return record[11]
+
+
+_history_operations = st.lists(
+    st.one_of(
+        st.just(("load",)),
+        st.tuples(
+            st.just("record"),
+            st.floats(0, 1e6),
+            st.sampled_from(["step_started", "step_completed"]),
+            st.sampled_from(["", "a"]),
+            st.text(max_size=4),
+        ),
+        st.just(("read",)),
+        st.tuples(
+            st.just("mutate"),
+            st.integers(0, 40),
+            st.one_of(st.text(max_size=4), st.lists(st.integers(), max_size=2)),
+        ),
+        st.just(("store",)),
+    ),
+    max_size=30,
+)
+
+
+class TestHeldHistory:
+    """A load keeps its history as the record's entries until it is read.
+
+    Every sequence of loads, record() calls, reads, entry writes and
+    stores on one instance must leave the same records, loaded histories
+    and snapshot as a store that encodes the whole history every time."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_history_operations)
+    def test_matches_an_eager_history_encoder(self, operations):
+        db = WorkflowDatabase()
+        first = _instance()
+        first.record(0.0, "created")
+        db.store_instance(first)
+        stored = copy.deepcopy(first.history)  # what the database must hold
+        loaded = db.load_instance("I1")
+        expected = copy.deepcopy(stored)  # what the load must read as
+        for operation, *arguments in operations:
+            if operation == "load":
+                loaded = db.load_instance("I1")
+                expected = copy.deepcopy(stored)
+            elif operation == "record":
+                loaded.record(*arguments)
+                expected.append(dict(zip(_HISTORY_KEYS, arguments)))
+            elif operation == "read":
+                assert loaded.history == expected
+            elif operation == "mutate":
+                index, value = arguments
+                index %= len(expected)
+                loaded.history[index]["detail"] = value
+                expected[index]["detail"] = value
+            else:
+                db.store_instance(loaded)
+                stored = copy.deepcopy(expected)
+                assert _stored_history(db) == _eager_history(stored)
+        db.store_instance(loaded)
+        stored = copy.deepcopy(expected)
+        assert _stored_history(db) == _eager_history(stored)
+        assert db.load_instance("I1").history == stored
+        reference = WorkflowDatabase()
+        eager = _instance()
+        eager.history = copy.deepcopy(stored)
+        reference.store_instance(eager)
+        assert db.snapshot() == reference.snapshot()
+        # the record holds no loaded entry: writing to every entry the load
+        # hands out leaves the store as it was
+        for entry in loaded.history:
+            entry["detail"] = "written after the store"
+        assert db.load_instance("I1").history == stored
+        assert db.snapshot() == reference.snapshot()
+
+    def test_store_before_any_read_encodes_only_the_new_entries(self):
+        db = WorkflowDatabase()
+        instance = _instance()
+        instance.record(0.0, "created")
+        db.store_instance(instance)
+        held = _stored_history(db)
+        loaded = db.load_instance("I1")
+        loaded.record(1.0, "step_started", "a")
+        db.store_instance(loaded)
+        after = _stored_history(db)
+        assert after[0] is held[0]
+        assert after == (*held, (1.0, "step_started", "a", ""))
+        assert db.load_instance("I1").events("step_started") == [
+            {"at": 1.0, "event": "step_started", "step_id": "a", "detail": ""}
+        ]
+
+    def test_take_progress_carries_the_held_history(self):
+        db = WorkflowDatabase()
+        instance = _instance()
+        instance.record(0.0, "created")
+        db.store_instance(instance)
+        stale = db.load_instance("I1")
+        assert stale.history == [
+            {"at": 0.0, "event": "created", "step_id": "", "detail": ""}
+        ]
+        fresher = db.load_instance("I1")
+        fresher.record(1.0, "step_completed", "a")
+        db.store_instance(fresher)
+        stale.take_progress(db.load_instance("I1"))
+        stale.record(2.0, "completed")
+        db.store_instance(stale)
+        assert [entry["event"] for entry in db.load_instance("I1").history] == [
+            "created", "step_completed", "completed",
+        ]
+
+
 class TestDurability:
     def test_snapshot_restore_roundtrip(self):
         db = WorkflowDatabase("primary")
@@ -528,4 +661,24 @@ class TestFigure4Traffic:
             )
             for enterprise in pair.enterprises()
         }
-        assert counts == {"TP1": (40, 31, 31), "ACME": (45, 30, 30)}
+        assert counts == {"TP1": (34, 31, 31), "ACME": (39, 30, 30)}
+
+    @pytest.mark.parametrize("steps, traffic", [
+        (1, (4, 4, 4)), (5, (8, 8, 8)), (20, (23, 23, 23)), (50, (53, 53, 53)),
+    ])
+    def test_chain_traffic_is_about_one_load_and_store_per_step(self, steps, traffic):
+        """Experiment F4's rows: a chain of no-op steps run under
+        ``per_step`` persistence loads once before each step and once
+        before settling, and stores after each of them."""
+        engine = WorkflowEngine("f4")
+        builder = WorkflowBuilder(f"chain-{steps}")
+        previous = None
+        for index in range(steps):
+            builder.activity(f"s{index}", "noop", after=previous)
+            previous = f"s{index}"
+        engine.deploy(builder.build())
+        assert engine.run(f"chain-{steps}").status == INSTANCE_COMPLETED
+        database = engine.database
+        assert (
+            database.instance_loads, database.instance_stores, database.type_loads
+        ) == traffic

@@ -203,6 +203,35 @@ class TestSubworkflows:
         assert child_instance.parent_step_id == "call"
         assert child_instance.status == INSTANCE_COMPLETED
 
+    def test_parent_completed_by_the_child_hook_keeps_its_completion_time(self, engine):
+        """The parent completes inside its child's completion hook; the
+        step that started the child must store that completion whole."""
+        child = WorkflowBuilder("child")
+        child.activity("a", "noop")
+        _deploy(engine, child)
+        parent = WorkflowBuilder("parent")
+        parent.subworkflow("call", "child")
+        _deploy(engine, parent)
+        instance_id = engine.run("parent").instance_id
+        stored = engine.get_instance(instance_id)
+        assert stored.status == INSTANCE_COMPLETED
+        assert stored.completed_at is not None
+        assert [entry["event"] for entry in stored.events("completed")] == ["completed"]
+
+    def test_parent_failed_by_the_child_hook_keeps_its_error(self):
+        engine = WorkflowEngine("soft", raise_on_failure=False)
+        child = WorkflowBuilder("child")
+        child.activity("a", "noop")
+        _deploy(engine, child)
+        parent = WorkflowBuilder("parent")
+        parent.subworkflow("call", "child")
+        parent.activity("boom", "fail", params={"message": "kaput"}, after="call")
+        _deploy(engine, parent)
+        instance_id = engine.run("parent").instance_id
+        stored = engine.get_instance(instance_id)
+        assert stored.status == INSTANCE_FAILED
+        assert "kaput" in stored.error
+
     def test_nested_subworkflows(self, engine):
         leaf = WorkflowBuilder("leaf")
         leaf.variable("n", 0)
