@@ -1,11 +1,13 @@
-"""Registry-scale lint: sweep a generated partner registry.
+"""Registry-scale lint: deep-verify a generated partner registry.
 
 The paper's deployment claim (§4.5–4.6) is that per-partner verification
-stays tractable as the registry grows, because explorations are shared
-per protocol.  This benchmark times a deep sweep of
+stays tractable as the registry grows, because a new agreement reuses a
+deployed public process: ``verify_model`` explores each protocol's
+conversation once, however many agreements reference it.  This
+benchmark times a deep lint of
 :func:`repro.analysis.scenarios.build_registry_model`.
 
-The sweep of 1,000 agreements and its time budget are the
+The lint of 1,000 agreements and its time budget are the
 ``registry_lint`` gate of the benchmark registry
 (:mod:`repro.analysis.bench`), run by ``python -m repro bench``; the
 one-exploration-per-protocol count is an exact tier-1 assertion in
@@ -15,26 +17,24 @@ one-exploration-per-protocol count is an exact tier-1 assertion in
 from conftest import table
 
 from repro.analysis.scenarios import build_registry_model
-from repro.verify.registry import sweep_registry
 
 
 def bench_registry_sweep(benchmark, report):
-    """Deep sweep over 300 agreements."""
+    """Deep lint of 300 agreements."""
     model = build_registry_model(300)
+    stats: dict = {}
 
     def sweep():
-        return sweep_registry(model, deep=True)
+        return model.verify(deep=True, stats=stats)
 
-    result = benchmark(sweep)
-    assert not result.diagnostics
-    assert result.agreements == 300
+    assert not benchmark(sweep)
     report(table(
         [{
-            "agreements": result.agreements,
-            "explorations": result.explorations,
-            "states": result.states_explored,
-            "pruned": result.states_pruned,
+            "agreements": len(model.partners.agreements()),
+            "explorations": len(stats["conversations"]),
+            "states": stats["states_explored"],
+            "pruned": stats["states_pruned"],
         }],
         ["agreements", "explorations", "states", "pruned"],
-        "Registry lint: deep sweep (shared per-protocol explorations)",
+        "Registry lint: deep verify (shared per-protocol explorations)",
     ))

@@ -23,13 +23,13 @@ entry point; it runs the registry's three parts and checks them:
   * ``statespace_explore`` — the deployment-time conversation model
     check (``repro lint --deep``) of the receipt-acknowledged RosettaNet
     pair, the largest shipped conversation;
-  * ``registry_sweep`` — one deep sweep over a synthetic
-    250-agreement partner registry.
+  * ``registry_sweep`` — one deep lint (``model.verify(deep=True)``)
+    of a synthetic 250-agreement partner registry.
 
 * ``GATES`` — four workloads that return their own metrics: the journal
   (write overhead and recovery throughput, see
   :mod:`repro.analysis.journal_bench`), full-search explorer throughput
-  on a bursty pair, a deep sweep of a 1,000-agreement registry, and
+  on a bursty pair, a deep lint of a 1,000-agreement registry, and
   schema-dataflow routes verified per second over the example fleet.
 
 * ``BOUNDS`` — the floor or ceiling of every gated metric, plus
@@ -37,7 +37,7 @@ entry point; it runs the registry's three parts and checks them:
   below its normalized baseline.
 
 Deterministic properties (one exploration per protocol in a registry
-sweep, the partial-order-reduction ratio) are not timings; tier-1 tests
+lint, the partial-order-reduction ratio) are not timings; tier-1 tests
 assert them exactly.
 
 Results are machine-readable (``--json``).  Because absolute
@@ -102,7 +102,7 @@ BOUNDS = {
     "mapping_compile_speedup": Bound(1.5, "x"),
     # Full-search explorer throughput on the burst-8 pair, calibrated.
     "statespace_normalized_states_per_sec": Bound(8.0, " normalized states/s"),
-    # A deep sweep of 1,000 agreements within 5 seconds.
+    # A deep lint of 1,000 agreements within 5 seconds.
     "registry_lint_cold_sweep_sec": Bound(5.0, " s", floor=False),
     # ~4x headroom under the measured ~900 routes/s.
     "dataflow_routes_per_sec": Bound(200.0, " routes/s"),
@@ -272,13 +272,12 @@ def _bench_statespace_explore() -> Callable[[], Any]:
 
 def _bench_registry_sweep() -> Callable[[], Any]:
     from repro.analysis.scenarios import build_registry_model
-    from repro.verify.registry import sweep_registry
 
     model = build_registry_model(250)
 
     def sweep() -> None:
-        if sweep_registry(model, deep=True).diagnostics:
-            raise RuntimeError("registry sweep reported diagnostics")
+        if model.verify(deep=True):
+            raise RuntimeError("registry lint reported diagnostics")
 
     return sweep
 
@@ -374,14 +373,14 @@ def _gate_statespace(min_time: float) -> dict[str, float]:
 
 
 def _gate_registry_lint(min_time: float) -> dict[str, float]:
-    """One deep sweep of the generated registry, timed once."""
+    """One deep lint of the generated registry, timed once."""
     from repro.analysis.scenarios import build_registry_model
-    from repro.verify.registry import sweep_registry
 
-    report = sweep_registry(build_registry_model(REGISTRY_AGREEMENTS), deep=True)
-    if report.diagnostics:
-        raise RuntimeError("registry sweep reported diagnostics")
-    return {"registry_lint_cold_sweep_sec": round(report.duration, 4)}
+    stats: dict[str, Any] = {}
+    model = build_registry_model(REGISTRY_AGREEMENTS)
+    if model.verify(deep=True, stats=stats):
+        raise RuntimeError("registry lint reported diagnostics")
+    return {"registry_lint_cold_sweep_sec": round(stats["duration"], 4)}
 
 
 def _gate_dataflow(min_time: float) -> dict[str, float]:

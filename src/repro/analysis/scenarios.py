@@ -508,7 +508,7 @@ def build_registry_model(agreements: int, seed: int = 7) -> IntegrationModel:
     Every extended protocol is deployed once (the §4.6 advantage: adding a
     partner reuses the deployed public processes); each trading partner
     holds one agreement whose protocol, role and doc types are assigned
-    deterministically from ``seed`` — the substrate for registry-sweep
+    deterministically from ``seed`` — the substrate for registry-scale
     verification and its benchmarks.  Same ``(agreements, seed)`` always
     builds a model with the same ``element_index()``.
     """

@@ -192,7 +192,7 @@ def _cmd_patterns(args: argparse.Namespace) -> int:
     return 0
 
 
-LINT_SCHEMA_VERSION = 6
+LINT_SCHEMA_VERSION = 7
 """Version of the ``repro lint --format json`` payload shape.
 
 Version 2 wrapped the per-label results under a ``"models"`` key.
@@ -206,7 +206,8 @@ dataflow pass.  Version 5 dropped the verdict-cache fields: per-model
 section's ``verified``, ``cache_hits``, ``cache_hit_rate``,
 ``fabric_cached`` and dataflow route-cache counts.  Version 6 added
 ``registry.dataflow.diagnostics``, the B2B7xx findings of a
-``--registry --dataflow`` sweep.
+``--registry --dataflow`` sweep.  Version 7 dropped the ``registry``
+section: ``--registry N`` reports its model under ``models["registry-N"]``.
 """
 
 
@@ -231,11 +232,13 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         "reduce": not args.no_reduce,
     }
 
-    if args.registry is not None:
-        return _lint_registry(args, verify_options)
-
     reports: dict = {}
-    if args.demo_broken:
+    if args.registry is not None:
+        from repro.analysis.scenarios import build_registry_model
+
+        model = build_registry_model(args.registry)
+        reports[model.name] = verify_unit(model.name, model, verify_options)
+    elif args.demo_broken:
         reports["broken-demo"] = verify_unit(
             "broken-demo", build_broken_model(), verify_options
         )
@@ -251,17 +254,17 @@ def _cmd_lint(args: argparse.Namespace) -> int:
                 build_dataflow_broken_model(),
                 verify_options,
             )
-        results = {label: r.diagnostics for label, r in reports.items()}
     else:
         try:
-            results = lint_all(only=args.model, reports=reports, **verify_options)
+            lint_all(only=args.model, reports=reports, **verify_options)
         except KeyError as exc:
             print(exc.args[0], file=sys.stderr)
             return 2
 
-    failing = 0
-    for diagnostics in results.values():
-        failing += len(at_or_above(diagnostics, args.fail_on))
+    failing = sum(
+        len(at_or_above(report.diagnostics, args.fail_on))
+        for report in reports.values()
+    )
 
     if args.format == "json":
         payload = {
@@ -280,7 +283,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
                 for label, report in sorted(reports.items())
             },
             "totals": {
-                "models": len(results),
+                "models": len(reports),
                 "duration_ms": round(
                     sum(r.duration for r in reports.values()) * 1000, 3
                 ),
@@ -288,15 +291,15 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        for label, diagnostics in sorted(results.items()):
-            print(render_text(diagnostics, title=label))
+        for label, report in sorted(reports.items()):
+            print(render_text(report.diagnostics, title=label))
         if args.stats:
             print()
             print(_stats_table(reports))
         print()
         verdict = "FAIL" if failing else "OK"
         print(
-            f"{verdict}: {len(results)} model(s) linted, "
+            f"{verdict}: {len(reports)} model(s) linted, "
             f"{failing} diagnostic(s) at or above {args.fail_on!r}"
         )
     return 1 if failing else 0
@@ -318,68 +321,6 @@ def _stats_table(reports: dict) -> str:
         rows, ["model", "ms", "explored", "pruned", "routes"],
         "Per-model verification stats",
     )
-
-
-def _lint_registry(args: argparse.Namespace, verify_options: dict) -> int:
-    """``repro lint --registry N``: sweep a generated agreement registry."""
-    import json
-
-    from repro.analysis.scenarios import build_registry_model
-    from repro.verify import at_or_above, count_by_severity, render_text
-    from repro.verify.registry import sweep_registry
-
-    model = build_registry_model(args.registry)
-    report = sweep_registry(model, **verify_options)
-    failing = len(at_or_above(report.diagnostics, args.fail_on))
-    if args.format == "json":
-        payload = {
-            "schema_version": LINT_SCHEMA_VERSION,
-            "models": {},
-            "registry": {
-                "model": model.name,
-                "agreements": report.agreements,
-                "explorations": report.explorations,
-                "states": {
-                    "explored": report.states_explored,
-                    "pruned": report.states_pruned,
-                },
-                "duration_ms": round(report.duration * 1000, 3),
-                "dataflow": {
-                    "routes": report.dataflow_routes,
-                    "diagnostics": [d.to_dict() for d in report.dataflow_diagnostics],
-                },
-                "counts": count_by_severity(report.diagnostics),
-                "fabric_diagnostics": [
-                    d.to_dict() for d in report.fabric_diagnostics
-                ],
-                "dirty_agreements": {
-                    label: [d.to_dict() for d in diagnostics]
-                    for label, diagnostics in sorted(report.dirty.items())
-                },
-            },
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        if report.fabric_diagnostics:
-            print(render_text(report.fabric_diagnostics, title=f"{model.name} (fabric)"))
-        if report.dataflow_diagnostics:
-            print(render_text(report.dataflow_diagnostics, title=f"{model.name} (dataflow)"))
-        for label, diagnostics in sorted(report.dirty.items()):
-            print(render_text(diagnostics, title=label))
-        print(
-            f"registry sweep: {report.agreements} agreement(s), "
-            f"{report.explorations} exploration(s), "
-            f"{report.states_explored} state(s) explored "
-            f"({report.states_pruned} pruned) in {report.duration * 1000:.1f} ms"
-        )
-        if report.dataflow_routes:
-            print(f"dataflow: {report.dataflow_routes} route(s)")
-        print()
-        verdict = "FAIL" if failing else "OK"
-        print(
-            f"{verdict}: {failing} diagnostic(s) at or above {args.fail_on!r}"
-        )
-    return 1 if failing else 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -529,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument(
         "--registry", type=_positive_int, default=None, metavar="N",
-        help="instead of the example models, sweep a generated registry "
+        help="instead of the example models, lint a generated registry "
         "of N trading-partner agreements (explorations are shared per "
         "protocol)",
     )

@@ -103,7 +103,6 @@ class Enterprise:
     :param network: the shared simulated network.
     :param van: the shared Value Added Network (needed for ``edi-van``).
     :param retry_policy: reliable-messaging knobs for RNIF-style protocols.
-    :param reply_timeout: optional conversation reply deadline.
     """
 
     def __init__(
@@ -112,7 +111,6 @@ class Enterprise:
         network: SimulatedNetwork,
         van: ValueAddedNetwork | None = None,
         retry_policy: RetryPolicy | None = None,
-        reply_timeout: float | None = None,
     ):
         self.name = name
         self.network = network
@@ -151,7 +149,6 @@ class Enterprise:
             self.wfms,
             backends=self.backends,
             transports=transports,
-            reply_timeout=reply_timeout,
         )
         self.reliable.on_message(self.b2b.receive)
 

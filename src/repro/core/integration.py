@@ -365,9 +365,6 @@ class B2BEngine:
         are ``reliable`` (a ReliableEndpoint), ``van`` (a
         ValueAddedNetwork) and ``plain`` (a raw Endpoint) — only those the
         deployed protocols need.
-    :param reply_timeout: optional deadline for the reply of an initiated
-        conversation; on expiry the conversation fails and the private
-        process's parked step is cancelled.
     """
 
     def __init__(
@@ -376,7 +373,6 @@ class B2BEngine:
         wfms: WorkflowEngine,
         backends: dict[str, Any] | None = None,
         transports: dict[str, Any] | None = None,
-        reply_timeout: float | None = None,
     ):
         self.model = model
         self.wfms = wfms
@@ -385,7 +381,6 @@ class B2BEngine:
         # in the activity service view.
         self.backends = backends if backends is not None else {}
         self.transports = dict(transports or {})
-        self.reply_timeout = reply_timeout
         self.conversations: dict[str, Conversation] = {}
         # The open subset of ``conversations``, in opening order: status
         # re-checks after back-end events visit only these.

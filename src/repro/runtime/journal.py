@@ -189,43 +189,8 @@ _SAFE_ASCII = re.compile(r'[ !#-\[\]-~]*\Z').match
 _INF = float("inf")
 
 
-def _fast_body(payload: list) -> bytes | None:
-    """Serialize a flat list of safe scalars byte-identically to
-    ``_encode_json`` — the shape of every event payload — skipping the
-    JSON encoder machinery on the per-event hot path.  Returns ``None``
-    when any element needs the real encoder (escapes, non-ASCII,
-    non-finite floats, nested containers)."""
-    parts = []
-    append = parts.append
-    for item in payload:
-        kind = type(item)
-        if kind is str:
-            if _SAFE_ASCII(item) is None:
-                return None
-            append('"' + item + '"')
-        elif kind is float:
-            # NaN/inf render differently in the stdlib encoder.
-            if item != item or item == _INF or item == -_INF:
-                return None
-            append(float.__repr__(item))
-        elif kind is bool:
-            append("true" if item else "false")
-        elif kind is int:
-            append(int.__repr__(item))
-        elif item is None:
-            append("null")
-        else:
-            return None
-    return ("[" + ",".join(parts) + "]").encode("utf-8")
-
-
 def _frame(seq: int, kind: str, payload: Any) -> bytes:
-    if type(payload) is list:
-        body = _fast_body(payload)
-        if body is None:
-            body = _encode_json(payload).encode("utf-8")
-    else:
-        body = _encode_json(payload).encode("utf-8")
+    body = _encode_json(payload).encode("utf-8")
     return b"%d %s %d %08x %s\n" % (
         seq,
         _KIND_BYTES.get(kind) or kind.encode("ascii"),

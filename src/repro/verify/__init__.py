@@ -34,9 +34,9 @@ Entry points: ``repro lint`` on the CLI (``--deep`` enables the B2B5xx
 conversation exploration and B2B6xx race analysis; ``--dataflow`` the
 B2B7xx schema dataflow pass), ``IntegrationModel.verify()``
 programmatically, and the scenario builders' ``verify=True`` opt-in.
-At registry scale, :func:`sweep_registry` (``repro lint --registry N``)
-explores each protocol's conversations once and shares the verdict
-across every agreement over that protocol.
+Conversations are explored once per deployed protocol, not once per
+agreement, so ``repro lint --registry N`` lints a generated registry of
+N agreements as one ordinary model.
 """
 
 from repro.verify.binding_checks import (
@@ -69,7 +69,6 @@ from repro.verify.effects import (
 )
 from repro.verify.model_checks import verify_model
 from repro.verify.race_checks import concurrent_step_pairs, verify_workflow_races
-from repro.verify.registry import SweepReport, sweep_registry
 from repro.verify.statespace import (
     DEFAULT_MAX_STATES,
     DEFAULT_QUEUE_BOUND,
@@ -105,8 +104,6 @@ __all__ = [
     "verify_workflow_races",
     "ModelReport",
     "verify_unit",
-    "SweepReport",
-    "sweep_registry",
     "AbstractDocument",
     "FieldState",
     "RouteSpec",

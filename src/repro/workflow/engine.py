@@ -193,7 +193,7 @@ class WorkflowEngine:
         )
         return instance.instance_id
 
-    def start(self, instance_id: str) -> WorkflowInstance:
+    def start(self, instance_id: str) -> None:
         """Mark the start steps ready and advance until quiescent."""
         instance = self.database.load_instance(instance_id)
         if instance.status != INSTANCE_CREATED:
@@ -210,7 +210,7 @@ class WorkflowEngine:
         self._emit(
             InstanceStarted, instance_id=instance_id, type_name=instance.type_name
         )
-        return self._advance(instance_id)
+        self._advance(instance_id)
 
     def run(
         self,
@@ -218,8 +218,10 @@ class WorkflowEngine:
         variables: Mapping[str, Any] | None = None,
         version: str = "",
     ) -> WorkflowInstance:
-        """Create and start an instance in one call."""
-        return self.start(self.create_instance(type_name, version, variables))
+        """Create and start an instance in one call; returns its snapshot."""
+        instance_id = self.create_instance(type_name, version, variables)
+        self.start(instance_id)
+        return self.get_instance(instance_id)
 
     def get_instance(self, instance_id: str) -> WorkflowInstance:
         """Load the current snapshot of an instance."""
@@ -229,7 +231,7 @@ class WorkflowEngine:
 
     def complete_waiting_step(
         self, wait_key: str, outputs: Mapping[str, Any] | None = None
-    ) -> WorkflowInstance:
+    ) -> None:
         """Complete the step parked under ``wait_key`` and advance."""
         try:
             instance_id, step_id = self._wait_index.pop(wait_key)
@@ -244,7 +246,7 @@ class WorkflowEngine:
         workflow_type = self._type_of(instance)
         self._finish_step(instance, workflow_type, step_id, dict(outputs or {}))
         self.database.store_instance(instance)
-        return self._advance(instance_id)
+        self._advance(instance_id)
 
     def cancel_waiting_step(self, wait_key: str, reason: str) -> WorkflowInstance:
         """Fail the step parked under ``wait_key`` (e.g. a reply timeout).
@@ -303,7 +305,7 @@ class WorkflowEngine:
         )
         return instance
 
-    def retry_failed_step(self, instance_id: str) -> WorkflowInstance:
+    def retry_failed_step(self, instance_id: str) -> None:
         """Re-run the failed step of a failed instance.
 
         The step returns to ``ready``, the instance to ``running``, and
@@ -326,7 +328,7 @@ class WorkflowEngine:
         instance.error = ""
         instance.record(self.clock.now(), "retrying", failed[0].step_id)
         self.database.store_instance(instance)
-        return self._advance(instance_id)
+        self._advance(instance_id)
 
     def recover(self) -> int:
         """Rebuild the in-memory wait index from the database.
@@ -355,7 +357,7 @@ class WorkflowEngine:
     def _type_of(self, instance: WorkflowInstance) -> WorkflowType:
         return self.database.load_type(instance.type_name, instance.type_version)
 
-    def _advance(self, instance_id: str) -> WorkflowInstance:
+    def _advance(self, instance_id: str) -> None:
         """Queue an advance task on the runtime kernel and drain it.
 
         All instance advancement — API calls, child completions, message
@@ -370,7 +372,6 @@ class WorkflowEngine:
             label=f"{self.name}:advance:{instance_id}",
         )
         self.runtime.drain()
-        return self.database.load_instance(instance_id)
 
     def _advance_instance(self, instance_id: str) -> None:
         """Advance one instance until quiescent (runs as a kernel task).

@@ -2,8 +2,9 @@
 
 Timings here use tiny ``min_time`` values and shrunken gate workloads —
 the tests verify the registry's mechanics (selection, JSON shape, the
-bounds' verdicts), not the performance numbers themselves; the bounds are
-enforced by ``repro bench --check`` in CI.
+bounds' verdicts), not the performance numbers themselves.  The verdict
+tests read payloads of fixed numbers; the bounds are enforced by
+``repro bench --check`` in CI.
 """
 
 import copy
@@ -22,13 +23,22 @@ from repro.analysis.bench import (
 from repro.cli import main
 
 
-def _payload(**overrides):
-    payload = run_benchmarks(
-        ["expression_eval_interpreted", "expression_eval_compiled"],
-        min_time=0.02,
-    )
-    payload.update(overrides)
-    return payload
+def _fixed_payload():
+    """A payload of fixed numbers, so no verdict hinges on a timing draw."""
+    return {
+        "schema": "repro-bench/1",
+        "python": "3",
+        "calibration_ops_per_sec": 1000.0,
+        "benchmarks": {
+            "expression_eval_interpreted": {
+                "ops_per_sec": 100.0, "normalized": 0.1, "runs": 10,
+            },
+            "expression_eval_compiled": {
+                "ops_per_sec": 500.0, "normalized": 0.5, "runs": 10,
+            },
+        },
+        "derived": {"expression_compile_speedup": 5.0},
+    }
 
 
 class TestDriver:
@@ -40,7 +50,10 @@ class TestDriver:
             run_benchmarks(["warp_drive"], min_time=0.01)
 
     def test_payload_shape(self):
-        payload = _payload()
+        payload = run_benchmarks(
+            ["expression_eval_interpreted", "expression_eval_compiled"],
+            min_time=0.02,
+        )
         assert payload["schema"] == "repro-bench/1"
         for entry in payload["benchmarks"].values():
             assert entry["ops_per_sec"] > 0
@@ -63,11 +76,11 @@ class TestDriver:
 
 class TestRegressionGate:
     def test_identical_run_passes(self):
-        payload = _payload()
+        payload = _fixed_payload()
         assert check_against_baseline(payload, payload) == []
 
     def test_large_drop_fails(self):
-        baseline = _payload()
+        baseline = _fixed_payload()
         current = json.loads(json.dumps(baseline))
         name = "expression_eval_compiled"
         current["benchmarks"][name]["normalized"] = (
@@ -77,25 +90,25 @@ class TestRegressionGate:
         assert any(name in problem for problem in problems)
 
     def test_small_drift_tolerated(self):
-        baseline = _payload()
+        baseline = _fixed_payload()
         current = json.loads(json.dumps(baseline))
         for entry in current["benchmarks"].values():
             entry["normalized"] *= 0.9  # within the 25% tolerance
         assert check_against_baseline(current, baseline) == []
 
     def test_speedup_floor_enforced(self):
-        payload = _payload()
+        payload = _fixed_payload()
         payload["derived"]["expression_compile_speedup"] = 1.1
         problems = check_against_baseline(payload, payload)
         assert any("expression_compile_speedup" in problem for problem in problems)
 
     def test_missing_benchmarks_ignored(self):
         # a baseline predating a new benchmark must not crash the gate
-        payload = _payload()
+        payload = _fixed_payload()
         assert check_against_baseline(payload, {"benchmarks": {}}) == []
 
     def test_bounds_print_in_their_own_units(self):
-        payload = _payload()
+        payload = _fixed_payload()
         payload["derived"].update(
             recovery_events_per_sec=45_000.0, journal_write_overhead=0.2
         )

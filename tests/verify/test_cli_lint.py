@@ -25,7 +25,7 @@ def test_lint_demo_broken_exits_nonzero_with_three_codes(capsys):
 def test_lint_json_format(capsys):
     assert main(["lint", "--demo-broken", "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload["schema_version"] == 6
+    assert payload["schema_version"] == 7
     assert "broken-demo" in payload["models"]
     entry = payload["models"]["broken-demo"]
     assert entry["counts"]["error"] >= 2
@@ -86,19 +86,21 @@ def test_lint_stats_table_shows_state_counts(capsys):
 def test_lint_registry_sweep_json(capsys):
     argv = ["lint", "--registry", "40", "--deep", "--format", "json"]
     assert main(argv) == 0
-    registry = json.loads(capsys.readouterr().out)["registry"]
-    assert registry["agreements"] == 40
-    assert registry["explorations"] >= 1
-    assert registry["dirty_agreements"] == {}
-    cache_fields = {"verified", "cache_hits", "cache_hit_rate", "fabric_cached"}
-    assert not cache_fields & set(registry)
+    payload = json.loads(capsys.readouterr().out)
+    # since schema v7: the registry is one ordinary model entry
+    assert set(payload) == {"schema_version", "models", "totals"}
+    assert list(payload["models"]) == ["registry-40"]
+    entry = payload["models"]["registry-40"]
+    assert entry["diagnostics"] == []
+    assert entry["states"]["explored"] > 0
+    assert payload["totals"]["models"] == 1
 
 
 def test_lint_registry_text_summary(capsys):
     assert main(["lint", "--registry", "25", "--deep"]) == 0
     out = capsys.readouterr().out
-    assert "registry sweep: 25 agreement(s)" in out
-    assert "OK" in out
+    assert "registry-25" in out
+    assert "OK: 1 model(s) linted, 0 diagnostic(s)" in out
 
 
 def test_lint_dataflow_all_examples_pass_on_error_threshold(capsys):
@@ -121,13 +123,11 @@ def test_lint_dataflow_demo_broken_json(capsys):
 def test_lint_dataflow_registry_json_reports_routes(capsys):
     argv = ["lint", "--registry", "40", "--dataflow", "--format", "json"]
     assert main(argv) == 0
-    registry = json.loads(capsys.readouterr().out)["registry"]
-    assert registry["agreements"] == 40
-    assert registry["explorations"] == 0  # dataflow alone explores nothing
-    assert set(registry["dataflow"]) == {"routes", "diagnostics"}
-    assert registry["dataflow"]["routes"] > 0
-    assert registry["dataflow"]["diagnostics"] == []
-    assert registry["dirty_agreements"] == {}
+    entry = json.loads(capsys.readouterr().out)["models"]["registry-40"]
+    # dataflow alone explores nothing
+    assert entry["states"] == {"explored": 0, "pruned": 0}
+    assert entry["dataflow_routes"] > 0
+    assert entry["diagnostics"] == []
 
 
 def _plant_registry_dataflow_defect(monkeypatch) -> list[str]:
@@ -161,10 +161,10 @@ def test_lint_registry_dataflow_text_shows_the_diagnostics_it_fails_on(monkeypat
     planted = _plant_registry_dataflow_defect(monkeypatch)
     assert main(["lint", "--registry", "40", "--dataflow"]) == 1
     out = capsys.readouterr().out
-    assert "(dataflow)" in out
+    assert "registry-40" in out
     (line,) = [line for line in out.splitlines() if "B2B701" in line]
     assert planted[0] in line
-    assert "FAIL: 1 diagnostic(s)" in out
+    assert "FAIL: 1 model(s) linted, 1 diagnostic(s)" in out
 
 
 def test_lint_registry_dataflow_json_shows_the_diagnostics_it_fails_on(monkeypatch, capsys):
@@ -172,12 +172,12 @@ def test_lint_registry_dataflow_json_shows_the_diagnostics_it_fails_on(monkeypat
     argv = ["lint", "--registry", "40", "--dataflow", "--format", "json"]
     assert main(argv) == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload["schema_version"] == 6
-    registry = payload["registry"]
-    (diagnostic,) = registry["dataflow"]["diagnostics"]
+    assert payload["schema_version"] == 7
+    entry = payload["models"]["registry-40"]
+    (diagnostic,) = entry["diagnostics"]
     assert diagnostic["code"] == "B2B701"
     assert planted[0] in diagnostic["location"]
-    assert registry["counts"]["error"] == 1
+    assert entry["counts"]["error"] == 1
 
 
 def test_lint_no_reduce_keeps_deep_verdicts(capsys):

@@ -507,27 +507,25 @@ class TestCleanRouteProperty:
 
 
 # ---------------------------------------------------------------------------
-# Registry sweeps
+# Registry lints
 # ---------------------------------------------------------------------------
 
 
 class TestRegistrySweep:
     def test_dataflow_sweep_checks_every_route_clean(self):
         from repro.analysis.scenarios import build_registry_model
-        from repro.verify.registry import sweep_registry
 
         model = build_registry_model(REGISTRY_AGREEMENTS)
-        report = sweep_registry(model, deep=False, dataflow=True)
-        assert report.dataflow_routes == len(list(iter_binding_routes(model)))
-        assert report.dataflow_routes > 0
-        assert report.diagnostics == []
+        stats: dict = {}
+        assert model.verify(dataflow=True, stats=stats) == []
+        assert stats["dataflow_routes"] == len(list(iter_binding_routes(model)))
+        assert stats["dataflow_routes"] > 0
 
     def test_editing_one_mapping_shows_in_the_next_sweep(self):
         from repro.analysis.scenarios import build_registry_model
-        from repro.verify.registry import sweep_registry
 
         model = build_registry_model(REGISTRY_AGREEMENTS)
-        assert sweep_registry(model, deep=False, dataflow=True).diagnostics == []
+        assert model.verify(dataflow=True) == []
         # a content edit: one catalog mapping now writes a number where
         # its target schema declares a string
         mapping = next(
@@ -540,10 +538,9 @@ class TestRegistrySweep:
             if spec.type_name == "str"
         )
         mapping.rules.append(Const(path, 840))
-        after = sweep_registry(model, deep=False, dataflow=True)
         assert any(
             d.code == "B2B701" and mapping.name in d.location
-            for d in after.dataflow_diagnostics
+            for d in model.verify(dataflow=True)
         )
 
 

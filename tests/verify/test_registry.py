@@ -1,8 +1,12 @@
-"""Registry-scale sweeps: one shared exploration per protocol."""
+"""Registry-scale lint: one shared exploration per protocol.
+
+A registry of agreements is an ordinary model: ``verify`` explores each
+deployed protocol's conversation once, however many agreements reference
+it.
+"""
 
 from repro.analysis.bench import REGISTRY_AGREEMENTS as AGREEMENTS
 from repro.analysis.scenarios import build_registry_model
-from repro.verify.registry import sweep_registry
 
 
 def test_generated_registry_is_deterministic():
@@ -14,39 +18,37 @@ def test_generated_registry_is_deterministic():
 
 def test_cold_sweep_is_clean_and_shares_explorations():
     model = build_registry_model(AGREEMENTS)
-    report = sweep_registry(model, deep=True)
-    assert not report.diagnostics
-    assert report.agreements == len(report.agreement_diagnostics) == AGREEMENTS
-    # One exploration per referenced protocol, not per agreement.
-    protocols = {a.protocol for a in model.partners.agreements()}
-    assert report.explorations == len(protocols)
-    assert report.states_explored > 0
+    stats: dict = {}
+    assert model.verify(deep=True, stats=stats) == []
+    # One exploration per protocol, not per agreement.
+    referenced = {a.protocol for a in model.partners.agreements()}
+    assert len(stats["conversations"]) == len(model.protocols) == len(referenced) == 8
+    assert stats["states_explored"] > 0
 
 
 def test_repeated_sweep_reports_the_same_verdicts():
     model = build_registry_model(AGREEMENTS)
-    first = sweep_registry(model, deep=True)
-    again = sweep_registry(model, deep=True)
-    assert again.agreement_diagnostics == first.agreement_diagnostics
-    assert again.explorations == first.explorations
-    assert again.states_explored == first.states_explored
+    first: dict = {}
+    again: dict = {}
+    assert model.verify(deep=True, stats=first) == model.verify(deep=True, stats=again)
+    assert again["conversations"] == first["conversations"]
+    assert again["states_explored"] == first["states_explored"]
 
 
 def test_shallow_sweep_explores_nothing():
     model = build_registry_model(AGREEMENTS)
-    shallow = sweep_registry(model, deep=False)
-    assert shallow.agreements == AGREEMENTS
-    assert shallow.explorations == shallow.states_explored == 0
-    assert not shallow.diagnostics
+    stats: dict = {}
+    assert model.verify(deep=False, stats=stats) == []
+    assert stats["conversations"] == []
+    assert stats["states_explored"] == 0
 
 
-def test_defective_pair_surfaces_under_each_agreement_location():
+def test_defective_protocol_is_reported_once_at_its_conversation():
+    from repro.partners.agreement import TradingPartnerAgreement
+    from repro.partners.profile import TradingPartner
     from repro.verify.targets import build_deadlock_model
 
     model = build_deadlock_model()
-    from repro.partners.agreement import TradingPartnerAgreement
-    from repro.partners.profile import TradingPartner
-
     model.partners.add_partner(
         TradingPartner("TP-D", protocols=("deadlock-handshake",))
     )
@@ -56,15 +58,8 @@ def test_defective_pair_surfaces_under_each_agreement_location():
             doc_types=("purchase_order", "invoice"),
         )
     )
-    report = sweep_registry(model, deep=True)
-    (label, diagnostics), = report.dirty.items()
-    assert label.startswith("agreement:TP-D:")
-    assert any(d.code == "B2B501" for d in diagnostics)
-    assert all(d.location.startswith(label) for d in diagnostics)
-
-
-def test_sweep_report_diagnostics_merge_fabric_and_agreements():
-    model = build_registry_model(AGREEMENTS)
-    report = sweep_registry(model, deep=True)
-    assert report.diagnostics == report.fabric_diagnostics  # clean agreements
-    assert report.dirty == {}
+    (deadlock,) = [d for d in model.verify(deep=True) if d.code == "B2B501"]
+    assert deadlock.location == (
+        "model:deadlock-demo/conversation:deadlock-handshake/"
+        "deadlock-buyer+deadlock-seller"
+    )

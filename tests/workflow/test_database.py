@@ -661,7 +661,7 @@ class TestFigure4Traffic:
             )
             for enterprise in pair.enterprises()
         }
-        assert counts == {"TP1": (34, 31, 31), "ACME": (39, 30, 30)}
+        assert counts == {"TP1": (28, 31, 31), "ACME": (33, 30, 30)}
 
     @pytest.mark.parametrize("steps, traffic", [
         (1, (4, 4, 4)), (5, (8, 8, 8)), (20, (23, 23, 23)), (50, (53, 53, 53)),

@@ -102,8 +102,8 @@ class TestMigration:
         instance_id = source.create_instance("wf")
         source.start(instance_id)
         migrate_instance(source, target, instance_id)
-        instance = target.complete_waiting_step("EVT", {})
-        assert instance.status == INSTANCE_COMPLETED
+        target.complete_waiting_step("EVT", {})
+        assert target.get_instance(instance_id).status == INSTANCE_COMPLETED
 
     def test_source_keeps_migrated_tombstone(self):
         source, target = WorkflowEngine("src"), WorkflowEngine("dst")
@@ -134,8 +134,9 @@ class TestMigration:
         source.start(parent_id)
         report = migrate_instance(source, target, parent_id)
         assert report.instances_sent == 2  # parent + waiting child
-        instance = target.complete_waiting_step("CHILD-EVT", {})
-        assert instance.status == INSTANCE_COMPLETED
+        child_id = target.get_instance(parent_id).step_state("call").child_instance_id
+        target.complete_waiting_step("CHILD-EVT", {})
+        assert target.get_instance(child_id).status == INSTANCE_COMPLETED
         assert target.get_instance(parent_id).status == INSTANCE_COMPLETED
 
     def test_roundtrip_migration(self):
@@ -149,8 +150,8 @@ class TestMigration:
         migrate_instance(source, target, instance_id)
         target.complete_waiting_step("K1", {})
         migrate_instance(target, source, instance_id)
-        instance = source.complete_waiting_step("K2", {})
-        assert instance.status == INSTANCE_COMPLETED
+        source.complete_waiting_step("K2", {})
+        assert source.get_instance(instance_id).status == INSTANCE_COMPLETED
 
 
 class TestDistribution:

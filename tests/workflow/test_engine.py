@@ -339,9 +339,11 @@ class TestWaitingSteps:
         builder.activity("done", "noop", after="wait")
         _deploy(engine, builder)
         instance_id = engine.create_instance("wf")
-        assert engine.start(instance_id).status == INSTANCE_WAITING
+        engine.start(instance_id)
+        assert engine.get_instance(instance_id).status == INSTANCE_WAITING
         assert engine.has_waiting("EVT")
-        instance = engine.complete_waiting_step("EVT", {"msg": "hello"})
+        engine.complete_waiting_step("EVT", {"msg": "hello"})
+        instance = engine.get_instance(instance_id)
         assert instance.status == INSTANCE_COMPLETED
         assert instance.variables["msg"] == "hello"
         assert not engine.has_waiting("EVT")
@@ -383,8 +385,8 @@ class TestWaitingSteps:
         engine.start(instance_id)
         engine.complete_waiting_step("K2", {})
         assert engine.get_instance(instance_id).status == INSTANCE_WAITING
-        instance = engine.complete_waiting_step("K1", {})
-        assert instance.status == INSTANCE_COMPLETED
+        engine.complete_waiting_step("K1", {})
+        assert engine.get_instance(instance_id).status == INSTANCE_COMPLETED
 
 
 class TestFailures:
@@ -468,5 +470,5 @@ class TestPersistenceContract:
         fresh_engine = WorkflowEngine("fresh", database=restored_db,
                                       activities=built_in_registry())
         fresh_engine._wait_index["EVT"] = (instance_id, "wait")
-        instance = fresh_engine.complete_waiting_step("EVT", {})
-        assert instance.status == INSTANCE_COMPLETED
+        fresh_engine.complete_waiting_step("EVT", {})
+        assert fresh_engine.get_instance(instance_id).status == INSTANCE_COMPLETED

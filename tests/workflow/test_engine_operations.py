@@ -97,7 +97,8 @@ class TestRetry:
         self._deploy_flaky(engine)
         instance = engine.run("flaky-wf")
         assert instance.status == INSTANCE_FAILED
-        retried = engine.retry_failed_step(instance.instance_id)
+        engine.retry_failed_step(instance.instance_id)
+        retried = engine.get_instance(instance.instance_id)
         assert retried.status == INSTANCE_COMPLETED
         assert retried.variables["value"] == 2
         assert retried.step_state("after").status == "completed"
@@ -105,7 +106,8 @@ class TestRetry:
     def test_retry_records_history(self, engine):
         self._deploy_flaky(engine)
         instance = engine.run("flaky-wf")
-        retried = engine.retry_failed_step(instance.instance_id)
+        engine.retry_failed_step(instance.instance_id)
+        retried = engine.get_instance(instance.instance_id)
         assert retried.events("retrying")
         assert retried.events("step_failed")  # the original failure stays
 
@@ -124,11 +126,11 @@ class TestRetry:
         builder.activity("try", "always-broken")
         engine.deploy(builder.build())
         instance = engine.run("broken-wf")
-        retried = engine.retry_failed_step(instance.instance_id)
-        assert retried.status == INSTANCE_FAILED
+        engine.retry_failed_step(instance.instance_id)
+        assert engine.get_instance(instance.instance_id).status == INSTANCE_FAILED
         # and a third attempt is still possible
-        retried = engine.retry_failed_step(instance.instance_id)
-        assert retried.status == INSTANCE_FAILED
+        engine.retry_failed_step(instance.instance_id)
+        assert engine.get_instance(instance.instance_id).status == INSTANCE_FAILED
 
 
 class TestRecovery:
@@ -146,8 +148,8 @@ class TestRecovery:
         assert not fresh.has_waiting("K1")
         assert fresh.recover() == 1
         assert fresh.has_waiting("K1")
-        instance = fresh.complete_waiting_step("K1", {})
-        assert instance.status == INSTANCE_COMPLETED
+        fresh.complete_waiting_step("K1", {})
+        assert fresh.get_instance(instance_id).status == INSTANCE_COMPLETED
 
     def test_recover_on_empty_database(self, engine):
         assert engine.recover() == 0

@@ -30,8 +30,9 @@ class TestVersioning:
         engine = WorkflowEngine("v")
         engine.deploy(_child("1", "from-v1"))
         engine.deploy(_child("2", "from-v2"))
-        instance = engine.start(engine.create_instance("child", version="1"))
-        assert instance.variables["y"] == "from-v1"
+        instance_id = engine.create_instance("child", version="1")
+        engine.start(instance_id)
+        assert engine.get_instance(instance_id).variables["y"] == "from-v1"
 
     def test_in_flight_instance_keeps_its_version(self):
         """Section 2.1: a running instance is interpreted against the type
@@ -54,7 +55,8 @@ class TestVersioning:
             after="wait",
         )
         engine.deploy(upgraded.build())
-        instance = engine.complete_waiting_step("K", {})
+        engine.complete_waiting_step("K", {})
+        instance = engine.get_instance(instance_id)
         assert instance.status == INSTANCE_COMPLETED
         assert instance.type_version == "1"
         assert instance.variables["v"] == "one"
@@ -138,8 +140,8 @@ class TestPersistencePolicies:
         persisted = engine.database.load_instance(instance_id)
         assert persisted.step_state("a").status == "completed"
         assert persisted.step_state("wait").status == "waiting"
-        instance = engine.complete_waiting_step("K", {})
-        assert instance.status == INSTANCE_COMPLETED
+        engine.complete_waiting_step("K", {})
+        assert engine.get_instance(instance_id).status == INSTANCE_COMPLETED
 
     def test_crash_loses_in_flight_steps_under_lazy_policy(self):
         """The durability trade, demonstrated: a crash mid-advance loses
