@@ -23,8 +23,9 @@ holds both sides' runs, medians and quartiles
 the medians, the pairs the change won or tied, the parent's IQR and
 whether the change stays within the metric's bound.  A traced
 (``--trace 1``) pair on seed 3 adds every per-layer metric of both
-sides, in calls, ms or bytes per order, and whether every ``*.calls``
-metric and ``documents.wire_bytes`` is identical.
+sides, in calls, ms or bytes per order, whether every ``*.calls``
+metric and ``documents.wire_bytes`` is identical, and the names of those
+that differ.
 
 ``--smoke`` is the short check CI runs against the merge base: 3 pairs
 of 10 s runs of ``steady_rn`` only, with no traced pair and no record
@@ -258,16 +259,22 @@ def _measure_workload(spec: dict, sides: dict[str, Path], workload: str) -> dict
         result = run_benchmark(sides[side], spec["command"], workload, TRACE_SEED, seconds, 1)
         layers[side] = {name: round(entry["value"], 4)
                         for name, entry in result["metrics"].items()}
-    identical = [name for name in layers["parent"]
-                 if name.endswith(".calls") or name == "documents.wire_bytes"]
+    differing = calls_or_wire_bytes_differing(layers["parent"], layers["change"])
     summary["traced_per_order"] = {f"seed{TRACE_SEED}": {
-        "calls_and_wire_bytes_identical": all(
-            layers["parent"][name] == layers["change"][name] for name in identical
-        ),
+        "calls_and_wire_bytes_identical": not differing,
+        "calls_or_wire_bytes_differing": differing,
         **layers,
     }}
     print(f"e2e_pairs: {workload} seed={TRACE_SEED} traced pair done", file=sys.stderr)
     return summary
+
+
+def calls_or_wire_bytes_differing(parent: dict[str, float], change: dict[str, float]) -> list[str]:
+    """The ``*.calls`` and ``documents.wire_bytes`` metrics of two traced
+    runs whose values differ (or that only one run has), sorted by name."""
+    names = {name for layers in (parent, change) for name in layers
+             if name.endswith(".calls") or name == "documents.wire_bytes"}
+    return sorted(name for name in names if parent.get(name) != change.get(name))
 
 
 def _git(*args: str) -> bytes:

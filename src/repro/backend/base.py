@@ -158,10 +158,6 @@ class ERPSimulator:
         self.extracted_count += len(drained)
         return drained
 
-    def extract_ack_for(self, po_number: str) -> Document | None:
-        """Extract the acknowledgment answering ``po_number``, if ready."""
-        return self.extract_document_for(po_number, "po_ack")
-
     def extract_document_for(self, po_number: str, doc_type: str) -> Document | None:
         """Extract the queued document of ``doc_type`` for ``po_number``."""
         for index, document in enumerate(self.outbound):

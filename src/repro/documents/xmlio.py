@@ -7,116 +7,37 @@ a small, dependency-free XML subset implemented from scratch:
 * elements with attributes and text,
 * the five predefined entities (``&amp; &lt; &gt; &quot; &apos;``) plus
   numeric character references,
-* comments and an optional XML declaration (both skipped on parse),
+* comments and an optional XML declaration (both skipped on read),
 * UTF-8 text in, text out.
 
 It deliberately excludes namespaces-as-objects (prefixes are kept verbatim
 in tag names), CDATA, DTDs and processing instructions — none of which the
 wire formats here use.
 
-:class:`XmlWriter` streams a document to text element by element, in the
-one layout the codecs put on the wire; no tree is built.
-``tests/documents/reference_xmlio.py`` keeps the tree serializer and the
-codecs' tree renderers it replaced, and a property test holds the codecs'
-writers to their bytes.
+Neither direction builds an element tree.  :class:`XmlWriter` streams a
+document to text element by element, in the one layout the codecs put on
+the wire.  :func:`scan` reads a document in one pass and keeps only the
+elements a codec's layout (:mod:`repro.documents.layout`) asks for.
+``tests/documents/reference_xmlio.py`` keeps the tree parser, the tree
+serializer and the codecs' tree readers and renderers that these
+replaced, and differential tests hold the codecs to them.
 
-``parse`` reads untrusted partner bytes, so it makes one guarantee: on any
-``str`` it returns a tree or raises :class:`~repro.errors.XmlSyntaxError`
-(a ``WireFormatError``, which the B2B engine records as a fault) with the
+``scan`` reads untrusted partner bytes, so it makes one guarantee: on any
+``str`` it either returns or raises :class:`~repro.errors.XmlSyntaxError` (a
+``WireFormatError``, which the B2B engine records as a fault) with the
 offset of the problem, and nothing else escapes.  A malformed character
 reference such as ``&#xZZ;`` or ``&#99999999;`` is such an error, and
 nesting depth is bounded by memory, not by the recursion limit.
-
-The parser is a scanner: ``str.find`` and compiled patterns jump from one
-piece of markup to the next, text between them is sliced in one step, and
-open elements live on an explicit stack.
-``tests/documents/reference_xmlio.py`` keeps the character-at-a-time parser
-it replaced, and a differential test holds the two to the same trees and
-the same errors.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Any
 
 from repro.errors import XmlSyntaxError
 
-__all__ = ["XmlElement", "XmlWriter", "parse"]
-
-
-@dataclass
-class XmlElement:
-    """An XML element: tag, attributes, text chunks and child elements.
-
-    ``content`` is the ordered mixed content: a list whose items are either
-    ``str`` (text) or :class:`XmlElement` (child).  Convenience accessors
-    cover the common case of element-only or text-only content.
-    """
-
-    tag: str
-    attrs: dict[str, str] = field(default_factory=dict)
-    content: list["XmlElement | str"] = field(default_factory=list)
-
-    # -- construction helpers ------------------------------------------------
-
-    def child(self, tag: str, text: str | None = None, **attrs: str) -> "XmlElement":
-        """Append and return a new child element (optionally with text)."""
-        element = XmlElement(tag, dict(attrs))
-        if text is not None:
-            element.content.append(text)
-        self.content.append(element)
-        return element
-
-    # -- queries -------------------------------------------------------------
-
-    @property
-    def children(self) -> list["XmlElement"]:
-        """Child elements, in document order (text chunks excluded)."""
-        return [item for item in self.content if isinstance(item, XmlElement)]
-
-    @property
-    def text(self) -> str:
-        """Concatenated direct text content."""
-        return "".join([item for item in self.content if isinstance(item, str)])
-
-    def find(self, tag: str) -> "XmlElement | None":
-        """Return the first direct child with ``tag``, or ``None``."""
-        for item in self.content:
-            if isinstance(item, XmlElement) and item.tag == tag:
-                return item
-        return None
-
-    def find_all(self, tag: str) -> list["XmlElement"]:
-        """Return all direct children with ``tag``."""
-        return [element for element in self.children if element.tag == tag]
-
-    def require(self, tag: str) -> "XmlElement":
-        """Like :meth:`find` but raises when the child is absent."""
-        element = self.find(tag)
-        if element is None:
-            raise XmlSyntaxError(f"<{self.tag}> is missing required child <{tag}>")
-        return element
-
-    def child_text(self, tag: str, default: str | None = None) -> str | None:
-        """Return the text of the first ``tag`` child, or ``default``."""
-        element = self.find(tag)
-        return element.text if element is not None else default
-
-    def iter(self) -> Iterator["XmlElement"]:
-        """Depth-first iteration over this element and all descendants."""
-        yield self
-        for element in self.children:
-            yield from element.iter()
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, XmlElement)
-            and self.tag == other.tag
-            and self.attrs == other.attrs
-            and self.content == other.content
-        )
+__all__ = ["XmlWriter", "scan"]
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +46,9 @@ class XmlElement:
 
 _DECLARATION = '<?xml version="1.0" encoding="UTF-8"?>\n'
 
-# The one XML name pattern, shared by the writer's check and the parser.
-_NAME = re.compile(r"[A-Za-z_:][A-Za-z0-9_:.\-]*")
+# The one XML name pattern, shared by the writer's check and the reader.
+_NAME_PATTERN = r"[A-Za-z_:][A-Za-z0-9_:.\-]*"
+_NAME = re.compile(_NAME_PATTERN)
 
 # Names that passed the check.  The codecs write constant tags, so each
 # distinct name is matched once per process instead of once per element.
@@ -208,7 +130,7 @@ class XmlWriter:
 
 
 # ---------------------------------------------------------------------------
-# Parsing
+# Reading
 # ---------------------------------------------------------------------------
 
 _ENTITIES = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'"}
@@ -217,12 +139,36 @@ _SPACE = re.compile(r"[ \t\r\n]*")
 # An attribute value's run up to its closing quote, a reference or a '<'.
 _VALUE_RUN = {'"': re.compile(r'[^"&<]*'), "'": re.compile(r"[^'&<]*")}
 
+# The common markup in one match: a run of plain text, then a start tag
+# without attributes, with the plain text and end tag that close it when
+# the element holds only plain text (<Tag> or <Tag>text</Tag>), or an end
+# tag without space (</Tag>).  Each name is followed by '>', never by a
+# name character, so backtracking cannot split a name (in '<abc="1">'
+# nothing matches at all).  Anything else (references, comments,
+# attributes, '<Tag/>', '</Tag >') takes the slow path in _scan_content,
+# one construct at a time.
+_MARKUP = re.compile(
+    rf"([^<&]*)<(?:({_NAME_PATTERN})>(?:([^<&]*)</({_NAME_PATTERN})>)?|/({_NAME_PATTERN})>)"
+)
 
-def parse(text: str) -> XmlElement:
-    """Parse an XML string and return its root :class:`XmlElement`.
 
-    Raises :class:`XmlSyntaxError`, and nothing else, on any input that is
-    not a document of the grammar above.
+def scan(text: str, tables: dict[str, dict[str, Any]]) -> tuple[str, dict | None]:
+    """Read the XML document ``text`` in one pass; return its root tag and what was kept.
+
+    ``tables`` maps a root tag to the table of its children to keep.  A
+    table maps a child tag to an entry with two attributes: ``table``,
+    the entry's own table (``None`` keeps the element's direct text), and
+    ``repeat``.  The first child with a kept tag is kept and later ones
+    are skipped, unless the entry repeats, in which case every such child
+    is kept, as a list.  What is kept is a dict, child tag to value: the
+    direct text (a ``str``, or a list of pieces to join) for an entry
+    without a table, else a dict of the same kind.  Text is the
+    element's direct text, merged across comments, references and child
+    elements.  An unknown root keeps nothing (``None``).
+
+    Every element is checked, kept or not.  Raises :class:`XmlSyntaxError`,
+    and nothing else, on any input that is not a document of the grammar
+    above.
     """
     if not isinstance(text, str):
         raise XmlSyntaxError(f"expected str, got {type(text).__name__}")
@@ -230,12 +176,14 @@ def parse(text: str) -> XmlElement:
     if not text.startswith("<", pos):
         raise XmlSyntaxError("expected root element", pos)
     root, pos, is_open = _start_tag(text, pos)
+    table = tables.get(root)
+    kept = None if table is None else {}
     if is_open:
-        pos = _scan_content(text, pos, root)
+        pos = _scan_content(text, pos, root, table, kept)
     pos = _skip_misc(text, pos)
     if pos != len(text):
         raise XmlSyntaxError("content after document root", pos)
-    return root
+    return root, kept
 
 
 def _skip_misc(text: str, pos: int) -> int:
@@ -256,96 +204,144 @@ def _skip_misc(text: str, pos: int) -> int:
             return pos
 
 
-def _scan_content(text: str, pos: int, root: XmlElement) -> int:
-    """Fill ``root`` from its content at ``pos``; return the offset after its end tag.
+def _scan_content(
+    text: str, pos: int, tag: str, table: dict | None, kept: dict | None
+) -> int:
+    """Read the content of the open element ``tag`` at ``pos``; return the offset after its end tag.
 
-    Open elements live on an explicit stack, so nesting depth is bounded by
-    memory, not by the interpreter's recursion limit.  Text between two
-    pieces of markup is sliced in one step; adjacent runs, references and
-    runs split by a comment merge into one text chunk.
+    ``table`` and ``kept`` say what to keep of the element's children and
+    where (both ``None`` when nothing is kept), and ``pieces`` collects
+    the direct text of a kept text element.  Open elements live on an
+    explicit stack, so nesting depth is bounded by memory, not by the
+    interpreter's recursion limit.
     """
     find = text.find
     startswith = text.startswith
     length = len(text)
-    stack: list[tuple[XmlElement, str]] = []
-    element = root
-    content = root.content
-    closing = f"</{root.tag}>"
-    pieces: list[str] = []
+    stack: list[tuple[str, dict | None, dict | None, list | None]] = []
+    pieces: list[str] | None = None
+    match = _MARKUP.match
     while True:
+        found = match(text, pos)
+        if found is not None:
+            run, child, child_text, child_end, end = found.groups()
+            if run and pieces is not None:
+                pieces.append(run)
+            pos = found.end()
+            if child_end is not None:  # <Tag>text</Tag>
+                if child_end != child:
+                    raise XmlSyntaxError(
+                        f"mismatched closing tag </{child_end}> for <{child}>", pos - 1
+                    )
+                if table is not None and child in table:
+                    _keep_childless(table[child], kept, child, child_text)
+            elif child is not None:  # <Tag>
+                stack.append((tag, table, kept, pieces))
+                tag = child
+                table, kept, pieces = _open(table, kept, child)
+            else:  # </Tag>
+                if end != tag:
+                    raise XmlSyntaxError(
+                        f"mismatched closing tag </{end}> for <{tag}>", pos - 1
+                    )
+                if not stack:
+                    return pos
+                tag, table, kept, pieces = stack.pop()
+            continue
+        # The slow path: text with references, then one piece of markup.
         lt = find("<", pos)
         if lt < 0:
             lt = length
         amp = find("&", pos, lt)
         while amp >= 0:
-            if amp > pos:
+            if amp > pos and pieces is not None:
                 pieces.append(text[pos:amp])
             value, pos = _reference(text, amp)
-            pieces.append(value)
+            if pieces is not None:
+                pieces.append(value)
             amp = find("&", pos, lt)
-        if lt > pos:
+        if lt > pos and pieces is not None:
             pieces.append(text[pos:lt])
         pos = lt
         if pos >= length:
-            raise XmlSyntaxError(f"unterminated element <{element.tag}>", pos)
+            raise XmlSyntaxError(f"unterminated element <{tag}>", pos)
         if startswith("</", pos):
-            if pieces:
-                content.append("".join(pieces))
-                pieces.clear()
-            if startswith(closing, pos):
-                pos += len(closing)
-            else:
-                pos = _end_tag(text, pos, element.tag)
+            pos = _end_tag(text, pos, tag)
             if not stack:
                 return pos
-            element, closing = stack.pop()
-            content = element.content
+            tag, table, kept, pieces = stack.pop()
         elif startswith("<!--", pos):
-            end = find("-->", pos + 4)
-            if end < 0:
+            end_comment = find("-->", pos + 4)
+            if end_comment < 0:
                 raise XmlSyntaxError("unterminated comment", pos)
-            pos = end + 3
+            pos = end_comment + 3
         else:
-            if pieces:
-                content.append("".join(pieces))
-                pieces.clear()
             child, pos, is_open = _start_tag(text, pos)
-            content.append(child)
             if is_open:
-                stack.append((element, closing))
-                element = child
-                content = child.content
-                closing = f"</{child.tag}>"
+                stack.append((tag, table, kept, pieces))
+                tag = child
+                table, kept, pieces = _open(table, kept, child)
+            elif table is not None and child in table:
+                _keep_childless(table[child], kept, child, "")
 
 
-def _start_tag(text: str, pos: int) -> tuple[XmlElement, int, bool]:
+def _keep_childless(entry: Any, kept: dict, tag: str, text: str) -> None:
+    """Keep child ``tag``, which holds ``text`` and no element of its own."""
+    if entry.repeat:
+        kept.setdefault(tag, []).append({})
+    elif tag not in kept:
+        kept[tag] = text if entry.table is None else {}
+
+
+def _open(table: dict | None, kept: dict | None, tag: str) -> tuple:
+    """What to keep inside child ``tag``, just opened: its table, kept dict and text pieces."""
+    entry = None if table is None else table.get(tag)
+    if entry is None:
+        return None, None, None
+    if entry.repeat:
+        item: dict = {}
+        kept.setdefault(tag, []).append(item)
+        return entry.table, item, None
+    if tag in kept:
+        return None, None, None
+    if entry.table is None:
+        pieces: list[str] = []
+        kept[tag] = pieces
+        return None, None, pieces
+    group: dict = {}
+    kept[tag] = group
+    return entry.table, group, None
+
+
+def _start_tag(text: str, pos: int) -> tuple[str, int, bool]:
     """Read the start tag at ``pos`` (a ``<``).
 
-    Returns the new element, the offset after the tag, and whether the
-    element is open (``>``) rather than empty (``/>``).
+    Returns the tag, the offset after the start tag, and whether the
+    element is open (``>``) rather than empty (``/>``).  Attributes are
+    checked and skipped.
     """
     match = _NAME.match(text, pos + 1)
     if match is None:
         raise XmlSyntaxError("expected XML name", pos + 1)
     tag = match.group()
     pos = match.end()
-    attrs: dict[str, str] = {}
+    names: set[str] = set()
     while True:
         pos = _SPACE.match(text, pos).end()
         if text.startswith(">", pos):
-            return XmlElement(tag, attrs), pos + 1, True
+            return tag, pos + 1, True
         if text.startswith("/>", pos):
-            return XmlElement(tag, attrs), pos + 2, False
+            return tag, pos + 2, False
         if pos >= len(text) or text[pos] == "/":
             raise XmlSyntaxError("expected '>'", pos)
-        name, value, pos = _attribute(text, pos)
-        if name in attrs:
+        name, pos = _attribute(text, pos)
+        if name in names:
             raise XmlSyntaxError(f"duplicate attribute {name!r}", pos)
-        attrs[name] = value
+        names.add(name)
 
 
-def _attribute(text: str, pos: int) -> tuple[str, str, int]:
-    """Read ``name = "value"`` at ``pos``; return name, value and the offset after it."""
+def _attribute(text: str, pos: int) -> tuple[str, int]:
+    """Read ``name = "value"`` at ``pos``; return the name and the offset after it."""
     match = _NAME.match(text, pos)
     if match is None:
         raise XmlSyntaxError("expected XML name", pos)
@@ -358,24 +354,19 @@ def _attribute(text: str, pos: int) -> tuple[str, str, int]:
         raise XmlSyntaxError("attribute value must be quoted", pos)
     run = _VALUE_RUN[quote]
     pos += 1
-    pieces: list[str] = []
     while True:
-        end = run.match(text, pos).end()
-        if end > pos:
-            pieces.append(text[pos:end])
-        pos = end
+        pos = run.match(text, pos).end()
         if pos >= len(text):
             raise XmlSyntaxError("unterminated attribute value", pos)
         if text[pos] == quote:
-            return match.group(), "".join(pieces), pos + 1
+            return match.group(), pos + 1
         if text[pos] == "<":
             raise XmlSyntaxError("'<' not allowed in attribute value", pos)
-        value, pos = _reference(text, pos)
-        pieces.append(value)
+        _, pos = _reference(text, pos)
 
 
 def _end_tag(text: str, pos: int, open_tag: str) -> int:
-    """Read an end tag at ``pos`` that is not exactly ``</open_tag>``.
+    """Read the end tag at ``pos`` that must close ``open_tag``.
 
     Space before the ``>`` is allowed; anything else is an error.
     """

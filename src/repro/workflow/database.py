@@ -118,10 +118,6 @@ class WorkflowDatabase:
         """All stored type definitions (used by the exposure metric)."""
         return [self._built_type(key) for key in self._types]
 
-    def type_keys(self) -> list[tuple[str, str]]:
-        """All stored (name, version) pairs."""
-        return sorted(self._types)
-
     # -- workflow instances ---------------------------------------------------------
 
     def store_instance(self, instance: WorkflowInstance) -> None:

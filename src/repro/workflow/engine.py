@@ -264,10 +264,6 @@ class WorkflowEngine:
         self.database.store_instance(instance)
         return instance
 
-    def waiting_keys(self) -> list[str]:
-        """All wait keys with a parked step (diagnostics)."""
-        return sorted(self._wait_index)
-
     # ----------------------------------------------------------- operations
 
     def cancel_instance(self, instance_id: str, reason: str = "") -> WorkflowInstance:

@@ -34,6 +34,35 @@ class TestCompare:
         assert not summary["within_bound"]
 
 
+class TestTracedDifferences:
+    """The traced pair names every call count and the wire bytes that differ."""
+
+    def test_identical_runs_differ_nowhere(self):
+        layers = {"workflow.database.load_instance.calls": 20.6,
+                  "workflow.database.load_instance.self_ms": 0.33,
+                  "documents.wire_bytes": 5714.56}
+        assert e2e_pairs.calls_or_wire_bytes_differing(layers, dict(layers)) == []
+
+    def test_counts_and_bytes_named_times_ignored(self):
+        parent = {"workflow.database.load_instance.calls": 24.6,
+                  "workflow.database.load_instance.self_ms": 0.41,
+                  "workflow.engine.start.calls": 4.0,
+                  "documents.wire_bytes": 5714.56,
+                  "runtime.journal.bytes": 5700.0,
+                  "documents.rosettanet.from_wire.calls": 2.0}
+        change = {**parent,
+                  "workflow.database.load_instance.calls": 20.6,
+                  "workflow.database.load_instance.self_ms": 0.33,
+                  "documents.wire_bytes": 5714.0,
+                  "runtime.journal.bytes": 5600.0,
+                  "core.rules.evaluate.calls": 1.0}
+        assert e2e_pairs.calls_or_wire_bytes_differing(parent, change) == [
+            "core.rules.evaluate.calls",
+            "documents.wire_bytes",
+            "workflow.database.load_instance.calls",
+        ]
+
+
 class TestRunBenchmark:
     """Only a run that exits 0 and reports ``"correct": true`` is a measurement."""
 

@@ -1,14 +1,42 @@
-"""Tests for the minimal XML reader/writer."""
+"""Tests for the minimal XML reader/writer and the layout reader built on it."""
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.documents import oagis, rosettanet
 from repro.documents.model import Document
-from repro.documents.xmlio import XmlElement, XmlWriter, parse
+from repro.documents.normalized import make_purchase_order
+from repro.documents.xmlio import XmlWriter
 from repro.errors import WireFormatError, XmlSyntaxError
-from tests.documents.reference_xmlio import reference_parse, reference_to_wire, serialize
-from tests.documents.strategies import mutated, wire_texts
+from repro.transform.catalog import build_standard_registry
+from tests.documents.reference_xmlio import (
+    XmlElement, parse, reference_from_wire, reference_to_wire, serialize,
+)
+from tests.documents.strategies import bent, mutated, wire_texts
+from tests.integration.test_hostile_input import TARGETS, VARIANTS
+
+_REGISTRY = build_standard_registry()
+_ORDER = make_purchase_order(
+    "PO-7", "TP1", "ACME",
+    [{"sku": "GPU", "quantity": 2, "unit_price": 900.0, "description": "graphics card"},
+     {"sku": "PSU", "quantity": 1, "unit_price": 80.0, "description": "power supply"}],
+    issued_at=5.0,
+)
+# A RosettaNet PO, its text, and the element each grammar test bends.
+PO_DOCUMENT = _REGISTRY.transform(_ORDER, rosettanet.ROSETTANET)
+PO = rosettanet.to_wire(PO_DOCUMENT)
+DESCRIPTION = "<Description>graphics card</Description>"
+
+
+def _with_description(content):
+    """``PO`` with the first line's ``<Description>`` holding ``content``."""
+    return PO.replace(DESCRIPTION, f"<Description>{content}</Description>", 1)
+
+
+def _description(content):
+    """The first line's description as ``from_wire`` reads it from ``_with_description``."""
+    document = rosettanet.from_wire(_with_description(content))
+    return document.get("order.product_lines[0].description")
 
 
 class TestElementApi:
@@ -151,31 +179,35 @@ class TestXmlWriter:
 
 
 class TestParse:
+    """The XML grammar, one construct at a time, inside a RosettaNet PO."""
+
     def test_simple_document(self):
-        root = parse("<a><b>hi</b></a>")
-        assert root.tag == "a"
-        assert root.find("b").text == "hi"
+        assert rosettanet.from_wire(PO) == PO_DOCUMENT
 
     def test_attributes(self):
-        root = parse('<a x="1" y="two"/>')
-        assert root.attrs == {"x": "1", "y": "two"}
+        text = PO.replace("<PurchaseOrder>", '<PurchaseOrder x="1" y="two">')
+        assert rosettanet.from_wire(text) == PO_DOCUMENT
 
     def test_single_quoted_attributes(self):
-        assert parse("<a x='1'/>").attrs == {"x": "1"}
+        text = PO.replace("<PurchaseOrder>", "<PurchaseOrder x='1'>")
+        assert rosettanet.from_wire(text) == PO_DOCUMENT
 
     def test_entities_decoded(self):
-        root = parse("<a>&lt;&amp;&gt;&quot;&apos;</a>")
-        assert root.text == "<&>\"'"
+        assert _description("&lt;&amp;&gt;&quot;&apos;") == "<&>\"'"
 
     def test_numeric_character_references(self):
-        assert parse("<a>&#65;&#x42;</a>").text == "AB"
+        assert _description("&#65;&#x42;") == "AB"
 
     def test_declaration_and_comments_skipped(self):
-        root = parse('<?xml version="1.0"?><!-- note --><a><!-- inner -->x</a>')
-        assert root.text == "x"
+        body = PO.split("\n", 1)[1]  # the PO without its declaration
+        text = '<?xml version="1.0"?><!-- note -->' + body.replace(
+            DESCRIPTION, "<Description><!-- inner -->x</Description>"
+        )
+        document = rosettanet.from_wire(text)
+        assert document.get("order.product_lines[0].description") == "x"
 
     def test_whitespace_around_root(self):
-        assert parse("  <a/>  ").tag == "a"
+        assert rosettanet.from_wire("  " + PO.split("\n", 1)[1] + "  ") == PO_DOCUMENT
 
     @pytest.mark.parametrize(
         "bad",
@@ -199,8 +231,15 @@ class TestParse:
         ],
     )
     def test_malformed_rejected(self, bad):
+        # As a document of its own (an unknown root, but malformed first) ...
         with pytest.raises(XmlSyntaxError):
-            parse(bad)
+            rosettanet.from_wire(bad)
+        # ... and in place of an element of a PO, or after its root.
+        if bad in ("", "plain text"):
+            return
+        text = PO + "<b/>" if bad == "<a/><b/>" else PO.replace(DESCRIPTION, bad)
+        with pytest.raises(XmlSyntaxError):
+            rosettanet.from_wire(text)
 
     @pytest.mark.parametrize(
         "text, reference",
@@ -212,33 +251,93 @@ class TestParse:
     )
     def test_bad_character_reference_named(self, text, reference):
         with pytest.raises(XmlSyntaxError, match=f"invalid character reference {reference}"):
-            parse(text)
+            rosettanet.from_wire(PO.replace(DESCRIPTION, text))
 
     def test_deep_nesting_parses(self):
         depth = 100_000
-        root = parse("<d>" * depth + "x" + "</d>" * depth)
-        levels, element = 1, root
-        while element.children:
-            (element,) = element.children
-            levels += 1
-        assert levels == depth
-        assert element.text == "x"
+        assert _description("x" + "<d>" * depth + "y" + "</d>" * depth + "z") == "xz"
 
     def test_text_merges_across_comments_and_references(self):
-        root = parse("<a> x<!-- c -->y&amp;z <b/>\n</a>")
-        assert root.content == [" xy&z ", XmlElement("b"), "\n"]
+        assert _description(" x<!-- c -->y&amp;z <b/>\n") == " xy&z \n"
 
     def test_space_before_end_tag_close(self):
-        assert parse("<a><b>t</b \n></a >") == XmlElement("a", content=[XmlElement("b", content=["t"])])
+        root = "Pip3A4PurchaseOrderRequest"
+        text = PO.replace("</Description>", "</Description \n>").replace(
+            f"</{root}>", f"</{root} >"
+        )
+        assert rosettanet.from_wire(text) == PO_DOCUMENT
 
     def test_error_carries_position(self):
         with pytest.raises(XmlSyntaxError) as excinfo:
-            parse("<a><b></a></b>")
+            rosettanet.from_wire(PO.replace(DESCRIPTION, "<a><b></a></b>"))
         assert excinfo.value.position >= 0
 
     def test_non_string_rejected(self):
         with pytest.raises(XmlSyntaxError):
-            parse(b"<a/>")  # type: ignore[arg-type]
+            rosettanet.from_wire(PO.encode())  # type: ignore[arg-type]
+
+
+class TestLayoutReader:
+    """Which elements a layout reads, and how a misfit is reported."""
+
+    def test_first_child_counts(self):
+        text = PO.replace(
+            "<PurchaseOrderNumber>", "<PurchaseOrderNumber>first</PurchaseOrderNumber>"
+            "<PurchaseOrderNumber>", 1,
+        ).replace("<ServiceHeader>", "<ServiceHeader><PipCode>9Z9</PipCode>", 1)
+        document = rosettanet.from_wire(text)
+        assert document.get("order.po_number") == "first"
+        assert document.get("service_header.pip_code") == "9Z9"
+
+    def test_repeated_group_counts_every_child_of_the_first_parent(self):
+        end = PO.index("</PurchaseOrder>") + len("</PurchaseOrder>")
+        extra = PO[PO.index("<PurchaseOrder>"):end]
+        text = PO.replace("</Pip3A4PurchaseOrderRequest>", extra + "</Pip3A4PurchaseOrderRequest>")
+        document = rosettanet.from_wire(text)
+        assert document == PO_DOCUMENT
+        assert len(document.get("order.product_lines")) == 2
+
+    def test_unknown_elements_and_attributes_ignored(self):
+        text = PO.replace(
+            "<PurchaseOrder>",
+            '<PurchaseOrder note="x"><Extra a="&amp;"><Inner>t</Inner><Inner/></Extra>',
+        )
+        assert rosettanet.from_wire(text) == PO_DOCUMENT
+
+    def test_optional_child_reads_empty(self):
+        assert rosettanet.from_wire(PO.replace(DESCRIPTION, "")).get(
+            "order.product_lines[0].description"
+        ) == ""
+
+    def test_missing_required_child_named(self):
+        with pytest.raises(
+            XmlSyntaxError, match="<ServiceHeader> is missing required child <PipCode>"
+        ):
+            rosettanet.from_wire(PO.replace("<PipCode>3A4</PipCode>", ""))
+
+    def test_number_error_names_its_element(self):
+        with pytest.raises(WireFormatError, match="non-numeric value 'x' in <LineNumber>"):
+            rosettanet.from_wire(PO.replace("<LineNumber>1<", "<LineNumber>x<"))
+
+    def test_unknown_root_is_not_a_syntax_error(self):
+        with pytest.raises(WireFormatError, match="unknown RosettaNet root element") as excinfo:
+            rosettanet.from_wire("<Other><a x='1'/></Other>")
+        assert not isinstance(excinfo.value, XmlSyntaxError)
+
+    def test_malformed_document_is_a_syntax_error_whatever_else_is_wrong(self):
+        text = PO.replace("<PipCode>3A4</PipCode>", "").replace(DESCRIPTION, "&#xZZ;")
+        with pytest.raises(XmlSyntaxError, match="invalid character reference"):
+            rosettanet.from_wire(text)
+
+    def test_group_without_its_own_dict_level(self):
+        text = oagis.to_wire(_REGISTRY.transform(_ORDER, oagis.OAGIS))
+        document = oagis.from_wire(text)
+        assert set(document.data) == {"application_area", "order_header", "order_lines"}
+        assert document.get("application_area.sender_id") == "TP1"
+        with pytest.raises(XmlSyntaxError, match="<Sender> is missing required child <LogicalId>"):
+            oagis.from_wire(text.replace("<LogicalId>TP1</LogicalId>", ""))
+        with pytest.raises(WireFormatError, match="ProcessPurchaseOrder without <Process> verb"):
+            oagis.from_wire(text.replace("<Process/>", ""))
 
 
 # -- property-based round trip -------------------------------------------------
@@ -281,13 +380,14 @@ def test_roundtrip_with_declaration(element):
     assert parse(serialize(element, declaration=True)) == element
 
 
-# -- differential against the reference parser --------------------------------
+# -- differential against the reference reader -------------------------------
 #
-# ``reference_xmlio`` keeps the character-at-a-time parser that ``parse``
-# replaced.  Where it returns a tree or raises XmlSyntaxError, ``parse``
-# must return an equal tree or raise the same message at the same offset.
-# Where it raises anything else (a malformed character reference, or
-# nesting past the recursion limit), ``parse`` must stay typed.
+# ``reference_xmlio`` keeps the tree parser and the codecs' tree readers
+# that the layout reader replaced.  On every input, ``from_wire`` of each
+# XML codec must return a document equal to ``reference_from_wire``'s
+# exactly when that returns one.  Otherwise it must raise
+# ``WireFormatError``, and where the reference's tree parser fails, the
+# same ``XmlSyntaxError`` message at the same offset.
 
 # Single characters and whole tokens that break or bend the grammar.
 _MUTATIONS = st.sampled_from(
@@ -295,23 +395,29 @@ _MUTATIONS = st.sampled_from(
     + ["&#xZZ;", "&#99999999;", "&#;", "&amp;", "<!--", "-->", "</", "/>", "<?", "<b>"]
 )
 
-
-def _outcome(text):
-    try:
-        return parse(text)
-    except XmlSyntaxError as error:
-        return (str(error), error.position)
+_CODECS = ((rosettanet, rosettanet.ROSETTANET), (oagis, oagis.OAGIS))
 
 
 def _assert_agrees(text):
     try:
-        expected = reference_parse(text)
+        parse(text)
     except XmlSyntaxError as error:
-        expected = (str(error), error.position)
-    except Exception:
-        _outcome(text)  # must return a tree or raise XmlSyntaxError
-        return
-    assert _outcome(text) == expected
+        syntax_error = str(error)
+    else:
+        syntax_error = None
+    for module, format_name in _CODECS:
+        try:
+            expected = reference_from_wire(format_name, text)
+        except WireFormatError:
+            expected = None
+        if expected is not None:
+            assert module.from_wire(text) == expected
+            continue
+        with pytest.raises(WireFormatError) as excinfo:
+            module.from_wire(text)
+        if syntax_error is not None:
+            assert isinstance(excinfo.value, XmlSyntaxError)
+            assert str(excinfo.value) == syntax_error
 
 
 @st.composite
@@ -323,9 +429,7 @@ def _serialized_trees(draw):
     )
 
 
-_codec_documents = st.sampled_from(
-    ((rosettanet, rosettanet.ROSETTANET), (oagis, oagis.OAGIS))
-).flatmap(lambda codec: wire_texts(*codec))
+_codec_documents = st.sampled_from(_CODECS).flatmap(lambda codec: wire_texts(*codec))
 
 
 class TestDifferential:
@@ -348,6 +452,21 @@ class TestDifferential:
     def test_mutated_codec_documents(self, text):
         _assert_agrees(text)
 
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+    @given(bent(_codec_documents))
+    def test_bent_codec_documents(self, text):
+        # well-formed edits the reader must accept or reject as the
+        # reference does: the first-child, repeated-group and text-merge
+        # rules show only on documents that are read
+        _assert_agrees(text)
+
+    @pytest.mark.parametrize("protocol", sorted(TARGETS))
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_hostile_variants(self, protocol, variant):
+        module, format_name = dict(zip(("rosettanet", "oagis-http"), _CODECS))[protocol]
+        text = module.to_wire(_REGISTRY.transform(_ORDER, format_name))
+        _assert_agrees(VARIANTS[variant](text, *TARGETS[protocol]))
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -359,10 +478,15 @@ class TestDifferential:
         ids=["bad-hex-reference", "out-of-range-reference", "overflow-reference", "3000-deep"],
     )
     def test_reference_defects_stay_typed(self, text):
-        with pytest.raises(Exception) as excinfo:
-            reference_parse(text)
-        assert not isinstance(excinfo.value, XmlSyntaxError)
-        _assert_agrees(text)
+        # The inputs that made the old character-at-a-time parser raise
+        # ValueError, OverflowError or RecursionError, inside a PO.
+        bent_po = PO.replace(DESCRIPTION, text)
+        _assert_agrees(bent_po)
+        if text.startswith("<a><a>"):
+            assert rosettanet.from_wire(bent_po).get("order.product_lines[0].description") == ""
+        else:
+            with pytest.raises(XmlSyntaxError, match="invalid character reference"):
+                rosettanet.from_wire(bent_po)
 
 
 # -- the codecs' writers against the reference tree renderers -------------------

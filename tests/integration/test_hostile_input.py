@@ -1,12 +1,13 @@
 """Hostile partner bytes at the seller hub.
 
-A real RosettaNet PO is captured off the wire of the Figure 14 pair and
-replayed at the seller's ``B2BEngine.handle_message``, once per hostile
-variant.  Every variant must end as a recorded fault or an accepted
-order: none may raise out of the engine, because one untyped exception
-would abort the seller's drain for every partner, and none may leave a
-conversation open.  A clean order sent afterwards must still be booked
-exactly once.
+A real PO is captured off the wire of a buyer-seller pair and replayed at
+the seller's ``B2BEngine.handle_message``, once per hostile variant, for
+two codecs: RosettaNet (the Figure 14 pair) and OAGIS (the same pair
+over ``oagis-http``).  Every variant must end as a recorded fault or an
+accepted order: none may raise out of the engine, because one untyped
+exception would abort the seller's drain for every partner, and none may
+leave a conversation open.  A clean order sent afterwards must still be
+booked exactly once.
 
 A registered partner is hostile too when it answers on another partner's
 conversation: the buyer must record a fault naming both partners and
@@ -24,37 +25,49 @@ from repro.partners.profile import TradingPartner
 
 LINES = [{"sku": "GPU", "quantity": 2, "unit_price": 900.0, "description": "graphics card"}]
 CAPTURED = "PO-CAPTURED"
-DESCRIPTION = "<Description>graphics card</Description>"
 LINE_NUMBER = "<LineNumber>1</LineNumber>"
-QUANTITY = "<OrderedQuantity>2.0</OrderedQuantity>"
+
+# Per protocol, the tags of the captured line's description and quantity.
+TARGETS = {
+    "rosettanet": ("Description", "OrderedQuantity"),
+    "oagis-http": ("ItemDescription", "Quantity"),
+}
 
 
-def _deep_description(body: str) -> str:
-    nested = "<d>" * 3000 + "</d>" * 3000
-    return body.replace(DESCRIPTION, f"<Description>{nested}</Description>")
+def _leaf(tag: str, text: str) -> str:
+    return f"<{tag}>{text}</{tag}>"
 
 
+def _description(text: str):
+    """A variant that puts ``text`` in the captured line's description."""
+    return lambda body, description, quantity: body.replace(
+        _leaf(description, "graphics card"), _leaf(description, text)
+    )
+
+
+# Each variant maps (body, description tag, quantity tag) to a new body.
 VARIANTS = {
-    "bad-reference": lambda body: body.replace(DESCRIPTION, "<Description>&#xZZ;</Description>"),
-    "out-of-range-reference": lambda body: body.replace(
-        DESCRIPTION, "<Description>&#99999999;</Description>"
+    "bad-reference": _description("&#xZZ;"),
+    "out-of-range-reference": _description("&#99999999;"),
+    "3000-deep-description": _description("<d>" * 3000 + "</d>" * 3000),
+    "line-number-inf": lambda body, description, quantity: body.replace(
+        LINE_NUMBER, "<LineNumber>inf</LineNumber>"
     ),
-    "3000-deep-description": _deep_description,
-    "line-number-inf": lambda body: body.replace(LINE_NUMBER, "<LineNumber>inf</LineNumber>"),
-    "line-number-nan": lambda body: body.replace(LINE_NUMBER, "<LineNumber>nan</LineNumber>"),
-    "truncated": lambda body: body[: len(body) // 2],
+    "line-number-nan": lambda body, description, quantity: body.replace(
+        LINE_NUMBER, "<LineNumber>nan</LineNumber>"
+    ),
+    "truncated": lambda body, description, quantity: body[: len(body) // 2],
     # well-formed XML the codec accepts, but the normalized PO schema
     # rejects (quantity > 0) in the inbound binding
-    "negative-quantity": lambda body: body.replace(
-        QUANTITY, "<OrderedQuantity>-2.0</OrderedQuantity>"
+    "negative-quantity": lambda body, description, quantity: body.replace(
+        _leaf(quantity, "2.0"), _leaf(quantity, "-2.0")
     ),
 }
 
 
-@pytest.fixture
-def captured():
-    """A pair after one clean order, and that order's PO message."""
-    pair = build_two_enterprise_pair("rosettanet", seller_delay=0.0)
+def capture(protocol: str):
+    """A pair over ``protocol`` after one clean order, and that order's PO message."""
+    pair = build_two_enterprise_pair(protocol, seller_delay=0.0)
     sent = []
     send = pair.network.send
 
@@ -67,14 +80,30 @@ def captured():
     run_community(pair.enterprises())
     pair.network.send = send
     (po,) = [m for m in sent if m.kind == "business" and m.doc_type == "purchase_order"]
-    assert DESCRIPTION in po.body and LINE_NUMBER in po.body and QUANTITY in po.body
+    description, quantity = TARGETS[protocol]
+    assert _leaf(description, "graphics card") in po.body
+    assert LINE_NUMBER in po.body and _leaf(quantity, "2.0") in po.body
     assert pair.seller.backends["Oracle"].has_order(CAPTURED)
     return pair, po
 
 
-@pytest.mark.parametrize("index, name", enumerate(VARIANTS), ids=list(VARIANTS))
-def test_hostile_variant_is_a_fault_or_an_order(captured, index, name):
-    pair, po = captured
+@pytest.fixture
+def captured():
+    """The RosettaNet pair after one clean order, and that order's PO message."""
+    return capture("rosettanet")
+
+
+# RosettaNet ids are the bare variant names, so they stay stable as codecs are added.
+CASES = [(protocol, index, name) for protocol in TARGETS for index, name in enumerate(VARIANTS)]
+
+
+@pytest.mark.parametrize(
+    "protocol, index, name",
+    CASES,
+    ids=[name if protocol == "rosettanet" else f"{protocol}-{name}" for protocol, _, name in CASES],
+)
+def test_hostile_variant_is_a_fault_or_an_order(protocol, index, name):
+    pair, po = capture(protocol)
     seller = pair.seller.b2b
     oracle = pair.seller.backends["Oracle"]
     po_number = f"PO-HOSTILE-{index}"
@@ -83,7 +112,7 @@ def test_hostile_variant_is_a_fault_or_an_order(captured, index, name):
         po,
         message_id=f"M-hostile-{index}",
         conversation_id=f"C-hostile-{index}",
-        body=VARIANTS[name](body),
+        body=VARIANTS[name](body, *TARGETS[protocol]),
     )
     assert variant.body != body
     faults = len(seller.faults)
