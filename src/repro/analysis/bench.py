@@ -5,14 +5,14 @@ as partners, protocols and back ends grow, and per-partner verification
 stays tractable (§4 Figures 11-15, §4.5-4.6).  ``repro bench`` is the one
 entry point; it runs the registry's three parts and checks them:
 
-* ``BENCHMARKS`` — nine timed operations, each a factory returning a
+* ``BENCHMARKS`` — seven timed operations, each a factory returning a
   zero-arg "one operation":
 
-  * ``expression_eval_*`` — the Figure 9 approval condition evaluated
-    against a normalized purchase order (interpreted vs compiled closure
-    tree);
-  * ``mapping_apply_*`` — the normalized -> EDI X12 purchase-order
-    mapping applied to a document (interpreted vs compiled);
+  * ``expression_eval_compiled`` — the Figure 9 approval condition
+    evaluated against a normalized purchase order by its compiled
+    closure tree;
+  * ``mapping_apply_compiled`` — the normalized -> EDI X12
+    purchase-order mapping's compiled program applied to a document;
   * ``fig14_roundtrip`` — one order through the full advanced
     integration: public process -> binding -> private process ->
     application binding -> ERP and back, on a pair built once (building
@@ -97,9 +97,6 @@ class Bound(NamedTuple):
 
 
 BOUNDS = {
-    # Compiled expressions >= 2x interpreted, compiled mappings >= 1.5x.
-    "expression_compile_speedup": Bound(2.0, "x"),
-    "mapping_compile_speedup": Bound(1.5, "x"),
     # Full-search explorer throughput on the burst-8 pair, calibrated.
     "statespace_normalized_states_per_sec": Bound(8.0, " normalized states/s"),
     # A deep lint of 1,000 agreements within 5 seconds.
@@ -133,16 +130,6 @@ _FIG9_CONDITION = (
 # ---------------------------------------------------------------------------
 
 
-def _bench_expression_interpreted() -> Callable[[], Any]:
-    from repro.documents.normalized import make_purchase_order
-    from repro.workflow.expressions import Expression
-
-    expression = Expression(_FIG9_CONDITION)
-    po = make_purchase_order("P1", "TP1", "ACME", _LINES)
-    variables = {"PO": po, "source": "TP1"}
-    return lambda: expression.evaluate(variables)
-
-
 def _bench_expression_compiled() -> Callable[[], Any]:
     from repro.documents.normalized import make_purchase_order
     from repro.workflow.expressions import Expression
@@ -153,7 +140,7 @@ def _bench_expression_compiled() -> Callable[[], Any]:
     return lambda: program(variables)
 
 
-def _mapping_fixture():
+def _bench_mapping_compiled() -> Callable[[], Any]:
     from repro.documents.normalized import make_purchase_order
     from repro.transform.catalog import standard_mappings
 
@@ -164,19 +151,9 @@ def _mapping_fixture():
         and m.target_format == "edi-x12"
         and m.doc_type == "purchase_order"
     )
+    compiled = mapping.compile()
     document = make_purchase_order("P1", "TP1", "ACME", _LINES)
     context = {"sender_id": "ACME", "receiver_id": "TP1", "now": 1.0}
-    return mapping, document, context
-
-
-def _bench_mapping_interpreted() -> Callable[[], Any]:
-    mapping, document, context = _mapping_fixture()
-    return lambda: mapping.apply(document, context)
-
-
-def _bench_mapping_compiled() -> Callable[[], Any]:
-    mapping, document, context = _mapping_fixture()
-    compiled = mapping.compile()
     return lambda: compiled.apply(document, context)
 
 
@@ -283,9 +260,7 @@ def _bench_registry_sweep() -> Callable[[], Any]:
 
 
 BENCHMARKS: dict[str, Callable[[], Callable[[], Any]]] = {
-    "expression_eval_interpreted": _bench_expression_interpreted,
     "expression_eval_compiled": _bench_expression_compiled,
-    "mapping_apply_interpreted": _bench_mapping_interpreted,
     "mapping_apply_compiled": _bench_mapping_compiled,
     "fig14_roundtrip": _bench_fig14_roundtrip,
     "add_partner_naive": _bench_add_partner_naive,
@@ -485,15 +460,12 @@ def run_benchmarks(
                 "runs": runs,
             }
     derived: dict[str, float] = {}
-    for metric, fast, slow in (
-        ("expression_compile_speedup", "expression_eval_compiled", "expression_eval_interpreted"),
-        ("mapping_compile_speedup", "mapping_apply_compiled", "mapping_apply_interpreted"),
-        ("add_partner_advantage", "add_partner_advanced", "add_partner_naive"),
-    ):
-        if {fast, slow} <= results.keys():
-            derived[metric] = round(
-                results[fast]["ops_per_sec"] / results[slow]["ops_per_sec"], 2
-            )
+    if {"add_partner_advanced", "add_partner_naive"} <= results.keys():
+        derived["add_partner_advantage"] = round(
+            results["add_partner_advanced"]["ops_per_sec"]
+            / results["add_partner_naive"]["ops_per_sec"],
+            2,
+        )
     if "statespace_explore" in results:
         from repro.verify.statespace import explore_pair
 

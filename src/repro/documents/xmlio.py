@@ -25,9 +25,13 @@ replaced, and differential tests hold the codecs to them.
 ``scan`` reads untrusted partner bytes, so it makes one guarantee: on any
 ``str`` it either returns or raises :class:`~repro.errors.XmlSyntaxError` (a
 ``WireFormatError``, which the B2B engine records as a fault) with the
-offset of the problem, and nothing else escapes.  A malformed character
-reference such as ``&#xZZ;`` or ``&#99999999;`` is such an error, and
-nesting depth is bounded by memory, not by the recursion limit.
+offset of the problem, and nothing else escapes.  A character reference
+is read only in XML 1.0's two forms, ``&#`` decimal digits ``;`` and
+``&#x`` hex digits ``;``, and only when it names a ``Char`` (tab, LF, CR
+or a code point outside the C0 controls, the surrogates and U+FFFE/FFFF);
+any other (``&#xZZ;``, ``&#+65;``, ``&#X41;``, ``&#0;``, ``&#xD800;``,
+``&#99999999;``) is such an error.  Nesting depth is bounded by memory,
+not by the recursion limit.
 """
 
 from __future__ import annotations
@@ -134,6 +138,8 @@ class XmlWriter:
 # ---------------------------------------------------------------------------
 
 _ENTITIES = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'"}
+# A character reference's body: '#' and decimal digits, or '#x' and hex digits.
+_CHAR_REF = re.compile(r"#(?:([0-9]+)|x([0-9a-fA-F]+))")
 
 _SPACE = re.compile(r"[ \t\r\n]*")
 # An attribute value's run up to its closing quote, a reference or a '<'.
@@ -395,15 +401,25 @@ def _reference(text: str, amp: int) -> tuple[str, int]:
     if end < 0:
         raise XmlSyntaxError("unterminated entity reference", start)
     body = text[start:end]
-    if body.startswith(("#x", "#X")):
-        digits, base = body[2:], 16
-    elif body.startswith("#"):
-        digits, base = body[1:], 10
-    elif body in _ENTITIES:
+    if body.startswith("#"):
+        match = _CHAR_REF.fullmatch(body)
+        if match is not None:
+            decimal, hexadecimal = match.groups()
+            code = int(decimal) if decimal is not None else int(hexadecimal, 16)
+            if _is_char(code):
+                return chr(code), end + 1
+        raise XmlSyntaxError(f"invalid character reference &{body};", end + 1)
+    if body in _ENTITIES:
         return _ENTITIES[body], end + 1
-    else:
-        raise XmlSyntaxError(f"unknown entity &{body};", end + 1)
-    try:
-        return chr(int(digits, base)), end + 1
-    except (ValueError, OverflowError):
-        raise XmlSyntaxError(f"invalid character reference &{body};", end + 1) from None
+    raise XmlSyntaxError(f"unknown entity &{body};", end + 1)
+
+
+def _is_char(code: int) -> bool:
+    """Whether ``code`` is an XML 1.0 ``Char``: tab, LF, CR, or a code point
+    outside the C0 controls, the surrogates and U+FFFE/U+FFFF."""
+    return (
+        0x20 <= code <= 0xD7FF
+        or code in (0x9, 0xA, 0xD)
+        or 0xE000 <= code <= 0xFFFD
+        or 0x10000 <= code <= 0x10FFFF
+    )

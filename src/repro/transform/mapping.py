@@ -17,16 +17,15 @@ for environmental values a pure field copy cannot know: control numbers,
 logical timestamps, sender/receiver ids.  Rules never mutate the source
 document.
 
-Two application paths exist and must stay byte-identical (property-tested
-against the whole catalog):
-
-* ``Mapping.apply`` — the reference interpreter; every rule re-splits its
-  path strings and goes through ``Document.get``/``Document.set`` on every
-  document;
-* ``Mapping.compile()`` — lowers the rule list once into
-  :class:`CompiledMapping`, one per-document program whose rules read and
-  write the raw ``data`` dicts through pre-resolved path accessors.  This
-  is the per-message hot path the transformation registry uses.
+The rules are declarations; a mapping is applied one way.
+``Mapping.compile()`` lowers the rule list once into
+:class:`CompiledMapping`, one per-document program whose rules read and
+write the raw ``data`` dicts through pre-resolved path accessors, and
+``Mapping.apply`` and the transformation registry run it.
+``tests/transform/reference_mapping.py`` keeps the interpreter it
+replaced, which applied each rule through ``Document.get``/``Document.set``,
+and property tests hold the compiled program to it on the whole catalog:
+the same document, key order included, or the same error.
 """
 
 from __future__ import annotations
@@ -75,30 +74,6 @@ class Field:
     default: Any = MISSING
     required: bool = True
 
-    def apply(self, source_doc: Document, target_doc: Document, context: Context) -> None:
-        marker = object()
-        value = source_doc.get(self.source, default=marker)
-        if value is marker:
-            if self.default is not MISSING:
-                target_doc.set(self.target, self.default)
-                return
-            if self.required:
-                raise MappingError(
-                    f"source path {self.source!r} missing "
-                    f"(mapping to {self.target!r})"
-                )
-            return
-        if self.convert is not None:
-            try:
-                value = self.convert(value)
-            except TransformError:
-                raise
-            except Exception as exc:
-                raise MappingError(
-                    f"converter failed on {self.source!r} -> {self.target!r}: {exc!r}"
-                ) from exc
-        target_doc.set(self.target, value)
-
 
 @dataclass(frozen=True)
 class Const:
@@ -106,9 +81,6 @@ class Const:
 
     target: str
     value: Any
-
-    def apply(self, source_doc: Document, target_doc: Document, context: Context) -> None:
-        target_doc.set(self.target, self.value)
 
 
 @dataclass(frozen=True)
@@ -123,27 +95,15 @@ class Compute:
     fn: ComputeFn
     label: str = ""
 
-    def apply(self, source_doc: Document, target_doc: Document, context: Context) -> None:
-        try:
-            value = self.fn(source_doc, context)
-        except TransformError:
-            raise
-        except Exception as exc:
-            name = self.label or getattr(self.fn, "__name__", "<fn>")
-            raise MappingError(
-                f"compute {name!r} for target {self.target!r} failed: {exc!r}"
-            ) from exc
-        target_doc.set(self.target, value)
-
 
 @dataclass(frozen=True)
 class Each:
     """Map every element of a source list into a target list.
 
     ``rules`` are applied per element; their paths are relative to the
-    element, which is wrapped as an anonymous sub-document.  The context of
-    the per-item rules is extended with ``_index`` (0-based) and ``_ordinal``
-    (1-based) so Compute rules can number lines.
+    element, which a Compute receives wrapped as an anonymous sub-document.
+    The context of the per-item rules is extended with ``_index`` (0-based)
+    and ``_ordinal`` (1-based) so Compute rules can number lines.
     """
 
     source: str
@@ -156,29 +116,6 @@ class Each:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "rules", tuple(rules))
         object.__setattr__(self, "min_items", min_items)
-
-    def apply(self, source_doc: Document, target_doc: Document, context: Context) -> None:
-        items = source_doc.get(self.source, default=MISSING)
-        if items is MISSING or not isinstance(items, list):
-            raise MappingError(f"source path {self.source!r} is not a list")
-        if len(items) < self.min_items:
-            raise MappingError(
-                f"source list {self.source!r} has {len(items)} item(s), "
-                f"mapping requires at least {self.min_items}"
-            )
-        built: list[Any] = []
-        for index, item in enumerate(items):
-            if not isinstance(item, dict):
-                raise MappingError(
-                    f"{self.source}[{index}] is {type(item).__name__}, expected dict"
-                )
-            item_source = Document(source_doc.format_name, "item", item)
-            item_target = Document(target_doc.format_name, "item", {})
-            item_context = {**context, "_index": index, "_ordinal": index + 1}
-            for rule in self.rules:
-                rule.apply(item_source, item_target, item_context)
-            built.append(item_target.data)
-        target_doc.set(self.target, built)
 
 
 Rule = Field | Const | Compute | Each
@@ -245,9 +182,9 @@ def _has_compute(rules: Sequence[Rule]) -> bool:
 def _lower_rule(rule: Rule) -> RuleRunner:
     """Lower one rule into a closure over raw-dict path accessors.
 
-    The closures replicate the interpreted ``apply`` methods exactly —
-    same checks, same error messages, same dict key order — minus the
-    per-document path parsing and ``Document`` dispatch.
+    A Field, Const, Compute or Each is a declaration; this is what it
+    does to a document.  Paths are parsed once here, so the closures do
+    no per-document path parsing or ``Document`` dispatch.
     """
     if isinstance(rule, Field):
         read = dict_reader(DocumentPath(rule.source), _ABSENT)
@@ -345,9 +282,8 @@ def _lower_rule(rule: Rule) -> RuleRunner:
 class CompiledMapping:
     """A :class:`Mapping` lowered to one per-document program.
 
-    Built once by :meth:`Mapping.compile`; ``apply`` has the same contract
-    (and raises the same errors) as the interpreted ``Mapping.apply``, but
-    its rules run on the raw source and target dicts.
+    Built once by :meth:`Mapping.compile`; its rules run on the raw source
+    and target dicts.
     """
 
     __slots__ = ("mapping", "name", "_rules")
@@ -360,7 +296,7 @@ class CompiledMapping:
         )
 
     def apply(self, document: Document, context: Context | None = None) -> Document:
-        """Transform ``document`` exactly as the interpreted path would."""
+        """Transform ``document`` and return the new target-format document."""
         mapping = self.mapping
         context = context or {}
         if document.format_name != mapping.source_format:
@@ -431,8 +367,7 @@ class Mapping:
         frozen, so edits replace rule objects).  The snapshot holds the
         rule objects themselves — a strong reference — and compares by
         identity, so a replaced rule can never false-hit by reusing a
-        freed object's ``id()`` (the old ``tuple(map(id, ...))`` keying
-        could).
+        freed object's ``id()``.
         """
         snapshot = self._compiled_rules
         rules = self.rules
@@ -488,27 +423,7 @@ class Mapping:
 
     def apply(self, document: Document, context: Context | None = None) -> Document:
         """Transform ``document`` and return the new target-format document."""
-        context = context or {}
-        if document.format_name != self.source_format:
-            raise TransformError(
-                f"mapping {self.name!r} expects format {self.source_format!r}, "
-                f"got {document.format_name!r}"
-            )
-        if document.doc_type != self.doc_type:
-            raise TransformError(
-                f"mapping {self.name!r} expects doc_type {self.doc_type!r}, "
-                f"got {document.doc_type!r}"
-            )
-        if self.source_schema is not None:
-            self.source_schema.validate(document)
-        target = Document(self.target_format, self.doc_type, {})
-        for rule in self.rules:
-            rule.apply(document, target, context)
-        if self.post is not None:
-            self.post(document, target, context)
-        if self.target_schema is not None:
-            self.target_schema.validate(target)
-        return target
+        return self.compile().apply(document, context)
 
     def rule_count(self) -> int:
         """Total number of rules including those nested in Each (a

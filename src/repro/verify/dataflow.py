@@ -32,11 +32,13 @@ Soundness: every check only fires on *provable* facts — a type conflict
 where the possible-value sets are disjoint, a read of a path no rule
 writes and no schema declares.  Anything under a ``dict``/``any``
 container, behind a post hook, or computed by an opaque function is
-unknown and never reported.  The dynamic reference path
-(``Mapping.apply`` + ``DocumentSchema.validate``) therefore raises on a
-concrete document for every B2B701/702/705 finding — witnessed by the
-counterexample document attached to the diagnostic — while clean routes
-never raise a schema or path error (property-tested).
+unknown and never reported.  Applying the mappings
+(``Mapping.apply``, the compiled program the hub runs, with
+``DocumentSchema.validate``) therefore raises on a concrete document for
+every B2B701/702/705 finding — witnessed by the counterexample document
+attached to the diagnostic — while clean routes never raise a schema or
+path error.  The tests check both claims on the reference interpreter
+that the compiled program is property-tested against.
 
 Diagnostics
 -----------

@@ -176,7 +176,7 @@ def _reads(workflow: WorkflowType, step_id: str) -> dict[str, set[str]]:
     )
     reads: dict[str, set[str]] = {}
     for expression in expressions:
-        for name in expression.names():
+        for name in expression.variables_used():
             reads.setdefault(name, set()).add(name)
         for path in expression.paths():
             root = path.partition(".")[0].partition("[")[0]

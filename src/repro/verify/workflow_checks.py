@@ -306,7 +306,7 @@ def _check_expressions(
     else:
         schema_map = {name: [schema] for name, schema in schemas.items()}
     for location, expression in _expression_sites(workflow):
-        for name in sorted(expression.names() - declared):
+        for name in sorted(expression.variables_used() - declared):
             diagnostics.append(
                 Diagnostic(
                     "B2B201",

@@ -15,15 +15,14 @@ comprehensions, attribute access on arbitrary objects — is rejected at
 **compile** time, so a workflow type containing a malicious or malformed
 condition fails at deployment, not mid-instance.
 
-Two evaluation paths exist and must stay behaviourally identical (the
-equivalence is property-tested):
-
-* :meth:`Expression.evaluate` — the reference interpreter, re-dispatching
-  on AST node types per evaluation;
-* :meth:`Expression.compile` — lowers the validated AST once into a closure
-  tree (one Python callable per node) and returns a ``variables -> value``
-  callable.  This is the per-message hot path the workflow engine and rule
-  engine use.
+An expression is evaluated one way: :meth:`Expression.compile` lowers
+the validated AST once into a closure tree (one Python callable per node)
+and returns a ``variables -> value`` callable, which
+:meth:`Expression.evaluate`, the workflow engine and the rule engine run.
+``tests/workflow/reference_expressions.py`` keeps the tree-walking
+interpreter it replaced, and property tests hold the compiled program to
+it: the same value, or the same :class:`~repro.errors.ExpressionError`
+message.
 """
 
 from __future__ import annotations
@@ -213,29 +212,15 @@ class Expression:
 
     def evaluate(self, variables: Mapping[str, Any]) -> Any:
         """Evaluate against ``variables``; raises :class:`ExpressionError`."""
-        try:
-            return self._eval(self._tree, variables)
-        except ExpressionError:
-            raise
-        except Exception as exc:
-            raise ExpressionError(
-                f"evaluating {self.text!r}: {exc!r}", expression=self.text
-            ) from exc
-
-    def evaluate_bool(self, variables: Mapping[str, Any]) -> bool:
-        """Evaluate as a condition (result coerced with ``bool``)."""
-        return bool(self.evaluate(variables))
-
-    # -- compiled evaluation -------------------------------------------------------
+        return self.compile()(variables)
 
     def compile(self) -> Callable[[Mapping[str, Any]], Any]:
         """Lower the AST into a closure tree and return ``variables -> value``.
 
         The closure tree is built once (per :class:`Expression`) and cached;
         evaluating it performs no AST dispatch, only direct Python calls.
-        The compiled callable raises exactly the :class:`ExpressionError`\\ s
-        the interpreted :meth:`evaluate` path raises — the two paths are
-        interchangeable and property-tested as such.
+        Any failure is raised as an :class:`ExpressionError` naming the
+        expression text.
         """
         compiled = self._compiled
         if compiled is None:
@@ -389,7 +374,7 @@ class Expression:
             header = DocumentPath(f"header.{key}")
         except DocumentPathError:
             # Not a valid path segment (odd constant string subscript):
-            # the generic accessor reproduces the interpreted behaviour.
+            # the generic accessor covers it.
             return lambda value: access(value, key)
         amount_paths = _AMOUNT_PATHS if key == "amount" else None
 
@@ -419,69 +404,6 @@ class Expression:
             return access(value, key)
 
         return access_str
-
-    def _eval(self, node: ast.AST, variables: Mapping[str, Any]) -> Any:
-        if isinstance(node, ast.Constant):
-            return node.value
-        if isinstance(node, ast.Name):
-            if node.id not in variables:
-                raise ExpressionError(
-                    f"{self.text!r}: unknown variable {node.id!r}",
-                    expression=self.text,
-                )
-            return variables[node.id]
-        if isinstance(node, ast.Attribute):
-            value = self._eval(node.value, variables)
-            return self._access(value, node.attr)
-        if isinstance(node, ast.Subscript):
-            value = self._eval(node.value, variables)
-            if isinstance(node.slice, ast.Constant):
-                key = node.slice.value
-            else:
-                key = self._eval(node.slice, variables)
-            return self._access(value, key)
-        if isinstance(node, ast.UnaryOp):
-            operand = self._eval(node.operand, variables)
-            if isinstance(node.op, ast.Not):
-                return not operand
-            if isinstance(node.op, ast.USub):
-                return -operand
-            return +operand
-        if isinstance(node, ast.BinOp):
-            left = self._eval(node.left, variables)
-            right = self._eval(node.right, variables)
-            return _BIN_OPS[type(node.op)](left, right)
-        if isinstance(node, ast.BoolOp):
-            if isinstance(node.op, ast.And):
-                result: Any = True
-                for value in node.values:
-                    result = self._eval(value, variables)
-                    if not result:
-                        return result
-                return result
-            for value in node.values:
-                result = self._eval(value, variables)
-                if result:
-                    return result
-            return result
-        if isinstance(node, ast.Compare):
-            left = self._eval(node.left, variables)
-            for op, comparator in zip(node.ops, node.comparators):
-                right = self._eval(comparator, variables)
-                if not _COMPARE_OPS[type(op)](left, right):
-                    return False
-                left = right
-            return True
-        if isinstance(node, ast.Call):
-            function = _ALLOWED_FUNCTIONS[node.func.id]  # type: ignore[attr-defined]
-            return function(*(self._eval(argument, variables) for argument in node.args))
-        if isinstance(node, (ast.Tuple, ast.List)):
-            values = [self._eval(element, variables) for element in node.elts]
-            return tuple(values) if isinstance(node, ast.Tuple) else values
-        raise ExpressionError(
-            f"{self.text!r}: construct {type(node).__name__} not allowed",
-            expression=self.text,
-        )  # pragma: no cover - compile check prevents this
 
     def _access(self, value: Any, key: Any) -> Any:
         """Resolve attribute/subscript access into containers and documents.
@@ -531,11 +453,6 @@ class Expression:
         }
 
     # -- static analysis (repro.verify) -------------------------------------------
-
-    def names(self) -> set[str]:
-        """Referenced variable names (the :mod:`repro.verify` spelling of
-        :meth:`variables_used`)."""
-        return self.variables_used()
 
     def paths(self) -> set[str]:
         """Dotted document paths referenced by this expression.

@@ -30,14 +30,11 @@ def _fixed_payload():
         "python": "3",
         "calibration_ops_per_sec": 1000.0,
         "benchmarks": {
-            "expression_eval_interpreted": {
-                "ops_per_sec": 100.0, "normalized": 0.1, "runs": 10,
-            },
             "expression_eval_compiled": {
                 "ops_per_sec": 500.0, "normalized": 0.5, "runs": 10,
             },
         },
-        "derived": {"expression_compile_speedup": 5.0},
+        "derived": {"dataflow_routes_per_sec": 900.0},
     }
 
 
@@ -51,7 +48,7 @@ class TestDriver:
 
     def test_payload_shape(self):
         payload = run_benchmarks(
-            ["expression_eval_interpreted", "expression_eval_compiled"],
+            ["add_partner_naive", "add_partner_advanced"],
             min_time=0.02,
         )
         assert payload["schema"] == "repro-bench/1"
@@ -59,7 +56,7 @@ class TestDriver:
             assert entry["ops_per_sec"] > 0
             assert entry["normalized"] > 0
             assert entry["runs"] > 0
-        assert "expression_compile_speedup" in payload["derived"]
+        assert "add_partner_advantage" in payload["derived"]
 
     def test_every_benchmark_builds_and_runs(self, monkeypatch):
         # Every benchmark and every gate once, the gates at reduced size.
@@ -96,11 +93,13 @@ class TestRegressionGate:
             entry["normalized"] *= 0.9  # within the 25% tolerance
         assert check_against_baseline(current, baseline) == []
 
-    def test_speedup_floor_enforced(self):
+    def test_derived_floor_enforced(self):
         payload = _fixed_payload()
-        payload["derived"]["expression_compile_speedup"] = 1.1
+        payload["derived"]["dataflow_routes_per_sec"] = 100.0
         problems = check_against_baseline(payload, payload)
-        assert any("expression_compile_speedup" in problem for problem in problems)
+        assert (
+            "dataflow_routes_per_sec: 100 routes/s is below the 200 routes/s floor"
+        ) in problems
 
     def test_missing_benchmarks_ignored(self):
         # a baseline predating a new benchmark must not crash the gate
@@ -132,9 +131,7 @@ class TestCli:
         ])
         assert code == 0
         payload = json.loads(out.read_text())
-        assert set(payload["benchmarks"]) == {
-            "expression_eval_interpreted", "expression_eval_compiled",
-        }
+        assert set(payload["benchmarks"]) == {"expression_eval_compiled"}
         assert "expression_eval_compiled" in capsys.readouterr().out
 
     def test_bench_bad_filter_exits_nonzero(self, capsys):

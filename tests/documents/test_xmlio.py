@@ -1,5 +1,7 @@
 """Tests for the minimal XML reader/writer and the layout reader built on it."""
 
+import re
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -197,6 +199,7 @@ class TestParse:
 
     def test_numeric_character_references(self):
         assert _description("&#65;&#x42;") == "AB"
+        assert _description("&#9;&#65;&#x10FFFF;") == "\tA\U0010ffff"
 
     def test_declaration_and_comments_skipped(self):
         body = PO.split("\n", 1)[1]  # the PO without its declaration
@@ -228,6 +231,15 @@ class TestParse:
             "<a>&#-5;</a>",
             "<a>&#99999999;</a>",
             '<a x="&#xZZ;"/>',
+            "<a>&#+65;</a>",
+            "<a>&# 65;</a>",
+            "<a>&#6_5;</a>",
+            "<a>&#x+41;</a>",
+            "<a>&#X41;</a>",
+            "<a>&#0;</a>",
+            "<a>&#x1F;</a>",
+            "<a>&#xD800;</a>",
+            "<a>&#xFFFE;</a>",
         ],
     )
     def test_malformed_rejected(self, bad):
@@ -247,10 +259,18 @@ class TestParse:
             ("<a>&#xZZ;</a>", "&#xZZ;"),
             ("<a>&#xFFFFFFFF;</a>", "&#xFFFFFFFF;"),
             ('<a x="1&#99999999;"/>', "&#99999999;"),
+            *(
+                (f"<a>{reference}</a>", reference)
+                for reference in (
+                    "&#+65;", "&# 65;", "&#6_5;", "&#x+41;", "&#X41;",
+                    "&#0;", "&#x1F;", "&#xD800;", "&#xFFFE;",
+                )
+            ),
         ],
     )
     def test_bad_character_reference_named(self, text, reference):
-        with pytest.raises(XmlSyntaxError, match=f"invalid character reference {reference}"):
+        match = f"invalid character reference {re.escape(reference)}"
+        with pytest.raises(XmlSyntaxError, match=match):
             rosettanet.from_wire(PO.replace(DESCRIPTION, text))
 
     def test_deep_nesting_parses(self):

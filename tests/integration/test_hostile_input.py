@@ -62,7 +62,13 @@ VARIANTS = {
     "negative-quantity": lambda body, description, quantity: body.replace(
         _leaf(quantity, "2.0"), _leaf(quantity, "-2.0")
     ),
+    # character references to code points XML 1.0 forbids
+    "nul-reference": _description("&#0;"),
+    "surrogate-reference": _description("&#xD800;"),
 }
+
+# Variants that must end as a fault, never as a booked order.
+FAULTS = {"nul-reference", "surrogate-reference"}
 
 
 def capture(protocol: str):
@@ -121,6 +127,8 @@ def test_hostile_variant_is_a_fault_or_an_order(protocol, index, name):
     faulted = len(seller.faults) == faults + 1
     accepted = oracle.has_order(po_number)
     assert faulted != accepted
+    if name in FAULTS:
+        assert faulted
     assert seller.open_conversations() == []
 
     booked = oracle.order_count()

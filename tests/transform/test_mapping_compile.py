@@ -1,14 +1,16 @@
-"""Mapping.compile() is byte-identical to the interpreted path — on every
-catalog mapping, not a sample: the catalog IS the deployed surface, so one
-divergent mapping would silently corrupt documents on the wire.
+"""Mapping.compile() is byte-identical to the reference interpreter in
+``reference_mapping`` — on every catalog mapping, not a sample: the catalog
+IS the deployed surface, so one divergent mapping would silently corrupt
+documents on the wire.
 
 The compiled form is one per-document program whose rules read and write
 the raw dicts, and whose schemas run a compiled accept check before the
 exhaustive violation walk.  Its correctness rests on these properties:
 
 * on arbitrary valid, wire, ack, duplicate and broken documents,
-  ``compile().apply`` returns the same document as ``Mapping.apply``,
-  including dict key order, or raises the same exception type and message;
+  ``compile().apply`` returns the same document as the reference
+  ``apply``, including dict key order, or raises the same exception type
+  and message;
 * the same holds for whole registry routes, two-hop hub routes included;
 * a schema's accept check never accepts a document with violations, and
   ``validate`` raises exactly when ``violations()`` is non-empty;
@@ -38,6 +40,7 @@ from repro.transform import functions
 from repro.transform.catalog import build_standard_registry, standard_mappings
 from repro.transform.mapping import Compute, Const, Each, Field, Mapping
 from tests.documents.strategies import single_breaks
+from tests.transform import reference_mapping
 
 LINES = [
     {"sku": "LAPTOP-15", "quantity": 50, "unit_price": 1200.0},
@@ -74,7 +77,7 @@ def _source_document(mapping, registry, samples):
 def test_catalog_mapping_compiled_identical(mapping):
     registry = build_standard_registry()
     document = _source_document(mapping, registry, _normalized_samples())
-    interpreted = mapping.apply(document, CONTEXT)
+    interpreted = reference_mapping.apply(mapping, document, CONTEXT)
     compiled = mapping.compile().apply(document, CONTEXT)
     assert compiled.to_dict() == interpreted.to_dict()
     assert compiled.format_name == interpreted.format_name
@@ -97,7 +100,7 @@ def test_validation_failure_identical():
     )
     bad = make_purchase_order("PO-X", "TP1", "ACME", LINES)
     bad.data.pop("summary")  # break the source schema
-    interpreted = _failure(mapping.apply, bad, CONTEXT)
+    interpreted = _failure(reference_mapping.apply, mapping, bad, CONTEXT)
     compiled = _failure(mapping.compile().apply, bad, CONTEXT)
     assert interpreted is not None
     assert compiled == interpreted
@@ -108,7 +111,7 @@ def test_wrong_format_failure_identical():
     registry = build_standard_registry()
     samples = _normalized_samples()
     wire = registry.transform(samples["purchase_order"], "edi-x12", CONTEXT)
-    interpreted = _failure(mapping.apply, wire, CONTEXT)
+    interpreted = _failure(reference_mapping.apply, mapping, wire, CONTEXT)
     compiled = _failure(mapping.compile().apply, wire, CONTEXT)
     assert interpreted is not None
     assert compiled == interpreted
@@ -126,7 +129,7 @@ def test_compile_cache_reuses_and_invalidates():
     from repro.documents.model import Document
 
     document = Document("a", "t", {"x": 1, "x2": 2})
-    assert second.apply(document).to_dict() == mapping.apply(document).to_dict()
+    assert second.apply(document).to_dict() == reference_mapping.apply(mapping, document).to_dict()
 
 
 # -- lowered program vs the interpreter, on arbitrary documents -------------
@@ -164,7 +167,7 @@ def _outcome(call, *args):
 
 def _assert_same_outcome(mapping, document, context=CONTEXT):
     compiled = _outcome(mapping.compile().apply, document, context)
-    assert compiled == _outcome(mapping.apply, document, context)
+    assert compiled == _outcome(reference_mapping.apply, mapping, document, context)
     return compiled
 
 
@@ -224,10 +227,10 @@ def test_lowered_equals_interpreter_on_mixed_documents(document):
 
 
 def _interpreted_chain(document, target):
-    """The route to ``target`` run hop by hop through ``Mapping.apply``."""
+    """The route to ``target`` run hop by hop through the reference ``apply``."""
     result = document
     for mapping in REGISTRY.route(document.format_name, target, document.doc_type):
-        result = mapping.apply(result, CONTEXT)
+        result = reference_mapping.apply(mapping, result, CONTEXT)
     return result
 
 
@@ -383,7 +386,7 @@ def test_every_catalog_mapping_and_schema_lowers_to_the_fast_form(monkeypatch):
     # one Document.set call or one violation walk.
     samples = _normalized_samples()
     cases = [(m, _source_document(m, REGISTRY, samples)) for m in CATALOG]
-    expected = [_outcome(m.apply, document, CONTEXT) for m, document in cases]
+    expected = [_outcome(reference_mapping.apply, m, document, CONTEXT) for m, document in cases]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("slow path taken")
@@ -411,7 +414,7 @@ def test_error_identity_on_invalid_document():
     assert _outcome(registry.transform, broken, NORMALIZED, CONTEXT) == failure
     # A failure leaves the route usable for the next document.
     assert _outcome(registry.transform, wire, NORMALIZED, CONTEXT) == _outcome(
-        mapping.apply, wire, CONTEXT
+        reference_mapping.apply, mapping, wire, CONTEXT
     )
 
 

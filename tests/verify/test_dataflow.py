@@ -28,6 +28,7 @@ from repro.verify.dataflow import (
     verify_dataflow,
 )
 from repro.verify.targets import build_dataflow_broken_model
+from tests.transform import reference_mapping
 
 
 def _schema(name, fields, format_name="fmt", doc_type="t"):
@@ -259,7 +260,7 @@ class TestCounterexamples:
         assert diagnostic.code == "B2B701"
         witness = counterexample_document(mapping.source_schema)
         with pytest.raises(ValidationError):
-            mapping.apply(witness)
+            reference_mapping.apply(mapping, witness)
 
     def test_b2b702_witness_fails_dynamically(self):
         mapping = Mapping(
@@ -277,7 +278,7 @@ class TestCounterexamples:
         assert diagnostic.code == "B2B702"
         witness = counterexample_document(mapping.source_schema)
         with pytest.raises(ValidationError):
-            mapping.apply(witness)
+            reference_mapping.apply(mapping, witness)
 
     def test_b2b705_witness_fails_dynamically(self):
         producer = Mapping(
@@ -301,7 +302,7 @@ class TestCounterexamples:
         assert "B2B705" in _codes(diagnostics)
         witness = counterexample_document(producer.source_schema)
         with pytest.raises(ValidationError):
-            consumer.apply(producer.apply(witness))
+            reference_mapping.apply(consumer, reference_mapping.apply(producer, witness))
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +502,7 @@ class TestCleanRouteProperty:
     def test_clean_route_never_raises_on_conforming_documents(self, document):
         to_hub, to_app = _clean_chain()
         WIRE_SCHEMA.validate(document)
-        final = to_app.apply(to_hub.apply(document))
+        final = reference_mapping.apply(to_app, reference_mapping.apply(to_hub, document))
         APP_SCHEMA.validate(final)
         assert final.get("record.id") == document.get("header.po_number")
 

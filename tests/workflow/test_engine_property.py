@@ -24,6 +24,7 @@ from repro.workflow.instance import (
     STEP_COMPLETED,
     STEP_SKIPPED,
 )
+from tests.workflow.reference_expressions import ReferenceExpression
 
 VARIABLES = ("v0", "v1", "v2", "v3")
 
@@ -125,7 +126,8 @@ def test_dead_path_consistency(graph):
             fired = any(
                 instance.step_state(source).status == STEP_COMPLETED
                 and (condition is None
-                     or Expression(condition).evaluate_bool(instance.variables))
+                     or ReferenceExpression(Expression(condition)).evaluate_bool(
+                         instance.variables))
                 for source, condition in incoming.get(step_id, [])
             )
             actual = instance.step_state(step_id).status

@@ -1,11 +1,10 @@
-"""Property tests: Expression.compile() is behaviourally identical to
-Expression.evaluate().
+"""Property tests: Expression.compile() is behaviourally identical to the
+reference interpreter in ``reference_expressions``.
 
-Random expressions from the allowed grammar are generated and both paths
-are run over random variable assignments.  Identity must hold for results
-AND for error cases — compiled hot paths may not change which programs fail
-or how their failures read, or a model that lints clean interpreted would
-break compiled.
+Random expressions from the allowed grammar are generated and both are run
+over random variable assignments.  Identity must hold for results AND for
+error cases — the compiled program may not change which programs fail or
+how their failures read.
 """
 
 import pytest
@@ -14,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from repro.documents.normalized import make_purchase_order
 from repro.errors import ExpressionError
 from repro.workflow.expressions import Expression
+from tests.workflow.reference_expressions import ReferenceExpression
 
 # -- random expression generator over the allowed grammar ---------------------
 
@@ -88,7 +88,7 @@ def test_compiled_matches_interpreted(source, variables):
     except ExpressionError:
         return  # grammar corner the validator rejects: nothing to compare
     program = expression.compile()
-    interpreted = _outcome(expression.evaluate, variables)
+    interpreted = _outcome(ReferenceExpression(expression).evaluate, variables)
     compiled = _outcome(program, variables)
     assert compiled == interpreted
 
@@ -97,7 +97,7 @@ def test_compiled_matches_interpreted(source, variables):
 @given(variables=variable_assignments())
 def test_truth_matches_interpreted(variables):
     expression = Expression("alpha and not beta or gamma == 3")
-    assert expression.compile()(variables) == expression.evaluate(variables)
+    assert expression.compile()(variables) == ReferenceExpression(expression).evaluate(variables)
 
 
 # -- document-access identity (the Figure 9 hot path) -------------------------
@@ -128,13 +128,13 @@ def test_document_access_identity(source, partner):
         "source": partner,
     }
     assert _outcome(expression.compile(), variables) == _outcome(
-        expression.evaluate, variables
+        ReferenceExpression(expression).evaluate, variables
     )
 
 
 def test_error_messages_identical_for_unknown_variable():
     expression = Expression("nope + 1")
-    interpreted = _outcome(expression.evaluate, {})
+    interpreted = _outcome(ReferenceExpression(expression).evaluate, {})
     compiled = _outcome(expression.compile(), {})
     assert interpreted[0] == "expression-error"
     assert compiled == interpreted

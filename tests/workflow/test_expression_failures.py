@@ -1,5 +1,5 @@
 """Runtime evaluation failures carry the expression text, and the
-static-analysis introspection methods (names/paths/fold_constant)."""
+static-analysis introspection methods (variables_used/paths/fold_constant)."""
 
 import pytest
 
@@ -44,16 +44,15 @@ class TestErrorCarriesExpression:
 
 class TestNames:
     def test_names_excludes_builtins(self):
-        assert Expression("len(lines) > 0 and amount > max(a, b)").names() == {
+        assert Expression("len(lines) > 0 and amount > max(a, b)").variables_used() == {
             "lines",
             "amount",
             "a",
             "b",
         }
 
-    def test_names_matches_variables_used(self):
-        expression = Expression("PO.amount > 10000")
-        assert expression.names() == expression.variables_used() == {"PO"}
+    def test_attribute_chain_reads_its_root_variable(self):
+        assert Expression("PO.amount > 10000").variables_used() == {"PO"}
 
 
 class TestPaths:

@@ -67,22 +67,22 @@ class TestEvaluation:
 
     def test_comparison_chain(self):
         expr = Expression("1 < x < 10")
-        assert expr.evaluate_bool({"x": 5})
-        assert not expr.evaluate_bool({"x": 20})
+        assert expr.evaluate({"x": 5})
+        assert not expr.evaluate({"x": 20})
 
     def test_boolean_short_circuit(self):
         # the right side would fail; short-circuit must protect it
         expr = Expression("present and data.key == 1")
-        assert expr.evaluate_bool({"present": False, "data": {}}) is False
+        assert expr.evaluate({"present": False, "data": {}}) is False
 
     def test_dict_attribute_access(self):
         expr = Expression("PO.amount > 10000")
-        assert expr.evaluate_bool({"PO": {"amount": 20000}})
+        assert expr.evaluate({"PO": {"amount": 20000}})
 
     def test_nested_access(self):
         expr = Expression("order.lines[0].sku == 'A'")
         context = {"order": {"lines": [{"sku": "A"}]}}
-        assert expr.evaluate_bool(context)
+        assert expr.evaluate(context)
 
     def test_string_subscript(self):
         assert Expression("d['k']").evaluate({"d": {"k": 7}}) == 7
@@ -107,7 +107,7 @@ class TestEvaluation:
             Expression("items[i]").evaluate({"items": [1], "i": 5})
 
     def test_membership(self):
-        assert Expression("x in ('a', 'b')").evaluate_bool({"x": "a"})
+        assert Expression("x in ('a', 'b')").evaluate({"x": "a"})
 
     def test_builtins(self):
         assert Expression("len(items)").evaluate({"items": [1, 2, 3]}) == 3
@@ -148,8 +148,8 @@ class TestDocumentAccess:
 
     def test_paper_rule_expression(self, po):
         expr = Expression("PO.amount >= 55000 and source == 'TP1'")
-        assert expr.evaluate_bool({"PO": po, "source": "TP1"})
-        assert not expr.evaluate_bool({"PO": po, "source": "TP2"})
+        assert expr.evaluate({"PO": po, "source": "TP1"})
+        assert not expr.evaluate({"PO": po, "source": "TP2"})
 
     def test_header_shortcut(self, po):
         assert Expression("PO.po_number").evaluate({"PO": po}) == "P1"
@@ -177,7 +177,7 @@ def test_arithmetic_matches_python(a, b, c):
 def test_comparisons_match_python(a, b):
     for op in ("<", "<=", ">", ">=", "==", "!="):
         expr = Expression(f"a {op} b")
-        assert expr.evaluate_bool({"a": a, "b": b}) == eval(f"a {op} b")
+        assert expr.evaluate({"a": a, "b": b}) == eval(f"a {op} b")
 
 
 @given(a=st.booleans(), b=st.booleans(), c=st.booleans())
@@ -195,4 +195,4 @@ def test_paper_condition_total_function(amount, source):
     expected = (amount >= 55000 and source == "TP1") or (
         amount >= 40000 and source == "TP2"
     )
-    assert expr.evaluate_bool({"amount": amount, "source": source}) == expected
+    assert expr.evaluate({"amount": amount, "source": source}) == expected
