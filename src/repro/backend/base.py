@@ -128,17 +128,22 @@ class ERPSimulator:
     # -- integration-facing API ---------------------------------------------------
 
     def store_document(self, document: Document) -> None:
-        """Accept a native-format document (the binding's 'Store' step)."""
+        """Accept a native-format document (the binding's 'Store' step).
+
+        The ERP keeps a sealed document as it is and a private copy of an
+        unsealed one.  ``stored_count`` counts the documents it accepted.
+        """
         if document.format_name != self.format_name:
             raise BackendError(
                 f"{self.name} only accepts {self.format_name!r} documents, "
                 f"got {document.format_name!r} — a binding transformation is missing"
             )
-        self.stored_count += 1
+        if not document.sealed:
+            document = document.copy()
         if document.doc_type == "purchase_order":
-            self._process_purchase_order(document.copy())
+            self._process_purchase_order(document)
         elif document.doc_type == "po_ack":
-            self._store_ack(document.copy())
+            self._store_ack(document)
         else:
             raise BackendError(
                 f"{self.name} cannot process doc_type {document.doc_type!r}"
@@ -208,6 +213,7 @@ class ERPSimulator:
                 "(duplicate suppression belongs to the messaging layer)"
             )
         status, line_statuses = self.acceptance_policy(po_number, total, lines)
+        self.stored_count += 1
         now = self.scheduler.clock.now() if self.scheduler else 0.0
         record = OrderRecord(
             po_number=po_number,
@@ -230,14 +236,19 @@ class ERPSimulator:
     def _emit_ack(self, record: OrderRecord) -> None:
         now = self.scheduler.clock.now() if self.scheduler else 0.0
         record.acknowledged_at = now
-        ack = self._build_ack(record, now)
-        self.outbound.append(ack)
+        self._queue_outbound(self._build_ack(record, now))
+
+    def _queue_outbound(self, document: Document) -> Document:
+        """Seal ``document``, queue it for extraction and announce it."""
+        self.outbound.append(document.seal())
         for callback in self._ready_callbacks:
-            callback(self.name, ack)
+            callback(self.name, document)
+        return document
 
     def _store_ack(self, document: Document) -> None:
         po_number = self._ack_po_number(document)
         self.stored_acks[po_number] = document
+        self.stored_count += 1
 
     # -- subclass hooks ----------------------------------------------------------------
 

@@ -120,8 +120,4 @@ class OracleSimulator(ERPSimulator):
             },
             "lines": records,
         }
-        document = Document(oracle_oif.ORACLE_OIF, "purchase_order", data)
-        self.outbound.append(document)
-        for callback in self._ready_callbacks:
-            callback(self.name, document)
-        return document
+        return self._queue_outbound(Document(oracle_oif.ORACLE_OIF, "purchase_order", data))

@@ -142,8 +142,4 @@ class SapSimulator(ERPSimulator):
             "items": items,
             "summary": {"summe": round(total, 2)},
         }
-        document = Document(idoc.SAP_IDOC, "purchase_order", data)
-        self.outbound.append(document)
-        for callback in self._ready_callbacks:
-            callback(self.name, document)
-        return document
+        return self._queue_outbound(Document(idoc.SAP_IDOC, "purchase_order", data))

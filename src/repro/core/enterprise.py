@@ -72,9 +72,10 @@ class DocumentArchive:
         return f"{document.doc_type}:{reference}"
 
     def store(self, document: Document) -> str:
-        """File ``document``; returns its archive key."""
+        """File ``document``, or a private copy of it when it is not
+        sealed; returns its archive key."""
         key = self.key_for(document)
-        self._documents[key] = document.copy()
+        self._documents[key] = document if document.sealed else document.copy()
         return key
 
     def get(self, doc_type: str, reference: str) -> Document:

@@ -263,7 +263,7 @@ _BODIES = {
 
 
 def from_wire(text: str) -> Document:
-    """Parse an X12 segment string into an ``edi-x12`` document."""
+    """Parse an X12 segment string into a sealed ``edi-x12`` document."""
     if not isinstance(text, str) or not text.strip():
         raise WireFormatError("empty EDI interchange")
     segments = [
@@ -301,7 +301,7 @@ def from_wire(text: str) -> Document:
     else:
         raise WireFormatError(f"unsupported transaction set {st[1]!r}")
     _check_trailer(table, st[2])
-    return document
+    return document.seal()
 
 
 class _SegmentReader:

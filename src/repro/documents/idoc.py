@@ -172,7 +172,7 @@ def _write(data: dict[str, Any], item_segment: str) -> str:
 
 
 def from_wire(text: str) -> Document:
-    """Parse an IDoc flat-file string into a ``sap-idoc`` document."""
+    """Parse an IDoc flat-file string into a sealed ``sap-idoc`` document."""
     if not isinstance(text, str) or not text.strip():
         raise WireFormatError("empty IDoc")
     control: dict[str, Any] | None = None
@@ -214,7 +214,7 @@ def from_wire(text: str) -> Document:
         "items": items,
         "summary": summary,
     }
-    return Document(SAP_IDOC, doc_type, data)
+    return Document(SAP_IDOC, doc_type, data).seal()
 
 
 def idoc_po_schema() -> DocumentSchema:

@@ -113,12 +113,23 @@ class Document:
         ``"edi-x12"``, ``"sap-idoc"``.  Transformations are registered
         between format names.
     :param doc_type: the business document kind, e.g. ``"purchase_order"``.
-    :param data: the root mapping; deep-copied defensively on request only
-        (documents are passed by reference inside one enterprise, copied at
-        trust boundaries by the messaging layer).
+    :param data: the root mapping, held as given (not copied).
+
+    A document is passed by reference.  The code that builds a business
+    document (a codec's ``from_wire``, a mapping, an ERP's outbound queue)
+    seals it before returning it (:meth:`seal`), and from then on it is a
+    value: :meth:`set` and :meth:`delete` raise, and holders share it
+    instead of copying it.  Code that edits a sealed document edits a :meth:`copy`.
+    Python cannot stop a write through the raw ``data`` dicts, so no code
+    writes to a sealed document's ``data``.  Every way of duplicating a
+    document (:meth:`copy`, ``copy.copy``, ``copy.deepcopy``, pickle)
+    gives an unsealed one that shares no container with the original.
     """
 
-    __slots__ = ("format_name", "doc_type", "data")
+    # _passed is None while the document is unsealed; once sealed, it is
+    # the tuple of schema accept checks the document has passed (see
+    # DocumentSchema.validate).
+    __slots__ = ("format_name", "doc_type", "data", "_passed")
 
     def __init__(
         self,
@@ -137,6 +148,27 @@ class Document:
         self.format_name = format_name
         self.doc_type = doc_type
         self.data: dict[str, Any] = data if data is not None else {}
+        self._passed: tuple | None = None
+
+    # -- sealing ------------------------------------------------------------
+
+    def seal(self) -> "Document":
+        """Make this document immutable from now on; returns it."""
+        if self._passed is None:
+            self._passed = ()
+        return self
+
+    @property
+    def sealed(self) -> bool:
+        """True once :meth:`seal` has been called."""
+        return self._passed is not None
+
+    def _sealed_error(self, action: str, path: str | DocumentPath) -> DocumentError:
+        text = path.text if isinstance(path, DocumentPath) else path
+        return DocumentError(
+            f"cannot {action} {text!r}: the {self.doc_type!r} document is "
+            "sealed; edit a copy()"
+        )
 
     # -- path access --------------------------------------------------------
 
@@ -186,8 +218,11 @@ class Document:
 
         A string step creates a dict level; a ``[+]`` or integer step
         creates/extends a list level.  Setting index ``n`` on a list shorter
-        than ``n`` raises (holes are never silently created).
+        than ``n`` raises (holes are never silently created).  Raises
+        :class:`DocumentError` on a sealed document.
         """
+        if self._passed is not None:
+            raise self._sealed_error("set", path)
         compiled = _as_path(path)
         node: Any = self.data
         steps = compiled.steps
@@ -263,7 +298,10 @@ class Document:
                 )
 
     def delete(self, path: str | DocumentPath) -> None:
-        """Remove the value at ``path``; raises if it does not resolve."""
+        """Remove the value at ``path``; raises if it does not resolve, and
+        raises :class:`DocumentError` on a sealed document."""
+        if self._passed is not None:
+            raise self._sealed_error("delete", path)
         compiled = _as_path(path)
         if not compiled.steps:
             raise DocumentPathError("cannot delete document root")
@@ -299,8 +337,17 @@ class Document:
     # -- lifecycle ----------------------------------------------------------
 
     def copy(self) -> "Document":
-        """Return a deep copy (used at trust boundaries)."""
+        """Return an unsealed deep copy, for code that edits the document."""
         return Document(self.format_name, self.doc_type, _copy.deepcopy(self.data))
+
+    def __copy__(self) -> "Document":
+        return self.copy()
+
+    def __reduce__(self) -> tuple:
+        # Pickle and copy.deepcopy take the content only: the seal and its
+        # passed checks (closures, which cannot be pickled) stay with the
+        # original.
+        return Document, (self.format_name, self.doc_type, self.data)
 
     def to_dict(self) -> dict[str, Any]:
         """Return a JSON-compatible envelope for persistence."""

@@ -199,8 +199,8 @@ def to_wire(document: Document) -> str:
 
 
 def from_wire(text: str) -> Document:
-    """Parse a BOD XML string into an ``oagis-bod`` document."""
-    return _FORMAT.read(text)
+    """Parse a BOD XML string into a sealed ``oagis-bod`` document."""
+    return _FORMAT.read(text).seal()
 
 
 def oagis_po_schema() -> DocumentSchema:

@@ -197,7 +197,7 @@ def _write(data: dict[str, Any], header_table: str, line_table: str) -> str:
 
 
 def from_wire(text: str) -> Document:
-    """Parse an OIF record-set string into an ``oracle-oif`` document."""
+    """Parse an OIF record-set string into a sealed ``oracle-oif`` document."""
     if not isinstance(text, str) or not text.strip():
         raise WireFormatError("empty OIF record set")
     header: dict[str, Any] | None = None
@@ -230,7 +230,7 @@ def from_wire(text: str) -> Document:
             raise WireFormatError(
                 f"line record fields {sorted(line)} do not match {expected_line_table}"
             )
-    return document
+    return document.seal()
 
 
 def oif_po_schema() -> DocumentSchema:

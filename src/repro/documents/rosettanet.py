@@ -127,8 +127,8 @@ def to_wire(document: Document) -> str:
 
 
 def from_wire(text: str) -> Document:
-    """Parse a PIP 3A4 XML string into a ``rosettanet-xml`` document."""
-    return _FORMAT.read(text)
+    """Parse a PIP 3A4 XML string into a sealed ``rosettanet-xml`` document."""
+    return _FORMAT.read(text).seal()
 
 
 def make_receipt_ack(received: Document, now: float) -> Document:

@@ -12,6 +12,13 @@ check compiled from the field specs, which reads the raw dicts directly
 (:func:`dict_reader`).  The exhaustive violation walk runs only when that
 check fails, so a rejected document gets the same error, message and
 violation list as before.
+
+A sealed document cannot change, so a check it has passed once holds for
+good: it remembers each accept check it passed, and validating it again
+against the same check returns at once.  That rests on every
+``FieldSpec.check`` being a pure function of the value.  Editing a
+schema's fields, or an item schema's, builds a new check object, which no
+document has passed yet.
 """
 
 from __future__ import annotations
@@ -185,7 +192,8 @@ def _accept_check(spec: FieldSpec) -> Callable[[dict], bool]:
     read = dict_reader(spec._compiled_path, _ABSENT)
     required = spec.required
     if spec.type_name == "list":
-        min_items, items = spec.min_items, spec.items
+        min_items = spec.min_items
+        item_check = None if spec.items is None else spec.items._fields_check()
 
         def check_list(root: dict) -> bool:
             value = read(root)
@@ -193,10 +201,7 @@ def _accept_check(spec: FieldSpec) -> Callable[[dict], bool]:
                 return not required
             if type(value) is not list or len(value) < min_items:
                 return False
-            if items is not None:
-                # Looked up per call, so an edit to the item schema's
-                # fields is seen here too.
-                item_check = items._fields_check()
+            if item_check is not None:
                 for element in value:
                     if type(element) is not dict or not item_check(element):
                         return False
@@ -243,11 +248,13 @@ class DocumentSchema:
     doc_type: str = ""
     fields: list[FieldSpec] = field(default_factory=list)
 
-    # The compiled accept check over ``fields`` and a copy of the list it
-    # was built from.  Unannotated class attributes, so not dataclass
-    # fields: equality and ``repr`` must not see them.
+    # The compiled accept check over ``fields``, a copy of the list it was
+    # built from, and the (item schema, item check) pairs it holds.
+    # Unannotated class attributes, so not dataclass fields: equality and
+    # ``repr`` must not see them.
     _check = None
     _checked_fields = None
+    _item_checks = ()
 
     def add(self, spec: FieldSpec) -> "DocumentSchema":
         """Append a field spec (fluent)."""
@@ -272,9 +279,21 @@ class DocumentSchema:
         return problems
 
     def _fields_check(self) -> Callable[[dict], bool]:
-        """The accept check over ``fields``, built on first use and rebuilt
-        when the list is edited (appended to, or an entry replaced)."""
-        if self._checked_fields != self.fields:
+        """The accept check over ``fields``, built on first use.
+
+        It is rebuilt, as a new object, when the list is edited (appended
+        to, or an entry replaced) or when an item schema's own check is
+        rebuilt, so a verdict remembered against the old check never
+        matches.
+        """
+        if self._checked_fields != self.fields or any(
+            items._fields_check() is not check for items, check in self._item_checks
+        ):
+            self._item_checks = tuple(
+                (spec.items, spec.items._fields_check())
+                for spec in self.fields
+                if spec.items is not None
+            )
             checks = tuple(_accept_check(spec) for spec in self.fields)
 
             def check_fields(root: dict) -> bool:
@@ -300,9 +319,24 @@ class DocumentSchema:
         return self._fields_check()(document.data)
 
     def validate(self, document: Document) -> None:
-        """Raise :class:`ValidationError` when ``document`` violates this schema."""
-        if self.accepts(document):
-            return
+        """Raise :class:`ValidationError` when ``document`` violates this schema.
+
+        A sealed document that has passed this schema's current check
+        returns at once, and one that passes it now remembers the check.
+        """
+        check = self._fields_check()
+        if (not self.format_name or document.format_name == self.format_name) and (
+            not self.doc_type or document.doc_type == self.doc_type
+        ):
+            passed = document._passed
+            if passed is None:
+                if check(document.data):
+                    return
+            elif check in passed:
+                return
+            elif check(document.data):
+                document._passed = passed + (check,)
+                return
         problems = self.violations(document)
         if problems:
             raise ValidationError(

@@ -5,6 +5,11 @@ requires to add business rules, if at all" — presumes partner on-boarding
 is a pure registry operation.  This directory is that registry; the change
 experiments count how many *other* model elements a partner addition
 touches.
+
+An inbound message is resolved by its sender's address and then by an
+agreement with that partner, so both lookups are indexed and do not grow
+with the number of partners: partners by address (the first-registered
+partner wins on a shared address) and agreements by partner id.
 """
 
 from __future__ import annotations
@@ -22,6 +27,12 @@ class PartnerDirectory:
     def __init__(self):
         self._partners: dict[str, TradingPartner] = {}
         self._agreements: dict[tuple[str, str, str], TradingPartnerAgreement] = {}
+        # address -> id of the first-registered partner with that address
+        self._by_address: dict[str, str] = {}
+        # partner id -> that partner's agreements, in registration order
+        self._partner_agreements: dict[
+            str, dict[tuple[str, str, str], TradingPartnerAgreement]
+        ] = {}
 
     # -- partners ---------------------------------------------------------------
 
@@ -30,6 +41,7 @@ class PartnerDirectory:
         if partner.partner_id in self._partners:
             raise PartnerError(f"partner {partner.partner_id!r} already registered")
         self._partners[partner.partner_id] = partner
+        self._by_address.setdefault(partner.address, partner.partner_id)
         return partner
 
     def update_partner(self, partner: TradingPartner) -> TradingPartner:
@@ -37,7 +49,11 @@ class PartnerDirectory:
         protocol capability)."""
         if partner.partner_id not in self._partners:
             raise PartnerError(f"unknown trading partner {partner.partner_id!r}")
+        old_address = self._partners[partner.partner_id].address
         self._partners[partner.partner_id] = partner
+        if partner.address != old_address:
+            self._index_address(old_address)
+            self._index_address(partner.address)
         return partner
 
     def get_partner(self, partner_id: str) -> TradingPartner:
@@ -55,9 +71,19 @@ class PartnerDirectory:
         """Remove a partner and every agreement with it."""
         if partner_id not in self._partners:
             raise PartnerError(f"unknown trading partner {partner_id!r}")
-        del self._partners[partner_id]
-        for key in [key for key in self._agreements if key[0] == partner_id]:
+        address = self._partners.pop(partner_id).address
+        if self._by_address.get(address) == partner_id:
+            self._index_address(address)
+        for key in self._partner_agreements.pop(partner_id, ()):
             del self._agreements[key]
+
+    def _index_address(self, address: str) -> None:
+        """Point ``address`` at the first-registered partner that has it."""
+        for partner in self._partners.values():
+            if partner.address == address:
+                self._by_address[address] = partner.partner_id
+                return
+        self._by_address.pop(address, None)
 
     def partners(self) -> list[TradingPartner]:
         """All partners, sorted by id."""
@@ -65,10 +91,10 @@ class PartnerDirectory:
 
     def partner_by_address(self, address: str) -> TradingPartner:
         """Resolve an inbound message's sender address to a partner."""
-        for partner in self._partners.values():
-            if partner.address == address:
-                return partner
-        raise PartnerError(f"no trading partner with address {address!r}")
+        partner_id = self._by_address.get(address)
+        if partner_id is None:
+            raise PartnerError(f"no trading partner with address {address!r}")
+        return self._partners[partner_id]
 
     # -- agreements ----------------------------------------------------------------
 
@@ -88,6 +114,9 @@ class PartnerDirectory:
                 f"duplicate agreement {agreement.key()}"
             )
         self._agreements[agreement.key()] = agreement
+        self._partner_agreements.setdefault(agreement.partner_id, {})[
+            agreement.key()
+        ] = agreement
         return agreement
 
     def find_agreement(
@@ -100,9 +129,8 @@ class PartnerDirectory:
         """Return the unique active agreement matching the filters."""
         matches = [
             agreement
-            for agreement in self._agreements.values()
-            if agreement.partner_id == partner_id
-            and agreement.is_active()
+            for agreement in self._partner_agreements.get(partner_id, {}).values()
+            if agreement.is_active()
             and (protocol is None or agreement.protocol == protocol)
             and (our_role is None or agreement.our_role == our_role)
             and (doc_type is None or agreement.allows(doc_type))

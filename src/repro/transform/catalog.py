@@ -23,10 +23,12 @@ document itself):
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Callable, Mapping as TypingMapping
 
 from repro.documents import edi, idoc, normalized, oagis, oracle_oif, rosettanet
 from repro.documents.model import Document, DocumentPath
+from repro.documents.schema import DocumentSchema
 from repro.errors import MappingError
 from repro.transform import functions
 from repro.transform.mapping import Compute, Const, Each, Field, Mapping
@@ -37,6 +39,8 @@ __all__ = ["standard_mappings", "build_standard_registry"]
 NORM = normalized.NORMALIZED
 
 Context = TypingMapping[str, Any]
+# schema(factory): the schema factory() builds, one object per catalog
+SchemaOf = Callable[[Callable[[], DocumentSchema]], DocumentSchema]
 
 
 # ---------------------------------------------------------------------------
@@ -132,14 +136,14 @@ def _sap_partner(role: str) -> Callable[[Document, Context], str]:
 # ---------------------------------------------------------------------------
 
 
-def _edi_mappings() -> list[Mapping]:
+def _edi_mappings(schema: SchemaOf) -> list[Mapping]:
     po_out = Mapping(
         name="normalized__to__edi-x12/purchase_order",
         source_format=NORM,
         target_format=edi.EDI_X12,
         doc_type="purchase_order",
-        source_schema=normalized.normalized_po_schema(),
-        target_schema=edi.edi_po_schema(),
+        source_schema=schema(normalized.normalized_po_schema),
+        target_schema=schema(edi.edi_po_schema),
         rules=[
             Compute("isa.sender_id", _ctx_or_path("sender_id", "header.buyer_id")),
             Compute("isa.receiver_id", _ctx_or_path("receiver_id", "header.seller_id")),
@@ -177,8 +181,8 @@ def _edi_mappings() -> list[Mapping]:
         source_format=edi.EDI_X12,
         target_format=NORM,
         doc_type="purchase_order",
-        source_schema=edi.edi_po_schema(),
-        target_schema=normalized.normalized_po_schema(),
+        source_schema=schema(edi.edi_po_schema),
+        target_schema=schema(normalized.normalized_po_schema),
         rules=[
             Compute("header.document_id", _derived_doc_id("PO-DOC-", "beg.po_number")),
             Field("beg.po_number", "header.po_number"),
@@ -207,8 +211,8 @@ def _edi_mappings() -> list[Mapping]:
         source_format=NORM,
         target_format=edi.EDI_X12,
         doc_type="po_ack",
-        source_schema=normalized.normalized_poa_schema(),
-        target_schema=edi.edi_poa_schema(),
+        source_schema=schema(normalized.normalized_poa_schema),
+        target_schema=schema(edi.edi_poa_schema),
         rules=[
             Compute("isa.sender_id", _ctx_or_path("sender_id", "header.seller_id")),
             Compute("isa.receiver_id", _ctx_or_path("receiver_id", "header.buyer_id")),
@@ -249,8 +253,8 @@ def _edi_mappings() -> list[Mapping]:
         source_format=edi.EDI_X12,
         target_format=NORM,
         doc_type="po_ack",
-        source_schema=edi.edi_poa_schema(),
-        target_schema=normalized.normalized_poa_schema(),
+        source_schema=schema(edi.edi_poa_schema),
+        target_schema=schema(normalized.normalized_poa_schema),
         rules=[
             Compute("header.document_id", _derived_doc_id("POA-DOC-", "bak.po_number")),
             Field("bak.po_number", "header.po_number"),
@@ -285,14 +289,14 @@ def _edi_mappings() -> list[Mapping]:
 # ---------------------------------------------------------------------------
 
 
-def _rosettanet_mappings() -> list[Mapping]:
+def _rosettanet_mappings(schema: SchemaOf) -> list[Mapping]:
     po_out = Mapping(
         name="normalized__to__rosettanet-xml/purchase_order",
         source_format=NORM,
         target_format=rosettanet.ROSETTANET,
         doc_type="purchase_order",
-        source_schema=normalized.normalized_po_schema(),
-        target_schema=rosettanet.rn_po_schema(),
+        source_schema=schema(normalized.normalized_po_schema),
+        target_schema=schema(rosettanet.rn_po_schema),
         rules=[
             Const("service_header.pip_code", "3A4"),
             Compute(
@@ -327,8 +331,8 @@ def _rosettanet_mappings() -> list[Mapping]:
         source_format=rosettanet.ROSETTANET,
         target_format=NORM,
         doc_type="purchase_order",
-        source_schema=rosettanet.rn_po_schema(),
-        target_schema=normalized.normalized_po_schema(),
+        source_schema=schema(rosettanet.rn_po_schema),
+        target_schema=schema(normalized.normalized_po_schema),
         rules=[
             Field("order.global_document_id", "header.document_id"),
             Field("order.po_number", "header.po_number"),
@@ -357,8 +361,8 @@ def _rosettanet_mappings() -> list[Mapping]:
         source_format=NORM,
         target_format=rosettanet.ROSETTANET,
         doc_type="po_ack",
-        source_schema=normalized.normalized_poa_schema(),
-        target_schema=rosettanet.rn_poa_schema(),
+        source_schema=schema(normalized.normalized_poa_schema),
+        target_schema=schema(rosettanet.rn_poa_schema),
         rules=[
             Const("service_header.pip_code", "3A4"),
             Compute(
@@ -400,8 +404,8 @@ def _rosettanet_mappings() -> list[Mapping]:
         source_format=rosettanet.ROSETTANET,
         target_format=NORM,
         doc_type="po_ack",
-        source_schema=rosettanet.rn_poa_schema(),
-        target_schema=normalized.normalized_poa_schema(),
+        source_schema=schema(rosettanet.rn_poa_schema),
+        target_schema=schema(normalized.normalized_poa_schema),
         rules=[
             Field("acknowledgment.global_document_id", "header.document_id"),
             Field("acknowledgment.po_number", "header.po_number"),
@@ -439,14 +443,14 @@ def _rosettanet_mappings() -> list[Mapping]:
 # ---------------------------------------------------------------------------
 
 
-def _oagis_mappings() -> list[Mapping]:
+def _oagis_mappings(schema: SchemaOf) -> list[Mapping]:
     po_out = Mapping(
         name="normalized__to__oagis-bod/purchase_order",
         source_format=NORM,
         target_format=oagis.OAGIS,
         doc_type="purchase_order",
-        source_schema=normalized.normalized_po_schema(),
-        target_schema=oagis.oagis_po_schema(),
+        source_schema=schema(normalized.normalized_po_schema),
+        target_schema=schema(oagis.oagis_po_schema),
         rules=[
             Compute("application_area.sender_id", _ctx_or_path("sender_id", "header.buyer_id")),
             Compute(
@@ -481,8 +485,8 @@ def _oagis_mappings() -> list[Mapping]:
         source_format=oagis.OAGIS,
         target_format=NORM,
         doc_type="purchase_order",
-        source_schema=oagis.oagis_po_schema(),
-        target_schema=normalized.normalized_po_schema(),
+        source_schema=schema(oagis.oagis_po_schema),
+        target_schema=schema(normalized.normalized_po_schema),
         rules=[
             Field("order_header.document_id", "header.document_id"),
             Field("order_header.po_number", "header.po_number"),
@@ -511,8 +515,8 @@ def _oagis_mappings() -> list[Mapping]:
         source_format=NORM,
         target_format=oagis.OAGIS,
         doc_type="po_ack",
-        source_schema=normalized.normalized_poa_schema(),
-        target_schema=oagis.oagis_poa_schema(),
+        source_schema=schema(normalized.normalized_poa_schema),
+        target_schema=schema(oagis.oagis_poa_schema),
         rules=[
             Compute("application_area.sender_id", _ctx_or_path("sender_id", "header.seller_id")),
             Compute(
@@ -551,8 +555,8 @@ def _oagis_mappings() -> list[Mapping]:
         source_format=oagis.OAGIS,
         target_format=NORM,
         doc_type="po_ack",
-        source_schema=oagis.oagis_poa_schema(),
-        target_schema=normalized.normalized_poa_schema(),
+        source_schema=schema(oagis.oagis_poa_schema),
+        target_schema=schema(normalized.normalized_poa_schema),
         rules=[
             Field("ack_header.document_id", "header.document_id"),
             Field("ack_header.po_number", "header.po_number"),
@@ -587,14 +591,14 @@ def _oagis_mappings() -> list[Mapping]:
 # ---------------------------------------------------------------------------
 
 
-def _sap_mappings() -> list[Mapping]:
+def _sap_mappings(schema: SchemaOf) -> list[Mapping]:
     po_out = Mapping(
         name="normalized__to__sap-idoc/purchase_order",
         source_format=NORM,
         target_format=idoc.SAP_IDOC,
         doc_type="purchase_order",
-        source_schema=normalized.normalized_po_schema(),
-        target_schema=idoc.idoc_po_schema(),
+        source_schema=schema(normalized.normalized_po_schema),
+        target_schema=schema(idoc.idoc_po_schema),
         rules=[
             Compute(
                 "control.idoc_number",
@@ -638,8 +642,8 @@ def _sap_mappings() -> list[Mapping]:
         source_format=idoc.SAP_IDOC,
         target_format=NORM,
         doc_type="purchase_order",
-        source_schema=idoc.idoc_po_schema(),
-        target_schema=normalized.normalized_po_schema(),
+        source_schema=schema(idoc.idoc_po_schema),
+        target_schema=schema(normalized.normalized_po_schema),
         rules=[
             Field("control.idoc_number", "header.document_id"),
             Field("header.belnr", "header.po_number"),
@@ -668,8 +672,8 @@ def _sap_mappings() -> list[Mapping]:
         source_format=NORM,
         target_format=idoc.SAP_IDOC,
         doc_type="po_ack",
-        source_schema=normalized.normalized_poa_schema(),
-        target_schema=idoc.idoc_poa_schema(),
+        source_schema=schema(normalized.normalized_poa_schema),
+        target_schema=schema(idoc.idoc_poa_schema),
         rules=[
             Compute(
                 "control.idoc_number",
@@ -718,8 +722,8 @@ def _sap_mappings() -> list[Mapping]:
         source_format=idoc.SAP_IDOC,
         target_format=NORM,
         doc_type="po_ack",
-        source_schema=idoc.idoc_poa_schema(),
-        target_schema=normalized.normalized_poa_schema(),
+        source_schema=schema(idoc.idoc_poa_schema),
+        target_schema=schema(normalized.normalized_poa_schema),
         rules=[
             Field("control.idoc_number", "header.document_id"),
             Field("header.belnr", "header.po_number"),
@@ -754,14 +758,14 @@ def _sap_mappings() -> list[Mapping]:
 # ---------------------------------------------------------------------------
 
 
-def _oracle_mappings() -> list[Mapping]:
+def _oracle_mappings(schema: SchemaOf) -> list[Mapping]:
     po_out = Mapping(
         name="normalized__to__oracle-oif/purchase_order",
         source_format=NORM,
         target_format=oracle_oif.ORACLE_OIF,
         doc_type="purchase_order",
-        source_schema=normalized.normalized_po_schema(),
-        target_schema=oracle_oif.oif_po_schema(),
+        source_schema=schema(normalized.normalized_po_schema),
+        target_schema=schema(oracle_oif.oif_po_schema),
         rules=[
             Field("header.document_id", "header.interface_header_id"),
             Field("header.po_number", "header.document_num"),
@@ -789,8 +793,8 @@ def _oracle_mappings() -> list[Mapping]:
         source_format=oracle_oif.ORACLE_OIF,
         target_format=NORM,
         doc_type="purchase_order",
-        source_schema=oracle_oif.oif_po_schema(),
-        target_schema=normalized.normalized_po_schema(),
+        source_schema=schema(oracle_oif.oif_po_schema),
+        target_schema=schema(normalized.normalized_po_schema),
         rules=[
             Field("header.interface_header_id", "header.document_id"),
             Field("header.document_num", "header.po_number"),
@@ -819,8 +823,8 @@ def _oracle_mappings() -> list[Mapping]:
         source_format=NORM,
         target_format=oracle_oif.ORACLE_OIF,
         doc_type="po_ack",
-        source_schema=normalized.normalized_poa_schema(),
-        target_schema=oracle_oif.oif_poa_schema(),
+        source_schema=schema(normalized.normalized_poa_schema),
+        target_schema=schema(oracle_oif.oif_poa_schema),
         rules=[
             Field("header.document_id", "header.interface_header_id"),
             Field("header.po_number", "header.document_num"),
@@ -852,8 +856,8 @@ def _oracle_mappings() -> list[Mapping]:
         source_format=oracle_oif.ORACLE_OIF,
         target_format=NORM,
         doc_type="po_ack",
-        source_schema=oracle_oif.oif_poa_schema(),
-        target_schema=normalized.normalized_poa_schema(),
+        source_schema=schema(oracle_oif.oif_poa_schema),
+        target_schema=schema(normalized.normalized_poa_schema),
         rules=[
             Field("header.interface_header_id", "header.document_id"),
             Field("header.document_num", "header.po_number"),
@@ -888,14 +892,14 @@ def _oracle_mappings() -> list[Mapping]:
 # ---------------------------------------------------------------------------
 
 
-def _oagis_fulfillment_mappings() -> list[Mapping]:
+def _oagis_fulfillment_mappings(schema: SchemaOf) -> list[Mapping]:
     asn_out = Mapping(
         name="normalized__to__oagis-bod/ship_notice",
         source_format=NORM,
         target_format=oagis.OAGIS,
         doc_type="ship_notice",
-        source_schema=normalized.normalized_ship_notice_schema(),
-        target_schema=oagis.oagis_asn_schema(),
+        source_schema=schema(normalized.normalized_ship_notice_schema),
+        target_schema=schema(oagis.oagis_asn_schema),
         rules=[
             Compute("application_area.sender_id", _ctx_or_path("sender_id", "header.seller_id")),
             Compute(
@@ -928,8 +932,8 @@ def _oagis_fulfillment_mappings() -> list[Mapping]:
         source_format=oagis.OAGIS,
         target_format=NORM,
         doc_type="ship_notice",
-        source_schema=oagis.oagis_asn_schema(),
-        target_schema=normalized.normalized_ship_notice_schema(),
+        source_schema=schema(oagis.oagis_asn_schema),
+        target_schema=schema(normalized.normalized_ship_notice_schema),
         rules=[
             Field("shipment_header.document_id", "header.document_id"),
             Field("shipment_header.shipment_id", "header.shipment_id"),
@@ -955,8 +959,8 @@ def _oagis_fulfillment_mappings() -> list[Mapping]:
         source_format=NORM,
         target_format=oagis.OAGIS,
         doc_type="invoice",
-        source_schema=normalized.normalized_invoice_schema(),
-        target_schema=oagis.oagis_invoice_schema(),
+        source_schema=schema(normalized.normalized_invoice_schema),
+        target_schema=schema(oagis.oagis_invoice_schema),
         rules=[
             Compute("application_area.sender_id", _ctx_or_path("sender_id", "header.seller_id")),
             Compute(
@@ -993,8 +997,8 @@ def _oagis_fulfillment_mappings() -> list[Mapping]:
         source_format=oagis.OAGIS,
         target_format=NORM,
         doc_type="invoice",
-        source_schema=oagis.oagis_invoice_schema(),
-        target_schema=normalized.normalized_invoice_schema(),
+        source_schema=schema(oagis.oagis_invoice_schema),
+        target_schema=schema(normalized.normalized_invoice_schema),
         rules=[
             Field("invoice_header.document_id", "header.document_id"),
             Field("invoice_header.invoice_number", "header.invoice_number"),
@@ -1027,14 +1031,14 @@ def _oagis_fulfillment_mappings() -> list[Mapping]:
 # ---------------------------------------------------------------------------
 
 
-def _edi_fulfillment_mappings() -> list[Mapping]:
+def _edi_fulfillment_mappings(schema: SchemaOf) -> list[Mapping]:
     asn_out = Mapping(
         name="normalized__to__edi-x12/ship_notice",
         source_format=NORM,
         target_format=edi.EDI_X12,
         doc_type="ship_notice",
-        source_schema=normalized.normalized_ship_notice_schema(),
-        target_schema=edi.edi_asn_schema(),
+        source_schema=schema(normalized.normalized_ship_notice_schema),
+        target_schema=schema(edi.edi_asn_schema),
         rules=[
             Compute("isa.sender_id", _ctx_or_path("sender_id", "header.seller_id")),
             Compute("isa.receiver_id", _ctx_or_path("receiver_id", "header.buyer_id")),
@@ -1068,8 +1072,8 @@ def _edi_fulfillment_mappings() -> list[Mapping]:
         source_format=edi.EDI_X12,
         target_format=NORM,
         doc_type="ship_notice",
-        source_schema=edi.edi_asn_schema(),
-        target_schema=normalized.normalized_ship_notice_schema(),
+        source_schema=schema(edi.edi_asn_schema),
+        target_schema=schema(normalized.normalized_ship_notice_schema),
         rules=[
             Compute("header.document_id", _derived_doc_id("ASN-DOC-", "bsn.shipment_id")),
             Field("bsn.shipment_id", "header.shipment_id"),
@@ -1095,8 +1099,8 @@ def _edi_fulfillment_mappings() -> list[Mapping]:
         source_format=NORM,
         target_format=edi.EDI_X12,
         doc_type="invoice",
-        source_schema=normalized.normalized_invoice_schema(),
-        target_schema=edi.edi_invoice_schema(),
+        source_schema=schema(normalized.normalized_invoice_schema),
+        target_schema=schema(edi.edi_invoice_schema),
         rules=[
             Compute("isa.sender_id", _ctx_or_path("sender_id", "header.seller_id")),
             Compute("isa.receiver_id", _ctx_or_path("receiver_id", "header.buyer_id")),
@@ -1135,8 +1139,8 @@ def _edi_fulfillment_mappings() -> list[Mapping]:
         source_format=edi.EDI_X12,
         target_format=NORM,
         doc_type="invoice",
-        source_schema=edi.edi_invoice_schema(),
-        target_schema=normalized.normalized_invoice_schema(),
+        source_schema=schema(edi.edi_invoice_schema),
+        target_schema=schema(normalized.normalized_invoice_schema),
         rules=[
             Compute("header.document_id", _derived_doc_id("INV-DOC-", "big.invoice_number")),
             Field("big.invoice_number", "header.invoice_number"),
@@ -1169,14 +1173,14 @@ def _edi_fulfillment_mappings() -> list[Mapping]:
 # ---------------------------------------------------------------------------
 
 
-def _oagis_quotation_mappings() -> list[Mapping]:
+def _oagis_quotation_mappings(schema: SchemaOf) -> list[Mapping]:
     rfq_out = Mapping(
         name="normalized__to__oagis-bod/request_for_quote",
         source_format=NORM,
         target_format=oagis.OAGIS,
         doc_type="request_for_quote",
-        source_schema=normalized.normalized_rfq_schema(),
-        target_schema=oagis.oagis_rfq_schema(),
+        source_schema=schema(normalized.normalized_rfq_schema),
+        target_schema=schema(oagis.oagis_rfq_schema),
         rules=[
             Compute("application_area.sender_id", _ctx_or_path("sender_id", "header.buyer_id")),
             Compute(
@@ -1208,8 +1212,8 @@ def _oagis_quotation_mappings() -> list[Mapping]:
         source_format=oagis.OAGIS,
         target_format=NORM,
         doc_type="request_for_quote",
-        source_schema=oagis.oagis_rfq_schema(),
-        target_schema=normalized.normalized_rfq_schema(),
+        source_schema=schema(oagis.oagis_rfq_schema),
+        target_schema=schema(normalized.normalized_rfq_schema),
         rules=[
             Field("rfq_header.document_id", "header.document_id"),
             Field("rfq_header.rfq_number", "header.rfq_number"),
@@ -1235,8 +1239,8 @@ def _oagis_quotation_mappings() -> list[Mapping]:
         source_format=NORM,
         target_format=oagis.OAGIS,
         doc_type="quote",
-        source_schema=normalized.normalized_quote_schema(),
-        target_schema=oagis.oagis_quote_schema(),
+        source_schema=schema(normalized.normalized_quote_schema),
+        target_schema=schema(oagis.oagis_quote_schema),
         rules=[
             Compute("application_area.sender_id", _ctx_or_path("sender_id", "header.seller_id")),
             Compute(
@@ -1271,8 +1275,8 @@ def _oagis_quotation_mappings() -> list[Mapping]:
         source_format=oagis.OAGIS,
         target_format=NORM,
         doc_type="quote",
-        source_schema=oagis.oagis_quote_schema(),
-        target_schema=normalized.normalized_quote_schema(),
+        source_schema=schema(oagis.oagis_quote_schema),
+        target_schema=schema(normalized.normalized_quote_schema),
         rules=[
             Field("quote_header.document_id", "header.document_id"),
             Field("quote_header.quote_number", "header.quote_number"),
@@ -1302,16 +1306,22 @@ def standard_mappings() -> list[Mapping]:
     """Return the expert mappings of the standard catalog: 20 PO/POA
     mappings (5 formats x 2 kinds x 2 directions), 8 fulfillment mappings
     (ship notice + invoice over OAGIS and EDI 856/810), and 4 quotation
-    mappings (RFQ + quote over OAGIS)."""
+    mappings (RFQ + quote over OAGIS).
+
+    Each schema is built once per call and shared by every mapping that
+    names it, so a sealed document that passed one mapping's target check
+    passes the next mapping's source check at once.
+    """
+    schema = functools.cache(lambda factory: factory())
     return [
-        *_edi_mappings(),
-        *_edi_fulfillment_mappings(),
-        *_rosettanet_mappings(),
-        *_oagis_mappings(),
-        *_oagis_fulfillment_mappings(),
-        *_oagis_quotation_mappings(),
-        *_sap_mappings(),
-        *_oracle_mappings(),
+        *_edi_mappings(schema),
+        *_edi_fulfillment_mappings(schema),
+        *_rosettanet_mappings(schema),
+        *_oagis_mappings(schema),
+        *_oagis_fulfillment_mappings(schema),
+        *_oagis_quotation_mappings(schema),
+        *_sap_mappings(schema),
+        *_oracle_mappings(schema),
     ]
 
 

@@ -296,7 +296,8 @@ class CompiledMapping:
         )
 
     def apply(self, document: Document, context: Context | None = None) -> Document:
-        """Transform ``document`` and return the new target-format document."""
+        """Transform ``document`` and return the new, sealed target-format
+        document."""
         mapping = self.mapping
         context = context or {}
         if document.format_name != mapping.source_format:
@@ -317,6 +318,7 @@ class CompiledMapping:
             rule(document, source, data, context)
         if mapping.post is not None:
             mapping.post(document, target, context)
+        target.seal()
         if mapping.target_schema is not None:
             mapping.target_schema.validate(target)
         return target

@@ -67,7 +67,7 @@ import json
 from dataclasses import dataclass, field as dataclass_field
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from repro.core.binding import KIND_CONSUME, KIND_PRODUCE, KIND_TRANSFORM, Binding
+from repro.core.binding import KIND_CONSUME, KIND_PRODUCE, KIND_TRANSFORM
 from repro.documents.model import Document
 from repro.documents.schema import DocumentSchema, FieldSpec
 from repro.errors import NoRouteError

@@ -11,15 +11,16 @@ The boundary is kept cheap in two ways:
 
 * an instance is stored as an immutable record of nested tuples, and
   every load builds fresh containers from it, so each load is a private
-  copy.  Scalars go into the record as they are; each document becomes
-  its format, its doc type and the pickled bytes of its content; any
-  other value is pickled.  A loaded document unpickles its content on
-  the first read of ``data``, and a store before that read reuses the
-  bytes.  A loaded instance's history likewise stays the record's
-  entries until the first read of ``history``, and a store before that
-  read reuses them and encodes only the entries ``record()`` appended
-  since the load.  The database only ever unpickles bytes it pickled
-  itself in this process; :meth:`WorkflowDatabase.snapshot` and
+  copy of the instance.  Scalars go into the record as they are, and so
+  does a sealed document: it cannot change, so the record holds the
+  object itself and every load returns that same object.  An unsealed
+  document becomes its format, its doc type and the pickled bytes of its
+  content, and each load decodes a private copy; any other value is
+  pickled.  A loaded instance's history stays the record's entries until
+  the first read of ``history``, and a store before that read reuses
+  them and encodes only the entries ``record()`` appended since the
+  load.  The database only ever unpickles bytes it pickled itself in
+  this process; :meth:`WorkflowDatabase.snapshot` and
   :meth:`WorkflowDatabase.restore` speak JSON, so no external bytes
   reach ``pickle.loads``;
 * a type is stored as its definition and built once per
@@ -218,9 +219,10 @@ def _version_sort_key(version: str) -> tuple[int, Any]:
 # A record is the tuple _encode_instance builds, status first.  Variables,
 # step outputs and signals are stored as (pairs, keys): the (key, value)
 # pairs in order, and the keys whose value is not a scalar and so is
-# stored encoded.  An encoded value is either a document, as a
-# (format, doc type, pickled content) tuple that every holder of that
-# document shares, or the pickled bytes of the value.  The history is a
+# stored encoded.  An encoded value is a sealed document itself, an
+# unsealed document as a (format, doc type, pickled content) tuple that
+# every holder of that document shares, or the pickled bytes of any other
+# value.  The history is a
 # _StoredHistory of entries: a 4-tuple of its values when the entry is
 # exactly what record() writes, and pickled bytes otherwise.
 
@@ -234,35 +236,6 @@ _HISTORY_KEYS = ("at", "event", "step_id", "detail")
 _RECORD_KEYS = frozenset((_HISTORY_KEYS,))
 _RECORD_VALUES = operator.itemgetter(*_HISTORY_KEYS)
 _EMPTY_MAPPING: tuple = ((), ())
-# the slot behind Document.data, which _UndecodedDocument hides
-_DATA_SLOT = Document.data
-
-
-class _UndecodedDocument(Document):
-    """A loaded document whose content is still the stored pickle bytes.
-
-    The first read or write of ``data`` fills the ``Document`` slot and
-    turns the object into a plain :class:`Document`, so from then on it
-    is one.  Until then its slot holds the bytes, which a store reuses.
-    Like the rest of a load, it belongs to one caller: two threads
-    reading it first at once would each decode their own copy.
-    """
-
-    __slots__ = ()
-
-    @property
-    def data(self) -> dict[str, Any]:
-        data = pickle.loads(_DATA_SLOT.__get__(self))
-        self.data = data
-        return data
-
-    @data.setter
-    def data(self, value: dict[str, Any]) -> None:
-        _DATA_SLOT.__set__(self, value)
-        self.__class__ = Document
-
-    def __reduce__(self) -> tuple:
-        return Document, (self.format_name, self.doc_type, self.data)
 
 
 class _StoredHistory(tuple):
@@ -335,17 +308,16 @@ def _encode_mapping(mapping: dict, documents: dict[int, tuple]) -> tuple:
 
 
 def _encode_value(value: Any, documents: dict[int, tuple]) -> Any:
-    cls = type(value)
-    if cls is not Document and cls is not _UndecodedDocument:
+    if type(value) is not Document:
         return pickle.dumps(value, _PROTOCOL)
+    if value.sealed:
+        return value
     # one entry per document object, so a document held twice loads as one
     entry = documents.get(id(value))
     if entry is None:
-        if cls is _UndecodedDocument:
-            content = _DATA_SLOT.__get__(value)
-        else:
-            content = pickle.dumps(value.data, _PROTOCOL)
-        entry = documents[id(value)] = (value.format_name, value.doc_type, content)
+        entry = documents[id(value)] = (
+            value.format_name, value.doc_type, pickle.dumps(value.data, _PROTOCOL)
+        )
     return entry
 
 
@@ -408,15 +380,17 @@ def _decode_mapping(encoded: tuple, documents: dict[int, Document]) -> dict:
 
 
 def _decode_value(value: Any, documents: dict[int, Document]) -> Any:
-    if type(value) is bytes:
+    cls = type(value)
+    if cls is bytes:
         return pickle.loads(value)
+    if cls is Document:
+        return value
     document = documents.get(id(value))
     if document is None:
         format_name, doc_type, content = value
-        document = documents[id(value)] = _UndecodedDocument.__new__(_UndecodedDocument)
-        document.format_name = format_name
-        document.doc_type = doc_type
-        _DATA_SLOT.__set__(document, content)
+        document = documents[id(value)] = Document(
+            format_name, doc_type, pickle.loads(content)
+        )
     return document
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.backend import OracleSimulator, SapSimulator
 from repro.backend.base import accept_all, partial_backorder, reject_over
+from repro.documents.model import Document
 from repro.errors import BackendError
 from repro.sim import EventScheduler
 
@@ -87,6 +88,36 @@ class TestOrderProcessing:
     def test_unknown_order_lookup_raises(self, erp):
         with pytest.raises(BackendError):
             erp.order("PO-404")
+
+    def test_unsupported_doc_type_is_not_counted(self, erp):
+        invoice = Document(erp.format_name, "invoice", {"header": {}})
+        with pytest.raises(BackendError, match="cannot process doc_type 'invoice'"):
+            erp.store_document(invoice)
+        assert erp.stored_count == 0
+
+    def test_duplicate_po_is_counted_once(self, erp):
+        erp.store_document(_native_po(erp))
+        with pytest.raises(BackendError, match="already has order"):
+            erp.store_document(_native_po(erp))
+        assert erp.stored_count == 1
+        receiver = type(erp)("receiver")
+        receiver.store_document(erp.extract_documents("po_ack")[0])
+        assert receiver.stored_count == 1
+
+    def test_outbound_documents_are_sealed(self, erp):
+        po = erp.enter_order("PO-1", "BUYER", "SELLER", LINES)
+        erp.store_document(_native_po(erp, "PO-2"))
+        assert po.sealed
+        assert all(document.sealed for document in erp.extract_documents())
+
+    def test_sealed_document_kept_unsealed_one_copied(self, erp):
+        sealed = _native_po(erp)
+        erp.store_document(sealed)
+        assert erp.order("PO-1").document is sealed
+        unsealed = _native_po(erp, "PO-2").copy()
+        erp.store_document(unsealed)
+        kept = erp.order("PO-2").document
+        assert kept == unsealed and kept is not unsealed
 
 
 class TestPolicies:

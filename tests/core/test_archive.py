@@ -29,6 +29,11 @@ class TestDocumentArchive:
         po.set("header.po_number", "MUTATED")
         assert archive.get("purchase_order", "PO-9").get("header.po_number") == "PO-9"
 
+    def test_sealed_document_is_filed_as_it_is(self, po):
+        archive = DocumentArchive()
+        archive.store(po.seal())
+        assert archive.get("purchase_order", "PO-9") is po
+
     def test_missing_raises(self):
         with pytest.raises(IntegrationError):
             DocumentArchive().get("invoice", "nope")

@@ -1,5 +1,8 @@
 """Tests for the generic document model and path language."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -207,6 +210,84 @@ class TestLifecycle:
     def test_equality_considers_format_and_type(self, doc):
         other = Document("edi-x12", doc.doc_type, doc.data)
         assert doc != other
+
+
+def _containers(node):
+    """Every dict and list inside ``node``, by identity."""
+    found = {}
+    stack = [node]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, dict):
+            found[id(item)] = item
+            stack.extend(item.values())
+        elif isinstance(item, list):
+            found[id(item)] = item
+            stack.extend(item)
+    return found
+
+
+DUPLICATES = {
+    "copy-method": lambda document: document.copy(),
+    "copy.copy": copy.copy,
+    "copy.deepcopy": copy.deepcopy,
+    "pickle": lambda document: pickle.loads(pickle.dumps(document)),
+}
+
+
+class TestSealing:
+    def test_a_new_document_is_unsealed(self, doc):
+        assert not doc.sealed
+        doc.set("header.po_number", "PO-2")
+
+    def test_seal_returns_the_document(self, doc):
+        assert doc.seal() is doc
+        assert doc.sealed
+        assert doc.seal() is doc
+
+    @pytest.mark.parametrize("path", ["header.po_number", "lines[+]", "new.field"])
+    def test_set_on_a_sealed_document_raises(self, doc, path):
+        doc.seal()
+        with pytest.raises(DocumentError, match="sealed"):
+            doc.set(path, "X")
+        assert doc.get("header.po_number") == "PO-1"
+        assert len(doc.get("lines")) == 2
+
+    def test_delete_on_a_sealed_document_raises(self, doc):
+        doc.seal()
+        with pytest.raises(DocumentError, match="sealed"):
+            doc.delete("lines[0]")
+        assert len(doc.get("lines")) == 2
+
+    def test_reads_work_on_a_sealed_document(self, doc):
+        doc.seal()
+        assert doc.get("lines[1].sku") == "B"
+        assert doc.has("header.amounts.total")
+        assert doc == Document(doc.format_name, doc.doc_type, copy.deepcopy(doc.data))
+
+    @pytest.mark.parametrize("duplicate", DUPLICATES.values(), ids=list(DUPLICATES))
+    def test_a_duplicate_is_unsealed_and_shares_no_container(self, doc, duplicate):
+        doc.seal()
+        clone = duplicate(doc)
+        assert type(clone) is Document
+        assert clone == doc
+        assert not clone.sealed
+        assert doc.sealed
+        assert not set(_containers(clone.data)) & set(_containers(doc.data))
+        clone.set("lines[0].sku", "Z")
+        assert doc.get("lines[0].sku") == "A"
+
+    def test_a_list_holding_a_sealed_document_pickles(self, doc):
+        doc.seal()
+        loaded = pickle.loads(pickle.dumps([doc, doc]))
+        assert loaded[0] is loaded[1]
+        assert loaded[0] == doc and not loaded[0].sealed
+
+    @pytest.mark.parametrize("duplicate", DUPLICATES.values(), ids=list(DUPLICATES))
+    def test_an_unsealed_duplicate_shares_no_container(self, doc, duplicate):
+        clone = duplicate(doc)
+        assert clone == doc and not clone.sealed
+        assert not set(_containers(clone.data)) & set(_containers(doc.data))
 
 
 # -- property-based ----------------------------------------------------------

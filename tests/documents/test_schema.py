@@ -236,9 +236,90 @@ class TestAcceptCheck:
         with pytest.raises(ValidationError, match=r"lines\[0\]\.unit"):
             schema.validate(doc)
 
+    def test_item_schema_edit_gives_a_new_top_level_check(self, schema):
+        check = schema._fields_check()
+        assert schema._fields_check() is check
+        schema.fields[-1].items.add(FieldSpec("unit"))
+        assert schema._fields_check() is not check
+
     def test_check_is_not_part_of_equality_or_repr(self, schema):
         before = copy.copy(schema)
         schema.validate(_valid_doc())
         assert schema._check is not None
         assert schema == before
         assert repr(schema) == repr(before)
+
+
+class TestValidateOnce:
+    """A sealed document remembers the checks it passed."""
+
+    @staticmethod
+    def _counting(schema):
+        calls = []
+        spec = schema.fields[1]
+        counted = FieldSpec(spec.path, spec.type_name,
+                            check=lambda value: calls.append(value) or value >= 0,
+                            check_label=spec.check_label)
+        schema.fields[1] = counted
+        return calls
+
+    def test_a_sealed_document_is_checked_once(self, schema):
+        calls = self._counting(schema)
+        doc = _valid_doc().seal()
+        for _ in range(3):
+            schema.validate(doc)
+        assert calls == [10.0]
+
+    def test_an_unsealed_document_is_checked_every_time(self, schema):
+        calls = self._counting(schema)
+        doc = _valid_doc()
+        for _ in range(3):
+            schema.validate(doc)
+        assert calls == [10.0] * 3
+
+    def test_a_failed_check_is_not_remembered(self, schema):
+        doc = Document("normalized", "purchase_order", {
+            "header": {"po_number": "PO-1", "amount": -1.0, "status": "open"},
+            "lines": [{"sku": "A", "quantity": 1}],
+        }).seal()
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="amount >= 0"):
+                schema.validate(doc)
+
+    def test_format_and_doc_type_are_still_compared(self, schema):
+        doc = _valid_doc().seal()
+        schema.validate(doc)
+        other = DocumentSchema("other", format_name="edi-x12", doc_type="purchase_order",
+                               fields=schema.fields)
+        with pytest.raises(ValidationError, match="format mismatch"):
+            other.validate(doc)
+
+    def test_an_equal_schema_is_a_different_check(self, schema):
+        calls = self._counting(schema)
+        doc = _valid_doc().seal()
+        schema.validate(doc)
+        twin = DocumentSchema(schema.name, schema.format_name, schema.doc_type,
+                              list(schema.fields))
+        twin.validate(doc)
+        assert calls == [10.0, 10.0]
+
+    def test_editing_the_fields_reruns_the_check(self, schema):
+        doc = _valid_doc().seal()
+        schema.validate(doc)
+        schema.add(FieldSpec("header.approver"))
+        with pytest.raises(ValidationError, match="header.approver"):
+            schema.validate(doc)
+
+    def test_replacing_a_field_reruns_the_check(self, schema):
+        doc = _valid_doc().seal()
+        schema.validate(doc)
+        schema.fields[0] = FieldSpec("header.po_number", choices=("PO-2",))
+        with pytest.raises(ValidationError, match="allowed choices"):
+            schema.validate(doc)
+
+    def test_editing_an_item_schema_reruns_the_check(self, schema):
+        doc = _valid_doc().seal()
+        schema.validate(doc)
+        schema.fields[-1].items.add(FieldSpec("unit"))
+        with pytest.raises(ValidationError, match=r"lines\[0\]\.unit"):
+            schema.validate(doc)

@@ -89,7 +89,7 @@ class TestEdiSpecifics:
         assert edi.edi_poa_schema().is_valid(doc)
 
     def test_reserved_delimiter_in_value_rejected(self, registry, sample_po):
-        doc = registry.transform(sample_po, edi.EDI_X12)
+        doc = registry.transform(sample_po, edi.EDI_X12).copy()
         doc.set("beg.po_number", "PO*1")
         with pytest.raises(WireFormatError):
             edi.to_wire(doc)
@@ -135,7 +135,7 @@ class TestRosettaNetSpecifics:
             rosettanet.from_wire("<SomethingElse/>")
 
     def test_request_without_lines_rejected(self, registry, sample_po):
-        doc = registry.transform(sample_po, rosettanet.ROSETTANET)
+        doc = registry.transform(sample_po, rosettanet.ROSETTANET).copy()
         doc.set("order.product_lines", [])
         text = rosettanet.to_wire(doc)
         with pytest.raises(WireFormatError):
@@ -185,7 +185,7 @@ class TestIdocSpecifics:
         assert poa_doc.get("control.message_type") == "ORDRSP"
 
     def test_field_overflow_rejected(self, registry, sample_po):
-        doc = registry.transform(sample_po, idoc.SAP_IDOC)
+        doc = registry.transform(sample_po, idoc.SAP_IDOC).copy()
         doc.set("header.curcy", "TOOLONG")
         with pytest.raises(WireFormatError):
             idoc.to_wire(doc)
@@ -209,13 +209,13 @@ class TestOifSpecifics:
         assert all(line.startswith("PO_LINES_INTERFACE|") for line in lines[1:])
 
     def test_pipe_in_value_escaped(self, registry, sample_po):
-        doc = registry.transform(sample_po, oracle_oif.ORACLE_OIF)
+        doc = registry.transform(sample_po, oracle_oif.ORACLE_OIF).copy()
         doc.set("lines[0].item_description", "big|pipe")
         parsed = oracle_oif.from_wire(oracle_oif.to_wire(doc))
         assert parsed.get("lines[0].item_description") == "big|pipe"
 
     def test_newline_in_value_escaped(self, registry, sample_po):
-        doc = registry.transform(sample_po, oracle_oif.ORACLE_OIF)
+        doc = registry.transform(sample_po, oracle_oif.ORACLE_OIF).copy()
         doc.set("lines[0].item_description", "two\nlines")
         parsed = oracle_oif.from_wire(oracle_oif.to_wire(doc))
         assert parsed.get("lines[0].item_description") == "two\nlines"

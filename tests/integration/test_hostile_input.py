@@ -68,7 +68,7 @@ VARIANTS = {
 }
 
 # Variants that must end as a fault, never as a booked order.
-FAULTS = {"nul-reference", "surrogate-reference"}
+FAULTS = {"nul-reference", "surrogate-reference", "negative-quantity"}
 
 
 def capture(protocol: str):

@@ -318,8 +318,7 @@ class TestInstanceRecords:
             assert _document_sharing(loaded) == _document_sharing(expected)
             assert loaded.to_dict() == expected.to_dict()
             assert db.snapshot() == reference.snapshot()
-            # store the load again before any document is read: the record
-            # reuses the documents' bytes and must not change
+            # storing the load again must not change the record
             db.store_instance(db.load_instance("I1"))
 
     def test_document_held_twice_loads_as_one_object(self):
@@ -336,6 +335,28 @@ class TestInstanceRecords:
         loaded.variables["document"].set("n", "changed")
         assert loaded.step_state("a").outputs["document"].get("n") == "changed"
         assert db.load_instance("I1").variables["document"].get("n") == "PO-1"
+
+    def test_sealed_document_loads_as_the_same_object_every_time(self):
+        db = WorkflowDatabase()
+        instance = _instance()
+        sealed = Document("normalized", "purchase_order", {"n": "PO-1", "lines": [{"q": 1}]}).seal()
+        unsealed = Document("normalized", "po_ack", {"n": "PO-1"})
+        instance.variables.update(document=sealed, ack=unsealed)
+        instance.step_state("a").outputs["document"] = sealed
+        db.store_instance(instance)
+        snapshot = db.snapshot()
+        acks = []
+        for _ in range(3):
+            loaded = db.load_instance("I1")
+            assert loaded.variables["document"] is sealed
+            assert loaded.step_state("a").outputs["document"] is sealed
+            acks.append(loaded.variables["ack"])
+            db.store_instance(loaded)
+        # an unsealed document still loads as a private copy each time
+        assert all(ack == unsealed and ack is not unsealed for ack in acks)
+        assert len({id(ack) for ack in acks}) == 3
+        assert db.snapshot() == snapshot
+        assert db.list_instances()[0].variables["document"] is sealed
 
 
 ORIGINAL = Document(
@@ -388,14 +409,6 @@ def _write_live_instance_after_store(db, live):
     live.history[0]["detail"] = "changed"
 
 
-def _store_undecoded_document_again_then_write(db, live):
-    loaded = db.load_instance("I1")
-    document = loaded.variables["document"]
-    assert type(document) is not Document  # not read yet: the store reuses its bytes
-    db.store_instance(loaded)
-    document.data["n"] = "changed"
-
-
 MUTATIONS = {
     "variables": lambda db, live: db.load_instance("I1").variables.update(leak=True),
     "nested-lists": _write_nested_lists,
@@ -405,7 +418,6 @@ MUTATIONS = {
     "document-before-first-read": _write_document_before_first_read,
     "document-after-first-read": _write_document_after_first_read,
     "live-instance-after-store": _write_live_instance_after_store,
-    "stored-again-undecoded-document": _store_undecoded_document_again_then_write,
 }
 
 
